@@ -24,9 +24,26 @@ import workloads
 
 LAYERS = ("cli", "sim", "smcore", "tapdsl", "engine", "models", "analysis",
           "rlbridge", "render")
-SETUP_REPEATS = 3    # the workload's set-up runs this often; setup_s takes the median
-IMPORT_REPEATS = 5   # fresh interpreters timed importing tapkit
+SETUP_REPEATS = 5    # the workload's set-up runs this often; setup_s takes the median
+IMPORT_REPEATS = 7   # fresh interpreters timed importing tapkit
 MIN_ITERATIONS = 2   # determinism needs two passes to compare
+
+# The host's speed drifts (other tenants share its cores): it switches
+# between a usual speed and one up to 40% faster for seconds at a time, so
+# the raw median of one run says as much about the host as about tapkit. A
+# fixed probe, timed before the first iteration and after every iteration,
+# samples that state. The run's end-to-end times are divided by its
+# slowness, the mean probe time over PROBE_REFERENCE_S: they are reported at
+# the host speed at which the probe takes PROBE_REFERENCE_S (about its usual
+# time on the 2-vCPU Xeon host the benchmark was written on). The mean, not
+# the median, because the probe times are bimodal and the mean follows the
+# share of the run spent in each mode. One factor per run, not per
+# iteration, so the probe's own jitter does not reach the step percentiles.
+# Raw times are printed too; per-layer times are raw.
+PROBE_REFERENCE_S = 0.018
+PROBE_REPEATS = 4    # a probe times this many runs of the kernel in a row
+_PROBE_VECTOR = np.arange(6.0)
+_PROBE_TABLE = np.random.default_rng(0).standard_normal((100, 500))
 
 # Inclusive time per pass, in seconds.
 FUNCTION_SECONDS = (
@@ -95,14 +112,18 @@ def run(args, root: Path, workdir: str) -> dict:
 
     budget = args.seconds / 2 if args.trace else args.seconds
     first_checks = make_first_checks(workload, tally, args.seed)
-    walls, steps, rows, digests, _ = run_loop(workload, budget, tally, first_checks)
-    reference = digests[0] if digests else None
-    check_digests(digests, reference, tally, "untraced")
+    host_probe()  # first use of the probe's arrays is not timed
+    loop = run_loop(workload, budget, tally, first_checks)
+    walls, steps, rows = loop["walls"], loop["steps"], loop["rows"]
+    reference = loop["digests"][0] if loop["digests"] else None
+    check_digests(loop["digests"], reference, tally, "untraced")
 
     record = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "trace": args.trace, "setup_inputs_s": setup_times, "import_s": import_times,
-        "wall_s_samples": walls, "digest": reference,
+        "wall_s_samples": walls, "raw_wall_s_samples": loop["raw_walls"],
+        "probe_s_samples": loop["probes"], "slowness": loop["slowness"],
+        "digest": reference,
     }
     wall = statistics.median(walls)
     if args.trace:
@@ -110,12 +131,13 @@ def run(args, root: Path, workdir: str) -> dict:
         record.update(traced_run(args, root, cls, workdir, budget, wall, tally, reference))
     else:
         record["metrics"] = {
-            "setup_s": (statistics.median(import_times) + statistics.median(setup_times), "s"),
+            "setup_s": ((statistics.median(import_times) + statistics.median(setup_times))
+                        / loop["slowness"], "s"),
             "wall_s": (wall, "s"),
             "rows_per_s": (statistics.median(rows) / wall, "1/s"),
-            "step_us_p50": (percentile(steps, 50) / 1e3, "us"),
-            "step_us_p99": (percentile(steps, 99) / 1e3, "us"),
-            "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
+            "step_us_p50": (percentile(steps, 50), "us"),
+            "step_us_p99": (percentile(steps, 99), "us"),
+            "peak_rss_mb": (loop["peak_rss_kb"] / 1024, "MB"),
         }
         record["samples"] = {"iterations": len(walls), "steps": len(steps)}
     record["attempted"] = tally.attempted
@@ -125,11 +147,14 @@ def run(args, root: Path, workdir: str) -> dict:
 
 def run_loop(workload, seconds: float, tally: Tally, first_checks, tracer=None):
     """Run iterations for ``seconds``: at least MIN_ITERATIONS, and no new one
-    that the median iteration so far says would end after the deadline."""
-    walls, steps, rows, digests, marks = [], [], [], [], []
+    that the median iteration so far says would end after the deadline.
+    ``walls`` (s) and ``steps`` (us) are divided by the run's ``slowness``.
+    Step times are kept as float32 and peak RSS is read before they are
+    joined, so the samples add little to it however many iterations ran."""
+    raw_walls, probes, steps, rows, digests, marks = [], [host_probe()], [], [], [], []
     deadline = time.perf_counter() + seconds
-    while (len(walls) < MIN_ITERATIONS
-           or time.perf_counter() + statistics.median(walls) <= deadline):
+    while (len(raw_walls) < MIN_ITERATIONS
+           or time.perf_counter() + statistics.median(raw_walls) <= deadline):
         if tracer is not None:
             tracer.take_counts()
             lo = tracer.mark()
@@ -138,8 +163,9 @@ def run_loop(workload, seconds: float, tally: Tally, first_checks, tracer=None):
         t1 = time.perf_counter_ns()
         if tracer is not None:
             marks.append((lo, tracer.mark(), t0, t1, tracer.take_counts()))
-        walls.append((t1 - t0) / 1e9)
-        steps.append(np.asarray(it.steps_ns, dtype=np.int64))
+        probes.append(host_probe())
+        raw_walls.append((t1 - t0) / 1e9)
+        steps.append((np.asarray(it.steps_ns, dtype=np.int64) / 1e3).astype(np.float32))
         rows.append(it.rows)
         tally.add(it.ops, it.failures)
         if not it.failures:
@@ -148,7 +174,34 @@ def run_loop(workload, seconds: float, tally: Tally, first_checks, tracer=None):
                 first_checks(it.output)
                 first_checks = None
         it = None  # free this pass's outputs before the next pass allocates its own
-    return walls, np.concatenate(steps), rows, digests, marks
+    peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    slowness = statistics.fmean(probes) / PROBE_REFERENCE_S
+    return {"walls": [w / slowness for w in raw_walls], "raw_walls": raw_walls,
+            "slowness": slowness, "probes": probes,
+            "steps": np.concatenate(steps).astype(np.float64) / slowness, "rows": rows,
+            "digests": digests, "marks": marks, "peak_rss_kb": peak_rss_kb}
+
+
+def _probe_kernel():
+    """A fixed mix of what tapkit's workloads spend time on: per-row Python
+    with number formatting and splitting, small array arithmetic, and a
+    strided copy of a table larger than L1."""
+    out = []
+    for i in range(800):
+        row = _PROBE_VECTOR * 1.5 + i
+        out.append(float(row[1]))
+        out.append(len(("%d,%.17g,%.17g" % (i, row[0], row[2])).split(",")))
+    table = _PROBE_TABLE[:, ::-1].copy()
+    table *= 1.0001
+    return out, table
+
+
+def host_probe() -> float:
+    """Seconds that PROBE_REPEATS runs of the probe kernel take now."""
+    t0 = time.perf_counter_ns()
+    for _ in range(PROBE_REPEATS):
+        _probe_kernel()
+    return (time.perf_counter_ns() - t0) / 1e9
 
 
 def make_first_checks(workload, tally: Tally, seed: int):
@@ -203,11 +256,12 @@ def traced_run(args, root, cls, workdir, budget, untraced_wall, tally, reference
         workload = cls(args.seed, workdir)
         t1 = time.perf_counter_ns()
         setup_mark = (0, tracer.mark(), t0, t1, tracer.take_counts())
-        walls, _, _, digests, marks = run_loop(workload, budget, tally, None, tracer)
+        loop = run_loop(workload, budget, tally, None, tracer)
     finally:
         not_restored = tracer.restore()
+    walls, marks = loop["walls"], loop["marks"]
     tally.check("self-test: every wrapped function is restored", not not_restored)
-    check_digests(digests, reference, tally, "traced")
+    check_digests(loop["digests"], reference, tally, "traced")
 
     arrays = tracer.arrays()
     self_ns = spans.self_times(arrays["start_ns"], arrays["end_ns"], arrays["parent"])
@@ -324,8 +378,12 @@ def emit(args, root: Path, record) -> None:
     print(f"import_s in-process {record['import_s_inprocess']:.4f}; fresh interpreters "
           + " ".join(f"{t:.4f}" for t in record["import_s"]))
     print("setup_inputs_s " + " ".join(f"{t:.4f}" for t in record["setup_inputs_s"]))
-    print(f"wall_s samples ({len(record['wall_s_samples'])}): "
+    print(f"wall_s samples ({len(record['wall_s_samples'])}), at reference speed: "
           + " ".join(f"{t:.4f}" for t in record["wall_s_samples"]))
+    print("raw wall_s samples: " + " ".join(f"{t:.4f}" for t in record["raw_wall_s_samples"]))
+    print(f"host slowness {record['slowness']:.4f} (mean probe time over "
+          f"{PROBE_REFERENCE_S:g} s); probe_s samples: "
+          + " ".join(f"{t:.4f}" for t in record["probe_s_samples"]))
     if args.trace:
         print(f"traced wall_s samples ({len(record['traced_wall_s_samples'])}): "
               + " ".join(f"{t:.4f}" for t in record["traced_wall_s_samples"]))

@@ -98,7 +98,7 @@ class PipelineCli:
     and demo, each run in-process through ``cli.main``. One step is one
     command."""
 
-    EPISODES, STEPS = 5, 10_000
+    EPISODES, STEPS = 5, 2_000
     M_DIM, V_DIM = 4, 2
 
     def __init__(self, seed: int, workdir: str):
