@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TapkitError
-from .smcore import ChannelRef, SensorimotorMatrix
+from .smcore import ChannelRef, SensorimotorMatrix, SensorimotorSpace
 from .tapdsl import ROLE_INPUT, ROLE_TARGET, Tap, Tapping
 
 
@@ -123,32 +123,45 @@ def effective_tapping(matrix: SensorimotorMatrix, target: ChannelRef,
                       name: str = "effective") -> Tapping:
     """Build the tapping the data itself supports.
 
-    Scans every channel at every lag 0..-max_lag against the target (skipping
-    the target's own lag-0 cell), keeps the cells whose MI reaches
-    ``threshold_frac`` of the maximum found, and emits them as input taps
-    feeding target@0. The result is always causal.
+    Scans every channel at every lag 0..-max_lag against the target and
+    passes the scans to :func:`tapping_from_scans`. The result is always
+    causal.
     """
-    if not 0.0 < threshold_frac <= 1.0:
-        raise TapkitError(f"threshold_frac must be in (0, 1], got {threshold_frac}")
+    _check_threshold(threshold_frac)
     # Validates the target reference before any scanning.
     matrix.space.resolve(target.group, target.index)
-    scans: list[MIResult] = []
-    for ref in matrix.space.channel_refs():
-        for res in lag_scan(matrix, ref, target, max_lag, bins):
-            if res.source == target and res.lag == 0:
-                continue
-            scans.append(res)
-    if not scans:
+    scans = [lag_scan(matrix, ref, target, max_lag, bins)
+             for ref in matrix.space.channel_refs()]
+    return tapping_from_scans(matrix.space, target, scans, threshold_frac, name)
+
+
+def tapping_from_scans(space: SensorimotorSpace, target: ChannelRef,
+                       scans: list[list[MIResult]], threshold_frac: float = 0.5,
+                       name: str = "effective") -> Tapping:
+    """Turn lag scans against ``target`` into input taps feeding target@0.
+
+    Skips the target's own lag-0 cell and keeps the cells whose MI reaches
+    ``threshold_frac`` of the maximum found, in scan order.
+    """
+    _check_threshold(threshold_frac)
+    candidates = [res for scan in scans for res in scan
+                  if not (res.source == target and res.lag == 0)]
+    if not candidates:
         raise TapkitError(
             "nothing to scan: the target's own lag-0 cell is the only candidate"
         )
-    max_mi = max(res.mi_bits for res in scans)
+    max_mi = max(res.mi_bits for res in candidates)
     if max_mi == 0.0:
         raise TapkitError("no dependency detected: all scanned MI estimates are 0")
     taps = [
         Tap(res.source.group, res.lag, ROLE_INPUT, channels=(res.source.index,))
-        for res in scans
+        for res in candidates
         if res.mi_bits >= threshold_frac * max_mi
     ]
     taps.append(Tap(target.group, 0, ROLE_TARGET, channels=(target.index,)))
-    return Tapping(name, matrix.space, tuple(taps))
+    return Tapping(name, space, tuple(taps))
+
+
+def _check_threshold(threshold_frac: float) -> None:
+    if not 0.0 < threshold_frac <= 1.0:
+        raise TapkitError(f"threshold_frac must be in (0, 1], got {threshold_frac}")

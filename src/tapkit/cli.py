@@ -183,8 +183,8 @@ def cmd_analyze(args) -> int:
     _say(args, f"strongest dependency: {best.source}@{best.lag} "
                f"({best.mi_bits:.4f} bits)")
     if args.emit_tapping:
-        tapping = analysis.effective_tapping(
-            matrix, target, args.max_lag, args.bins, args.threshold)
+        tapping = analysis.tapping_from_scans(
+            space, target, list(table.values()), args.threshold)
         with open(args.emit_tapping, "w", encoding="utf-8") as fh:
             fh.write(tapdsl.to_text(space, [tapping]))
         _say(args, f"wrote {args.emit_tapping} ({len(tapping.taps) - 1} input taps)")

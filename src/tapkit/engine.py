@@ -6,6 +6,14 @@ yields max(0, T - W + 1) rows for a tapping of span W. Anchors themselves may
 lie outside [0, T-1] when no tap sits at lag 0; only tapped cells are bounded.
 Windows never span episode boundaries.
 
+Each entry point compiles the tapping once into a plan: the column layout
+(X block, then Y block), the matrix row and lag every column reads, and the
+column range of every tap. Batch rows are one gather per episode through the
+plan's row and lag arrays; blocking is that gather plus a mask over each
+blocked tap's columns; the stream reads the same cells from a window of the
+last ``span`` measurements. Dropout works on a finished dataset and masks each
+copy's drawn cells with one indexed assignment per X/Y block.
+
 Randomized operations (dropout augmentation, blocking taps) draw from NumPy's
 PCG64 generator; independent substreams are derived with
 ``SeedSequence(seed).spawn(...)`` in documented order (one child per copy, or
@@ -17,14 +25,14 @@ from __future__ import annotations
 import csv
 import os
 import re
-from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import TapkitError
-from .smcore import ChannelRef, SensorimotorMatrix, _fmt
+from .smcore import ChannelRef, SensorimotorMatrix, _as_measurement, _fmt
 from .tapdsl import ROLE_INPUT, ROLE_TARGET, Tapping, tap_channels
 
 SCOPES = ("inputs", "targets", "both")
@@ -36,12 +44,6 @@ class Column(NamedTuple):
     ref: ChannelRef
     lag: int
     role: str
-
-
-class _TapSpan(NamedTuple):
-    role: str
-    start: int  # column range within X or Y, depending on role
-    stop: int
 
 
 @dataclass(eq=False)
@@ -111,42 +113,67 @@ class DropoutConfig:
             raise TapkitError(f"scope must be one of {SCOPES}, got {self.scope!r}")
 
 
-def _layouts(tapping: Tapping) -> tuple[list[Column], list[Column], list[_TapSpan]]:
-    """Column layouts per role plus each tap's column range (for blocking)."""
-    x_cols: list[Column] = []
-    y_cols: list[Column] = []
-    spans: list[_TapSpan] = []
-    for tap in tapping.taps:
-        cols = x_cols if tap.role == ROLE_INPUT else y_cols
-        start = len(cols)
-        for ch in tap_channels(tapping.space, tap):
-            cols.append(Column(ChannelRef(tap.group, ch), tap.lag, tap.role))
-        spans.append(_TapSpan(tap.role, start, len(cols)))
-    return x_cols, y_cols, spans
+class _Plan(NamedTuple):
+    """A tapping compiled to per-column index arrays, in layout order."""
+
+    layout: tuple[Column, ...]  # X block, then Y block
+    rows: np.ndarray  # matrix row each column reads
+    lags: np.ndarray  # lag each column reads
+    d_in: int
+    taps: tuple[slice, ...]  # each tap's columns within the layout
 
 
-def _episode_rows(tapping: Tapping, episode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All rows for one episode: (X, Y, anchor times)."""
+def _compile(tapping: Tapping) -> _Plan:
     space = tapping.space
-    T = episode.data.shape[1]
-    n = max(0, T - tapping.span + 1)
-    x_cols, y_cols, _ = _layouts(tapping)
-    anchors = np.arange(-tapping.min_lag, -tapping.min_lag + n)
-    X = np.empty((n, len(x_cols)))
-    Y = np.empty((n, len(y_cols)))
-    for j, col in enumerate(x_cols):
-        X[:, j] = episode.data[space.resolve(col.ref.group, col.ref.index), anchors + col.lag]
-    for j, col in enumerate(y_cols):
-        Y[:, j] = episode.data[space.resolve(col.ref.group, col.ref.index), anchors + col.lag]
-    return X, Y, anchors
+    layout: list[Column] = []
+    taps = [slice(0)] * len(tapping.taps)
+    for role in (ROLE_INPUT, ROLE_TARGET):
+        for i, tap in enumerate(tapping.taps):
+            if tap.role == role:
+                start = len(layout)
+                layout += [Column(ChannelRef(tap.group, ch), tap.lag, role)
+                           for ch in tap_channels(space, tap)]
+                taps[i] = slice(start, len(layout))
+    return _Plan(
+        layout=tuple(layout),
+        rows=np.array([space.resolve(c.ref.group, c.ref.index) for c in layout], dtype=np.intp),
+        lags=np.array([c.lag for c in layout], dtype=np.intp),
+        d_in=sum(c.role == ROLE_INPUT for c in layout),
+        taps=tuple(taps),
+    )
 
 
-def _check_space(matrix: SensorimotorMatrix, tapping: Tapping) -> None:
+def _gather(matrix: SensorimotorMatrix, tapping: Tapping):
+    """Compile the tapping and read every row of every episode.
+
+    Returns the plan, X, Y, the anchors, and the first row of each episode
+    followed by the row count.
+    """
     if not tapping.space.compatible(matrix.space):
         raise TapkitError(
             f"tapping {tapping.name!r} and matrix use different spaces "
             f"({tapping.space.name!r} vs {matrix.space.name!r})"
         )
+    plan = _compile(tapping)
+    d_in, first = plan.d_in, -tapping.min_lag
+    lengths = [max(0, ep.data.shape[1] - tapping.span + 1) for ep in matrix.episodes]
+    bounds = list(accumulate(lengths, initial=0))
+    X = np.empty((bounds[-1], d_in))
+    Y = np.empty((bounds[-1], len(plan.layout) - d_in))
+    anchors: list[tuple[int, int]] = []
+    for ep, a, n in zip(matrix.episodes, bounds, lengths):
+        ts = np.arange(first, first + n)
+        cells = ep.data[plan.rows[None, :], ts[:, None] + plan.lags[None, :]]
+        X[a:a + n], Y[a:a + n] = cells[:, :d_in], cells[:, d_in:]
+        anchors += [(ep.id, t) for t in ts.tolist()]
+    return plan, X, Y, anchors, bounds
+
+
+def _dataset(plan: _Plan, X, Y, active: np.ndarray, anchors) -> Dataset:
+    """Assemble a Dataset, splitting the layout-wide activity mask at d_in."""
+    d = plan.d_in
+    return Dataset(X, Y, active[:, :d].copy(), active[:, d:].copy(), anchors,
+                   plan.layout[:d], plan.layout[d:])
 
 
 def apply(matrix: SensorimotorMatrix, tapping: Tapping) -> Dataset:
@@ -156,42 +183,28 @@ def apply(matrix: SensorimotorMatrix, tapping: Tapping) -> Dataset:
     (row(c), t + lag). Episodes too short for the tapping's span contribute
     nothing; an all-short matrix yields an empty dataset, not an error.
     """
-    _check_space(matrix, tapping)
-    x_cols, y_cols, _ = _layouts(tapping)
-    xs, ys, anchors = [], [], []
-    for ep in matrix.episodes:
-        X, Y, ts = _episode_rows(tapping, ep)
-        xs.append(X)
-        ys.append(Y)
-        anchors += [(ep.id, int(t)) for t in ts]
-    X = np.vstack(xs) if xs else np.zeros((0, len(x_cols)))
-    Y = np.vstack(ys) if ys else np.zeros((0, len(y_cols)))
-    return Dataset(
-        X=X,
-        Y=Y,
-        x_mask=np.ones(X.shape, dtype=bool),
-        y_mask=np.ones(Y.shape, dtype=bool),
-        anchors=anchors,
-        x_layout=tuple(x_cols),
-        y_layout=tuple(y_cols),
-    )
+    plan, X, Y, anchors, _ = _gather(matrix, tapping)
+    return _dataset(plan, X, Y, np.ones((X.shape[0], len(plan.layout)), dtype=bool), anchors)
 
 
 class StreamState:
     """Incremental counterpart of :func:`apply` for a single episode stream.
 
-    Holds the last ``span`` measurements; single-threaded use only.
+    Holds the last ``span`` measurements as a window whose last row is the
+    newest; single-threaded use only.
     """
 
     def __init__(self, tapping: Tapping, episode_id: int = 0):
         self.tapping = tapping
         self.episode_id = episode_id
-        self.x_cols, self.y_cols, _ = _layouts(tapping)
-        self._rows = [
-            tapping.space.resolve(c.ref.group, c.ref.index)
-            for c in self.x_cols + self.y_cols
-        ]
-        self.buffer: deque[np.ndarray] = deque(maxlen=tapping.span)
+        plan = _compile(tapping)
+        n_sm = tapping.space.n_sm
+        self.d_in = plan.d_in
+        self.max_lag = tapping.max_lag
+        self.window = np.zeros((tapping.span, n_sm))
+        # The row emitted by a push is anchored max_lag steps before the
+        # newest time, so its cell at lag l sits in window row l - min_lag.
+        self.flat = (plan.lags - tapping.min_lag) * n_sm + plan.rows
         self.t = 0  # time index of the next push
 
 
@@ -206,24 +219,16 @@ def stream_push(state: StreamState, sm_vector) -> list[tuple[np.ndarray, np.ndar
     t + max_lag, so future-target tappings emit with the matching delay.
     Concatenated emissions over a full episode equal :func:`apply` on it.
     """
-    tapping = state.tapping
-    vec = np.asarray(sm_vector, dtype=float).reshape(-1)
-    if vec.shape[0] != tapping.space.n_sm:
-        raise TapkitError(
-            f"measurement has {vec.shape[0]} values, space needs {tapping.space.n_sm}"
-        )
-    state.buffer.append(vec.copy())
+    vec = _as_measurement(state.tapping.space, sm_vector)
+    window = state.window
+    window[:-1] = window[1:]
+    window[-1] = vec
     s = state.t
     state.t += 1
-    anchor = s - tapping.max_lag
-    if anchor + tapping.min_lag < 0:
+    if s < len(window) - 1:  # the first span - 1 pushes only fill the window
         return []
-    # buffer[-1] holds time s; time u sits at offset u - s - 1 from the end.
-    d_in = len(state.x_cols)
-    row = np.empty(d_in + len(state.y_cols))
-    for j, col in enumerate(state.x_cols + state.y_cols):
-        row[j] = state.buffer[anchor + col.lag - s - 1][state._rows[j]]
-    return [(row[:d_in], row[d_in:], (state.episode_id, anchor))]
+    row = window.take(state.flat)
+    return [(row[:state.d_in], row[state.d_in:], (state.episode_id, s - state.max_lag))]
 
 
 def dropout_augment(dataset: Dataset, config: DropoutConfig) -> Dataset:
@@ -231,6 +236,7 @@ def dropout_augment(dataset: Dataset, config: DropoutConfig) -> Dataset:
     cells forced inactive; rows 0..N-1 stay bit-identical to the original.
 
     Copy i draws from ``default_rng(SeedSequence(seed).spawn(copies)[i])``.
+    Scope cells are numbered row-major, X block before Y block for "both".
     At high proportions a copy may lose every input of some row; no rejection
     is applied.
     """
@@ -254,19 +260,16 @@ def dropout_augment(dataset: Dataset, config: DropoutConfig) -> Dataset:
     for i in range(config.copies):
         rng = np.random.default_rng(children[i])
         chosen = rng.choice(total, size=k, replace=False)
+        if config.scope == "targets":
+            chosen += x_cells
         base = (i + 1) * n
-        for cell in chosen:
-            # scope="both" cells index the X block first, then the Y block.
-            if config.scope == "targets":
-                cell += x_cells
-            if cell < x_cells:
-                r, c = divmod(int(cell), d_in)
-                X[base + r, c] = config.inactive_value
-                x_mask[base + r, c] = False
-            else:
-                r, c = divmod(int(cell) - x_cells, d_out)
-                Y[base + r, c] = config.inactive_value
-                y_mask[base + r, c] = False
+        in_x = chosen < x_cells
+        r, c = np.divmod(chosen[in_x], d_in)
+        X[base + r, c] = config.inactive_value
+        x_mask[base + r, c] = False
+        r, c = np.divmod(chosen[~in_x] - x_cells, d_out)
+        Y[base + r, c] = config.inactive_value
+        y_mask[base + r, c] = False
     return Dataset(X, Y, x_mask, y_mask, anchors, dataset.x_layout, dataset.y_layout)
 
 
@@ -275,39 +278,23 @@ def apply_blocking(matrix: SensorimotorMatrix, tapping: Tapping,
     """Like :func:`apply`, but per episode a random floor(proportion * #taps)
     subset of taps is blocked: every cell of a blocked tap is inactive
     (fill 0) for that whole episode. Episode i uses
-    ``default_rng(SeedSequence(seed).spawn(n_episodes)[i])``.
+    ``default_rng(SeedSequence(seed).spawn(n_episodes)[i])``, whether or not
+    it is long enough to yield rows.
     """
     if not 0.0 <= proportion <= 1.0:
         raise TapkitError(f"proportion must be in [0, 1], got {proportion}")
-    _check_space(matrix, tapping)
-    x_cols, y_cols, spans = _layouts(tapping)
-    k = int(np.floor(proportion * len(tapping.taps)))
+    plan, X, Y, anchors, bounds = _gather(matrix, tapping)
+    active = np.ones((X.shape[0], len(plan.layout)), dtype=bool)
+    k = int(np.floor(proportion * len(plan.taps)))
     children = np.random.SeedSequence(seed).spawn(len(matrix.episodes))
-    xs, ys, xms, yms, anchors = [], [], [], [], []
-    for i, ep in enumerate(matrix.episodes):
-        X, Y, ts = _episode_rows(tapping, ep)
-        xm = np.ones(X.shape, dtype=bool)
-        ym = np.ones(Y.shape, dtype=bool)
-        rng = np.random.default_rng(children[i])
-        blocked = rng.choice(len(tapping.taps), size=k, replace=False)
-        for tap_idx in blocked:
-            span = spans[int(tap_idx)]
-            if span.role == ROLE_INPUT:
-                X[:, span.start:span.stop] = 0.0
-                xm[:, span.start:span.stop] = False
-            else:
-                Y[:, span.start:span.stop] = 0.0
-                ym[:, span.start:span.stop] = False
-        xs.append(X)
-        ys.append(Y)
-        xms.append(xm)
-        yms.append(ym)
-        anchors += [(ep.id, int(t)) for t in ts]
-    X = np.vstack(xs) if xs else np.zeros((0, len(x_cols)))
-    Y = np.vstack(ys) if ys else np.zeros((0, len(y_cols)))
-    xm = np.vstack(xms) if xms else np.ones(X.shape, dtype=bool)
-    ym = np.vstack(yms) if yms else np.ones(Y.shape, dtype=bool)
-    return Dataset(X, Y, xm, ym, anchors, tuple(x_cols), tuple(y_cols))
+    for child, a, b in zip(children, bounds, bounds[1:]):
+        blocked = np.random.default_rng(child).choice(len(plan.taps), size=k, replace=False)
+        for tap in blocked:
+            active[a:b, plan.taps[tap]] = False
+    ds = _dataset(plan, X, Y, active, anchors)
+    ds.X[~ds.x_mask] = 0.0
+    ds.Y[~ds.y_mask] = 0.0
+    return ds
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +343,10 @@ _HEADER_COL_RE = re.compile(r"([xy]):(\w+)\[(\d+)\]@(-?\d+)\Z")
 
 
 def load_dataset_csv(path) -> Dataset:
-    """Read a dataset written by :func:`save_dataset_csv`. The mask file is
-    optional; without it every cell counts as active."""
+    """Read a dataset written by :func:`save_dataset_csv`. Values must be
+    finite. The mask file is optional; without it every cell counts as
+    active. With it, its header and episode,t columns must equal the
+    dataset's and every cell must be 0 or 1."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -388,22 +377,33 @@ def load_dataset_csv(path) -> Dataset:
             except ValueError:
                 raise TapkitError(f"{path}: line {lineno}: non-numeric value") from None
     data = np.array(rows) if rows else np.zeros((0, d_in + d_out))
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        eid, t = anchors[int(np.argmin(finite))]
+        raise TapkitError(f"{path}: non-finite value in the row of episode {eid}, t {t}")
     X, Y = data[:, :d_in], data[:, d_in:]
     x_mask = np.ones(X.shape, dtype=bool)
     y_mask = np.ones(Y.shape, dtype=bool)
     mpath = mask_path_for(path)
     if os.path.exists(mpath):
+        bits = []
         with open(mpath, newline="") as fh:
             reader = csv.reader(fh)
-            next(reader, None)
-            bits = [[v == "1" for v in row[2:]] for row in reader if row]
-        if len(bits) != len(rows):
+            if next(reader, None) != header:
+                raise TapkitError(f"{mpath}: header does not match {path}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                i = len(bits)
+                if i == len(anchors) or row[:2] != [str(v) for v in anchors[i]]:
+                    raise TapkitError(f"{mpath}: line {lineno}: episode,t does not match {path}")
+                if len(row) != len(header) or not set(row[2:]) <= {"0", "1"}:
+                    raise TapkitError(
+                        f"{mpath}: line {lineno}: expected {d_in + d_out} mask cells of 0 or 1"
+                    )
+                bits.append([v == "1" for v in row[2:]])
+        if len(bits) != len(anchors):
             raise TapkitError(f"{mpath}: mask row count does not match {path}")
-        try:
-            mask = np.array(bits, dtype=bool) if bits else np.ones((0, d_in + d_out), bool)
-        except ValueError:
-            raise TapkitError(f"{mpath}: ragged mask rows") from None
-        if mask.shape[1] != d_in + d_out:
-            raise TapkitError(f"{mpath}: mask column count does not match {path}")
+        mask = np.array(bits, dtype=bool).reshape(len(bits), d_in + d_out)
         x_mask, y_mask = mask[:, :d_in], mask[:, d_in:]
     return Dataset(X, Y, x_mask, y_mask, anchors, tuple(x_layout), tuple(y_layout))

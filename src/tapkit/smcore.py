@@ -190,16 +190,13 @@ class SensorimotorMatrix:
         raise TapkitError(f"no episode with id {episode_id}")
 
     def append_measurement(self, episode_id: int, sm_vector) -> "SensorimotorMatrix":
-        """Append one measurement column to an episode, creating it if new.
+        """Append one measurement column (n_sm finite values) to an episode,
+        creating it if new.
 
         Episodes are append-only: once a later episode exists, earlier ones
         are closed and reject appends.
         """
-        vec = np.asarray(sm_vector, dtype=float).reshape(-1)
-        if vec.shape[0] != self.space.n_sm:
-            raise TapkitError(
-                f"measurement has {vec.shape[0]} values, space needs {self.space.n_sm}"
-            )
+        vec = _as_measurement(self.space, sm_vector)
         if self.episodes:
             last = self.episodes[-1]
             if episode_id == last.id:
@@ -211,6 +208,16 @@ class SensorimotorMatrix:
                 )
         self.episodes.append(Episode(episode_id, vec[:, None].copy()))
         return self
+
+
+def _as_measurement(space: SensorimotorSpace, sm_vector) -> np.ndarray:
+    """One measurement as a flat float vector: n_sm values, all finite."""
+    vec = np.asarray(sm_vector, dtype=float).reshape(-1)
+    if vec.shape[0] != space.n_sm:
+        raise TapkitError(f"measurement has {vec.shape[0]} values, space needs {space.n_sm}")
+    if not np.isfinite(vec).all():
+        raise TapkitError("measurement has a non-finite value")
+    return vec
 
 
 def append_measurement(matrix: SensorimotorMatrix, episode_id: int, sm_vector):
@@ -234,7 +241,8 @@ def save_csv(matrix: SensorimotorMatrix, path) -> None:
 
 def load_csv(space: SensorimotorSpace, path, dt: float = 1.0) -> SensorimotorMatrix:
     """Read a matrix saved by :func:`save_csv`, validating the header against
-    ``space``. Episode ids must be non-decreasing and never revisit."""
+    ``space``. Episode ids must be non-decreasing and never revisit; every
+    value must be finite."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -273,6 +281,9 @@ def load_csv(space: SensorimotorSpace, path, dt: float = 1.0) -> SensorimotorMat
                 raise TapkitError(
                     f"{path}: line {lineno}: non-numeric value {bad!r}"
                 ) from None
+            if not np.isfinite(vec).all():
+                bad = row[1 + int(np.argmin(np.isfinite(vec)))]
+                raise TapkitError(f"{path}: line {lineno}: non-finite value {bad!r}")
             if cur_id is None or eid != cur_id:
                 if cur_id is not None and eid <= cur_id:
                     raise TapkitError(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ParseError, TapkitError
-from .smcore import KINDS, ChannelRef, SensorimotorSpace, define_space
+from .smcore import KINDS, SensorimotorSpace, define_space
 
 ROLE_INPUT = "input"
 ROLE_TARGET = "target"
@@ -114,19 +114,6 @@ class Tapping:
     def span(self) -> int:
         """Window width W = max_lag - min_lag + 1."""
         return self.max_lag - self.min_lag + 1
-
-    def taps_for(self, role: str) -> tuple[Tap, ...]:
-        return tuple(t for t in self.taps if t.role == role)
-
-    def columns(self, role: str) -> list[tuple[ChannelRef, int]]:
-        """(channel, lag) pairs for one role, in tap order then channel order."""
-        out = []
-        for tap in self.taps:
-            if tap.role != role:
-                continue
-            for ch in tap_channels(self.space, tap):
-                out.append((ChannelRef(tap.group, ch), tap.lag))
-        return out
 
 
 def tap_channels(space: SensorimotorSpace, tap: Tap) -> tuple[int, ...]:
@@ -465,10 +452,6 @@ class _Parser:
         while not (self.peek().kind == "sym" and self.peek().value == "}"):
             taps += self.parse_tap_line(seen)
         self.expect("sym", "'}'", "}")
-        if not any(t.role == ROLE_TARGET for t in taps):
-            self.fail(f"tapping {name_tok.value!r} has no target taps", name_tok)
-        if not any(t.role == ROLE_INPUT for t in taps):
-            self.fail(f"tapping {name_tok.value!r} has no input taps", name_tok)
         try:
             return Tapping(name_tok.value, self.space, tuple(taps))
         except TapkitError as exc:

@@ -139,3 +139,92 @@ def random_matrix(rng, space, max_episodes=3, max_T=30):
         T = int(rng.integers(1, max_T + 1))
         eps.append(Episode(eid, rng.uniform(-1, 1, (space.n_sm, T))))
     return SensorimotorMatrix(space, eps)
+
+
+# ---------------------------------------------------------------------------
+# Reference mask stages: one cell and one column at a time
+# ---------------------------------------------------------------------------
+
+def reference_dropout(dataset, config):
+    """Dropout augmentation masking one chosen cell at a time. Returns
+    (X, Y, x_mask, y_mask, anchors).
+
+    Copy i draws ``rng.choice(total, k, replace=False)`` from
+    ``default_rng(SeedSequence(seed).spawn(copies)[i])``; scope cells are
+    numbered row-major, X block before Y block for scope "both".
+    """
+    n, d_in, d_out = dataset.n, dataset.d_in, dataset.d_out
+    reps = config.copies + 1
+    X = np.tile(dataset.X, (reps, 1))
+    Y = np.tile(dataset.Y, (reps, 1))
+    x_mask = np.tile(dataset.x_mask, (reps, 1))
+    y_mask = np.tile(dataset.y_mask, (reps, 1))
+    children = np.random.SeedSequence(config.seed).spawn(config.copies)
+    x_cells, y_cells = n * d_in, n * d_out
+    total = {"inputs": x_cells, "targets": y_cells, "both": x_cells + y_cells}[config.scope]
+    k = int(np.floor(config.proportion * total))
+    for i in range(config.copies):
+        rng = np.random.default_rng(children[i])
+        chosen = rng.choice(total, size=k, replace=False)
+        base = (i + 1) * n
+        for cell in chosen:
+            if config.scope == "targets":
+                cell += x_cells
+            if cell < x_cells:
+                r, c = divmod(int(cell), d_in)
+                X[base + r, c] = config.inactive_value
+                x_mask[base + r, c] = False
+            else:
+                r, c = divmod(int(cell) - x_cells, d_out)
+                Y[base + r, c] = config.inactive_value
+                y_mask[base + r, c] = False
+    return X, Y, x_mask, y_mask, list(dataset.anchors) * reps
+
+
+def reference_blocking(matrix, tapping, proportion, seed=0):
+    """Tap blocking built episode by episode and column by column. Returns
+    (X, Y, x_mask, y_mask, anchors).
+
+    Episode i draws ``rng.choice(#taps, k, replace=False)`` from
+    ``default_rng(SeedSequence(seed).spawn(n_episodes)[i])``, also when it
+    is too short to yield rows; each blocked tap's columns read 0 and are
+    inactive for that whole episode.
+    """
+    space = matrix.space
+    cols = {ROLE_INPUT: [], ROLE_TARGET: []}  # (matrix row, lag) per column
+    spans = []  # (role, first column, end column) per tap
+    for tap in tapping.taps:
+        block = cols[tap.role]
+        start = len(block)
+        block += [(space.resolve(tap.group, ch), tap.lag) for ch in tap_channels(space, tap)]
+        spans.append((tap.role, start, len(block)))
+    k = int(np.floor(proportion * len(tapping.taps)))
+    children = np.random.SeedSequence(seed).spawn(len(matrix.episodes))
+    out = {ROLE_INPUT: ([], []), ROLE_TARGET: ([], [])}  # role -> (values, masks)
+    anchors = []
+    for i, ep in enumerate(matrix.episodes):
+        ts = range(-tapping.min_lag, ep.data.shape[1] - tapping.max_lag)
+        values, masks = {}, {}
+        for role, block in cols.items():
+            values[role] = np.empty((len(ts), len(block)))
+            for j, (row, lag) in enumerate(block):
+                for r, t in enumerate(ts):
+                    values[role][r, j] = ep.data[row, t + lag]
+            masks[role] = np.ones(values[role].shape, dtype=bool)
+        rng = np.random.default_rng(children[i])
+        for tap_idx in rng.choice(len(tapping.taps), size=k, replace=False):
+            role, start, stop = spans[int(tap_idx)]
+            values[role][:, start:stop] = 0.0
+            masks[role][:, start:stop] = False
+        for role in cols:
+            out[role][0].append(values[role])
+            out[role][1].append(masks[role])
+        anchors += [(ep.id, t) for t in ts]
+
+    def stack(parts, width, dtype):
+        return np.vstack(parts) if parts else np.zeros((0, width), dtype=dtype)
+
+    d_in, d_out = len(cols[ROLE_INPUT]), len(cols[ROLE_TARGET])
+    return (stack(out[ROLE_INPUT][0], d_in, float), stack(out[ROLE_TARGET][0], d_out, float),
+            stack(out[ROLE_INPUT][1], d_in, bool), stack(out[ROLE_TARGET][1], d_out, bool),
+            anchors)

@@ -1,6 +1,9 @@
+import pytest
+
+from tapkit import analysis, load_model, smcore, tapdsl
 from tapkit.cli import demo_nao, main, split_seed
-from tapkit import load_model
 from tapkit.engine import load_dataset_csv
+from tapkit.smcore import ChannelRef
 
 
 def run(capsys, *argv):
@@ -114,6 +117,45 @@ class TestPipeline:
         assert not ds.x_mask.any() and not ds.y_mask.any()
 
 
+class TestBadInput:
+    def gen(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        run(capsys, "gen", "--plant", "linear", "--steps", "20", "--out", str(data))
+        space_file = tmp_path / "d.tap"
+        space_file.write_text(space_file.read_text() +
+                              "\ntapping fwd { input m @ -1 target v @ 0 }\n")
+        return data, space_file
+
+    def test_nan_in_data_csv_is_data_error(self, tmp_path, capsys):
+        data, space_file = self.gen(tmp_path, capsys)
+        lines = data.read_text().splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",nan"
+        data.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "apply", "--space", str(space_file),
+                           "--tapping", "fwd", "--data", str(data),
+                           "--out", str(tmp_path / "ds.csv"))
+        assert code == 2
+        assert err == f"error: {data}: line 6: non-finite value 'nan'\n"
+        assert not (tmp_path / "ds.csv").exists()
+
+    @pytest.mark.parametrize("mask_cell, value", [("x", None), (None, "nan")])
+    def test_train_rejects_bad_dataset(self, tmp_path, capsys, mask_cell, value):
+        data, space_file = self.gen(tmp_path, capsys)
+        ds_path = tmp_path / "ds.csv"
+        run(capsys, "apply", "--space", str(space_file), "--tapping", "fwd",
+            "--data", str(data), "--out", str(ds_path))
+        target = tmp_path / "ds.mask.csv" if mask_cell else ds_path
+        lines = target.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + "," + (mask_cell or value)
+        target.write_text("\n".join(lines) + "\n")
+        for ridge in ("0", "1e-6"):
+            code, _, err = run(capsys, "train", "--data", str(ds_path), "--ridge", ridge,
+                               "--out", str(tmp_path / "m.txt"))
+            assert code == 2
+            assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "m.txt").exists()
+
+
 class TestValidate:
     def test_gallery_listing(self, tmp_path, capsys):
         spec = tmp_path / "g.tap"
@@ -165,6 +207,27 @@ class TestAnalyze:
         text = out_tap.read_text()
         assert "input x[0] @ -3" in text
         assert "target y[0] @ 0" in text
+
+    def test_emitted_tapping_reuses_the_table_scans(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "d.csv"
+        run(capsys, "gen", "--plant", "planted", "--steps", "600", "--lag", "2",
+            "--seed", "4", "--out", str(data), "--noise", "0.1")
+        calls = []
+        real = analysis.lag_scan
+        monkeypatch.setattr(analysis, "lag_scan",
+                            lambda *a, **k: calls.append(a[1]) or real(*a, **k))
+        out_tap = tmp_path / "eff.tap"
+        code, _, _ = run(capsys, "analyze", "--data", str(data), "--target", "y[0]",
+                         "--max-lag", "4", "--threshold", "0.3",
+                         "--emit-tapping", str(out_tap))
+        assert code == 0
+        space = smcore.infer_space_from_csv(data)
+        assert calls == space.channel_refs()  # one scan per channel
+        monkeypatch.undo()
+        matrix = smcore.load_csv(space, data)
+        expected = analysis.effective_tapping(matrix, ChannelRef("y", 0), 4,
+                                              threshold_frac=0.3)
+        assert out_tap.read_text() == tapdsl.to_text(space, [expected])
 
     def test_no_dependency_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -22,7 +22,15 @@ from tapkit import tapdsl
 from tapkit.engine import mask_path_for
 from tapkit.smcore import Episode
 
-from oracles import brute_force_apply, random_matrix, random_space, random_tapping, row_count_law
+from oracles import (
+    brute_force_apply,
+    random_matrix,
+    random_space,
+    random_tapping,
+    reference_blocking,
+    reference_dropout,
+    row_count_law,
+)
 
 
 def line_matrix(space, T, episode_id=0):
@@ -132,6 +140,55 @@ class TestAgainstBruteForce:
         assert ds.n == row_count_law(matrix, tapping)
 
 
+def assert_bit_identical(dataset, reference):
+    """Dataset fields equal (X, Y, x_mask, y_mask, anchors) byte for byte."""
+    arrays = (dataset.X, dataset.Y, dataset.x_mask, dataset.y_mask)
+    for got, want in zip(arrays, reference[:4]):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert dataset.anchors == reference[4]
+
+
+proportions = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestAgainstReferenceMasks:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), proportions, st.integers(0, 2**32 - 1))
+    def test_blocking_matches_reference(self, case, proportion, seed):
+        rng = np.random.default_rng(case)
+        space = random_space(rng)
+        tapping = random_tapping(rng, space)
+        # Short episodes (T < span) still consume one seed child each.
+        matrix = random_matrix(rng, space, max_episodes=5, max_T=12)
+        assert_bit_identical(apply_blocking(matrix, tapping, proportion, seed),
+                             reference_blocking(matrix, tapping, proportion, seed))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 3), proportions,
+           st.sampled_from(["inputs", "targets", "both"]),
+           st.sampled_from([0.0, -9.0]), st.integers(0, 2**32 - 1))
+    def test_dropout_matches_reference(self, case, copies, proportion, scope, fill, seed):
+        rng = np.random.default_rng(case)
+        space = random_space(rng)
+        tapping = random_tapping(rng, space)
+        matrix = random_matrix(rng, space, max_episodes=4, max_T=12)
+        # Blocked input already carries inactive cells for the copies to tile.
+        ds = apply_blocking(matrix, tapping, 0.5, seed=case)
+        cfg = DropoutConfig(copies, proportion, scope, fill, seed)
+        assert_bit_identical(dropout_augment(ds, cfg), reference_dropout(ds, cfg))
+
+    def test_short_episode_between_long_ones(self, vspace):
+        eps = [Episode(0, np.arange(1.0, 9.0)[None, :]), Episode(1, np.ones((1, 2))),
+               Episode(2, np.arange(1.0, 9.0)[None, :])]
+        m = SensorimotorMatrix(vspace, eps)
+        tapping = tapdsl.multi_step(vspace, "v", 3)
+        for seed in range(5):
+            out = apply_blocking(m, tapping, 0.5, seed)
+            assert out.n == 2 * (8 - tapping.span + 1)
+            assert_bit_identical(out, reference_blocking(m, tapping, 0.5, seed))
+
+
 class TestStream:
     def test_forward_emission_times(self, nao_space):
         m = line_matrix(nao_space, 5)
@@ -162,6 +219,15 @@ class TestStream:
         state = stream_open(tapdsl.forward(nao_space, "m", "vision"))
         with pytest.raises(TapkitError):
             stream_push(state, np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, vspace, bad):
+        state = stream_open(tapdsl.temporal_predictor(vspace, "v"))
+        stream_push(state, [1.0])
+        with pytest.raises(TapkitError, match="non-finite"):
+            stream_push(state, [bad])
+        assert state.t == 1
+        assert len(stream_push(state, [2.0])) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -313,3 +379,68 @@ class TestDatasetCsv:
         path = tmp_path / "ds.csv"
         save_dataset_csv(ds, path)
         assert load_dataset_csv(path) == ds
+
+    def test_non_finite_value_rejected(self, nao_space, tmp_path):
+        ds = apply(line_matrix(nao_space, 4), tapdsl.forward(nao_space, "m", "vision"))
+        path = tmp_path / "ds.csv"
+        save_dataset_csv(ds, path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",nan"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TapkitError, match="non-finite value in the row of episode 0, t 2"):
+            load_dataset_csv(path)
+
+
+class TestMaskFile:
+    def saved(self, nao_space, tmp_path):
+        ds = apply_blocking(line_matrix(nao_space, 6), tapdsl.forward(nao_space, "m", "vision"),
+                            0.5, seed=1)
+        path = tmp_path / "ds.csv"
+        save_dataset_csv(ds, path)
+        return path, tmp_path / "ds.mask.csv"
+
+    def edit_line(self, mpath, i, edit):
+        lines = mpath.read_text().splitlines()
+        lines[i] = edit(lines[i])
+        mpath.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("cell", ["x", "2", "", " 1", "true"])
+    def test_cells_must_be_zero_or_one(self, nao_space, tmp_path, cell):
+        path, mpath = self.saved(nao_space, tmp_path)
+        self.edit_line(mpath, 2, lambda line: line.rsplit(",", 1)[0] + "," + cell)
+        with pytest.raises(TapkitError, match="line 3: expected 6 mask cells of 0 or 1"):
+            load_dataset_csv(path)
+
+    def test_field_count_checked(self, nao_space, tmp_path):
+        path, mpath = self.saved(nao_space, tmp_path)
+        self.edit_line(mpath, 1, lambda line: line + ",1")
+        with pytest.raises(TapkitError, match="line 2: expected 6 mask cells"):
+            load_dataset_csv(path)
+
+    def test_header_must_match(self, nao_space, tmp_path):
+        path, mpath = self.saved(nao_space, tmp_path)
+        self.edit_line(mpath, 0, lambda line: line.replace("x:m[0]@-1", "x:m[0]@-2"))
+        with pytest.raises(TapkitError, match="header does not match"):
+            load_dataset_csv(path)
+
+    def test_stale_mask_with_same_row_count(self, nao_space, tmp_path):
+        # A mask written for another dataset with as many rows but other anchors.
+        path, mpath = self.saved(nao_space, tmp_path)
+        t = Tapping("later", nao_space, (Tap("m", 0, "input"), Tap("vision", 1, "target")))
+        other = apply(line_matrix(nao_space, 6), t)
+        save_dataset_csv(other, tmp_path / "other.csv")
+        header = path.read_text().splitlines()[0]
+        rows = (tmp_path / "other.mask.csv").read_text().splitlines()[1:]
+        mpath.write_text("\n".join([header] + rows) + "\n")
+        with pytest.raises(TapkitError, match="line 2: episode,t does not match"):
+            load_dataset_csv(path)
+
+    def test_row_count_must_match(self, nao_space, tmp_path):
+        path, mpath = self.saved(nao_space, tmp_path)
+        mpath.write_text("\n".join(mpath.read_text().splitlines()[:-1]) + "\n")
+        with pytest.raises(TapkitError, match="mask row count"):
+            load_dataset_csv(path)
+        path, mpath = self.saved(nao_space, tmp_path)
+        mpath.write_text(mpath.read_text() + "0,6,1,1,1,1,1,1\n")
+        with pytest.raises(TapkitError, match="line 7: episode,t does not match"):
+            load_dataset_csv(path)

@@ -80,6 +80,16 @@ class TestAppend:
         with pytest.raises(TapkitError, match="6"):
             SensorimotorMatrix(nao_space).append_measurement(0, np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, nao_space, bad):
+        m = SensorimotorMatrix(nao_space)
+        m.append_measurement(0, np.zeros(6))
+        vec = np.zeros(6)
+        vec[3] = bad
+        with pytest.raises(TapkitError, match="non-finite"):
+            m.append_measurement(0, vec)
+        assert m.episodes[0].data.shape == (6, 1)
+
     def test_episode_ids_strictly_increasing_on_construction(self, nao_space):
         eps = [Episode(1, np.zeros((6, 2))), Episode(1, np.zeros((6, 2)))]
         with pytest.raises(TapkitError, match="strictly increasing"):
@@ -126,6 +136,14 @@ class TestCsv:
         header = "episode," + ",".join(nao_space.channel_names())
         path.write_text(header + "\n0,1,2,3,4,5,banana\n")
         with pytest.raises(TapkitError, match="banana"):
+            load_csv(nao_space, path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_cell_names_line(self, nao_space, tmp_path, bad):
+        path = tmp_path / "d.csv"
+        header = "episode," + ",".join(nao_space.channel_names())
+        path.write_text(header + f"\n0,1,2,3,4,5,6\n0,1,2,{bad},4,5,6\n")
+        with pytest.raises(TapkitError, match=f"line 3: non-finite value '{bad}'"):
             load_csv(nao_space, path)
 
     def test_non_monotone_episode_ids(self, nao_space, tmp_path):

@@ -62,15 +62,6 @@ class TestTapInvariants:
             Tapping("t", space, (Tap("vision", -1, ROLE_INPUT, channels=(2,)),
                                  Tap("vision", 0, ROLE_TARGET)))
 
-    def test_columns_expand_in_declaration_order(self, space):
-        t = Tapping("t", space, (Tap("m", -1, ROLE_INPUT, channels=(3, 1)),
-                                 Tap("q", 0, ROLE_INPUT, channels=(0,)),
-                                 Tap("vision", 0, ROLE_TARGET)))
-        assert [(str(ref), lag) for ref, lag in t.columns(ROLE_INPUT)] == [
-            ("m[1]", -1), ("m[3]", -1), ("q[0]", 0)]
-        assert [(str(ref), lag) for ref, lag in t.columns(ROLE_TARGET)] == [
-            ("vision[0]", 0), ("vision[1]", 0)]
-
 
 class TestParse:
     def test_forward_example(self, space):
