@@ -22,7 +22,6 @@ one per episode), so results are reproducible across platforms.
 
 from __future__ import annotations
 
-import csv
 import os
 import re
 from dataclasses import dataclass
@@ -32,7 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import TapkitError
-from .smcore import ChannelRef, SensorimotorMatrix, _as_measurement, _fmt
+from .smcore import (ChannelRef, SensorimotorMatrix, _as_measurement, _find_row, _read_table,
+                     _write_table)
 from .tapdsl import ROLE_INPUT, ROLE_TARGET, Tapping, tap_channels
 
 SCOPES = ("inputs", "targets", "both")
@@ -301,7 +301,8 @@ def apply_blocking(matrix: SensorimotorMatrix, tapping: Tapping,
 # Dataset CSV serialization
 # ---------------------------------------------------------------------------
 
-def _column_header(prefix: str, col: Column) -> str:
+def _column_header(col: Column) -> str:
+    prefix = "x" if col.role == ROLE_INPUT else "y"
     return f"{prefix}:{col.ref.group}[{col.ref.index}]@{col.lag}"
 
 
@@ -314,29 +315,11 @@ def mask_path_for(path) -> str:
 def save_dataset_csv(dataset: Dataset, path) -> None:
     """Write values to ``path`` and the 0/1 activity mask to the parallel
     mask file. Masked cells hold their fill value in the main file."""
-    header = (
-        ["episode", "t"]
-        + [_column_header("x", c) for c in dataset.x_layout]
-        + [_column_header("y", c) for c in dataset.y_layout]
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, (eid, t) in enumerate(dataset.anchors):
-            writer.writerow(
-                [eid, t]
-                + [_fmt(v) for v in dataset.X[i]]
-                + [_fmt(v) for v in dataset.Y[i]]
-            )
-    with open(mask_path_for(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, (eid, t) in enumerate(dataset.anchors):
-            writer.writerow(
-                [eid, t]
-                + ["1" if b else "0" for b in dataset.x_mask[i]]
-                + ["1" if b else "0" for b in dataset.y_mask[i]]
-            )
+    header = ["episode", "t"] + [_column_header(c) for c in dataset.layout]
+    keys = np.array(dataset.anchors, dtype=np.int64).reshape(-1, 2)
+    _write_table(path, header, [(keys, np.hstack([dataset.X, dataset.Y]))])
+    _write_table(mask_path_for(path), header,
+                 [(keys, np.hstack([dataset.x_mask, dataset.y_mask]))], cell="%d")
 
 
 _HEADER_COL_RE = re.compile(r"([xy]):(\w+)\[(\d+)\]@(-?\d+)\Z")
@@ -347,63 +330,39 @@ def load_dataset_csv(path) -> Dataset:
     finite. The mask file is optional; without it every cell counts as
     active. With it, its header and episode,t columns must equal the
     dataset's and every cell must be 0 or 1."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+
+    def parse_header(header):
         if not header or header[:2] != ["episode", "t"]:
             raise TapkitError(f"{path}: expected dataset header starting episode,t")
-        x_layout: list[Column] = []
-        y_layout: list[Column] = []
+        layout: list[Column] = []
         for col in header[2:]:
             m = _HEADER_COL_RE.match(col.strip())
             if m is None:
                 raise TapkitError(f"{path}: malformed dataset column {col!r}")
             role = ROLE_INPUT if m.group(1) == "x" else ROLE_TARGET
-            if role == ROLE_INPUT and y_layout:
+            if role == ROLE_INPUT and layout and layout[-1].role == ROLE_TARGET:
                 raise TapkitError(f"{path}: x column {col!r} after the y block")
-            entry = Column(ChannelRef(m.group(2), int(m.group(3))), int(m.group(4)), role)
-            (x_layout if role == ROLE_INPUT else y_layout).append(entry)
-        d_in, d_out = len(x_layout), len(y_layout)
-        rows = []
-        anchors = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 + d_in + d_out:
-                raise TapkitError(f"{path}: line {lineno}: wrong field count")
-            try:
-                anchors.append((int(row[0]), int(row[1])))
-                rows.append([float(v) for v in row[2:]])
-            except ValueError:
-                raise TapkitError(f"{path}: line {lineno}: non-numeric value") from None
-    data = np.array(rows) if rows else np.zeros((0, d_in + d_out))
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        eid, t = anchors[int(np.argmin(finite))]
-        raise TapkitError(f"{path}: non-finite value in the row of episode {eid}, t {t}")
-    X, Y = data[:, :d_in], data[:, d_in:]
-    x_mask = np.ones(X.shape, dtype=bool)
-    y_mask = np.ones(Y.shape, dtype=bool)
+            layout.append(Column(ChannelRef(m.group(2), int(m.group(3))), int(m.group(4)), role))
+        return header, tuple(layout)
+
+    (header, layout), keys, data = _read_table(path, 2, parse_header)
+    d_in = sum(c.role == ROLE_INPUT for c in layout)
+    mask = np.ones(data.shape, dtype=bool)
     mpath = mask_path_for(path)
     if os.path.exists(mpath):
-        bits = []
-        with open(mpath, newline="") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != header:
+
+        def same_header(mask_header):
+            if mask_header != header:
                 raise TapkitError(f"{mpath}: header does not match {path}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                i = len(bits)
-                if i == len(anchors) or row[:2] != [str(v) for v in anchors[i]]:
-                    raise TapkitError(f"{mpath}: line {lineno}: episode,t does not match {path}")
-                if len(row) != len(header) or not set(row[2:]) <= {"0", "1"}:
-                    raise TapkitError(
-                        f"{mpath}: line {lineno}: expected {d_in + d_out} mask cells of 0 or 1"
-                    )
-                bits.append([v == "1" for v in row[2:]])
-        if len(bits) != len(anchors):
+
+        _, mask_keys, mask = _read_table(mpath, 2, same_header, mask=True)
+        n = min(len(keys), len(mask_keys))
+        differ = np.flatnonzero((mask_keys[:n] != keys[:n]).any(axis=1)).tolist() + [n]
+        if differ[0] < len(mask_keys):  # a row that differs, or one the dataset lacks
+            raise TapkitError(f"{mpath}: line {_find_row(mpath, differ[0])[0]}: "
+                              f"episode,t does not match {path}")
+        if len(mask_keys) != len(keys):
             raise TapkitError(f"{mpath}: mask row count does not match {path}")
-        mask = np.array(bits, dtype=bool).reshape(len(bits), d_in + d_out)
-        x_mask, y_mask = mask[:, :d_in], mask[:, d_in:]
-    return Dataset(X, Y, x_mask, y_mask, anchors, tuple(x_layout), tuple(y_layout))
+    anchors = list(map(tuple, keys.tolist()))
+    return Dataset(data[:, :d_in], data[:, d_in:], mask[:, :d_in], mask[:, d_in:], anchors,
+                   layout[:d_in], layout[d_in:])

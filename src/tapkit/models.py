@@ -88,8 +88,8 @@ def fit(dataset, feature_map: str = "identity", ridge: float = 0.0) -> LinearMod
 
     Minimizes sum ||y - W phi(x) - b||^2 + ridge * ||W||_F^2 (bias free).
     Masked dataset cells already carry their fill value, which is what the
-    fit sees. With ridge=0 a rank-deficient system is rejected instead of
-    silently pseudo-inverted.
+    fit sees. A dataset with a non-finite value is rejected. With ridge=0 a
+    rank-deficient system is rejected instead of silently pseudo-inverted.
     """
     X, Y = np.asarray(dataset.X, dtype=float), np.asarray(dataset.Y, dtype=float)
     if X.shape[0] < 1:
@@ -106,6 +106,10 @@ def fit(dataset, feature_map: str = "identity", ridge: float = 0.0) -> LinearMod
     rhs = np.empty((df + 1, Y.shape[1]))
     rhs[:df] = phi.T @ Y
     rhs[df] = Y.sum(axis=0)
+    # Any nan or inf in X or Y reaches the diagonal of G or the sums in rhs.
+    if not (np.isfinite(G).all() and np.isfinite(rhs).all()):
+        raise TapkitError("dataset has a non-finite value (nan, inf or overflow); "
+                          "the normal equations are not finite")
     if ridge == 0.0 and np.linalg.matrix_rank(G) < df + 1:
         raise TapkitError(
             "singular normal equations (collinear or insufficient data); "

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .engine import _compile
 from .errors import TapkitError
-from .tapdsl import ROLE_INPUT, ROLE_TARGET, Tapping, tap_channels
+from .tapdsl import ROLE_INPUT, ROLE_TARGET, Tapping
 
 _FILL = {
     frozenset(): "white",
@@ -69,14 +70,9 @@ def to_dot(tapping: Tapping, options: DiagramOptions | None = None) -> str:
         rows = [(g.name, i) for g in tapping.space.groups for i in range(g.dim)]
 
     roles: dict[tuple, set] = {}
-    for tap in tapping.taps:
-        if options.collapse_groups:
-            keys = [((tap.group, None), tap.lag)]
-        else:
-            keys = [((tap.group, ch), tap.lag)
-                    for ch in tap_channels(tapping.space, tap)]
-        for key in keys:
-            roles.setdefault(key, set()).add(tap.role)
+    for col in _compile(tapping).layout:
+        ch = None if options.collapse_groups else col.ref.index
+        roles.setdefault(((col.ref.group, ch), col.lag), set()).add(col.role)
 
     def node_id(row, lag) -> str:
         gname, ch = row

@@ -3,13 +3,16 @@
 A space declares ordered modality groups; the declaration order fixes the
 canonical row order of every matrix recorded against it. A matrix holds one
 numeric block per episode, rows = channels, columns = discrete agent time.
+The CSV table format of data, dataset and mask files is read and written here.
 """
 
 from __future__ import annotations
 
 import csv
 import re
+from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -231,69 +234,40 @@ def save_csv(matrix: SensorimotorMatrix, path) -> None:
     Rows are grouped by episode; time is implicit in row order. Values are
     printed with 17 significant digits so a reload is bit-exact.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode"] + matrix.space.channel_names())
-        for ep in matrix.episodes:
-            for t in range(ep.data.shape[1]):
-                writer.writerow([ep.id] + [_fmt(v) for v in ep.data[:, t]])
+    _write_table(
+        path,
+        ["episode"] + matrix.space.channel_names(),
+        ((np.full((ep.data.shape[1], 1), ep.id), ep.data.T) for ep in matrix.episodes),
+    )
 
 
 def load_csv(space: SensorimotorSpace, path, dt: float = 1.0) -> SensorimotorMatrix:
     """Read a matrix saved by :func:`save_csv`, validating the header against
     ``space``. Episode ids must be non-decreasing and never revisit; every
     value must be finite."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TapkitError(f"{path}: empty file, expected a header row") from None
-        expected = ["episode"] + space.channel_names()
+    expected = ["episode"] + space.channel_names()
+
+    def check_header(header):
+        if header is None:
+            raise TapkitError(f"{path}: empty file, expected a header row")
         if [h.strip() for h in header] != expected:
             raise TapkitError(
                 f"{path}: header does not match space {space.name!r}; "
                 f"expected {','.join(expected)}"
             )
-        episodes: list[Episode] = []
-        cols: list[np.ndarray] = []
-        cur_id = None
 
-        def flush():
-            if cur_id is not None:
-                episodes.append(Episode(cur_id, np.column_stack(cols)))
-
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected):
-                raise TapkitError(f"{path}: line {lineno}: expected {len(expected)} fields")
-            try:
-                eid = int(row[0])
-            except ValueError:
-                raise TapkitError(
-                    f"{path}: line {lineno}: non-integer episode id {row[0]!r}"
-                ) from None
-            try:
-                vec = np.array([float(v) for v in row[1:]])
-            except ValueError:
-                bad = next(v for v in row[1:] if not _is_number(v))
-                raise TapkitError(
-                    f"{path}: line {lineno}: non-numeric value {bad!r}"
-                ) from None
-            if not np.isfinite(vec).all():
-                bad = row[1 + int(np.argmin(np.isfinite(vec)))]
-                raise TapkitError(f"{path}: line {lineno}: non-finite value {bad!r}")
-            if cur_id is None or eid != cur_id:
-                if cur_id is not None and eid <= cur_id:
-                    raise TapkitError(
-                        f"{path}: line {lineno}: non-monotone episode id {eid} after {cur_id}"
-                    )
-                flush()
-                cur_id = eid
-                cols = []
-            cols.append(vec)
-        flush()
+    _, keys, cells = _read_table(path, 1, check_header)
+    ids = keys[:, 0]
+    back = np.flatnonzero(ids[1:] < ids[:-1])
+    if back.size:
+        i = int(back[0]) + 1
+        raise TapkitError(
+            f"{path}: line {_find_row(path, i)[0]}: "
+            f"non-monotone episode id {ids[i]} after {ids[i - 1]}"
+        )
+    bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
+    episodes = [Episode(int(ids[a]), np.ascontiguousarray(cells[a:b].T))
+                for a, b in zip(bounds, bounds[1:]) if b > a]
     return SensorimotorMatrix(space, episodes, dt=dt)
 
 
@@ -325,9 +299,75 @@ def infer_space_from_csv(path, name: str = "inferred") -> SensorimotorSpace:
     return define_space(spec, name=name)
 
 
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
+_ROWS_PER_WRITE = 4096
+_KEY_NAMES = ("episode id", "t")
+_BITS = frozenset("01")
+
+
+def _write_table(path, header: list[str], blocks, cell: str = "%.17g") -> None:
+    """Write ``header``, then one line per row of each ``(keys, cells)`` block:
+    the ``(n, k)`` int keys as ``%d``, then the ``(n, d)`` cells in ``cell``
+    format. ``%.17g`` round-trips any float64 exactly. Lines end in CRLF, as
+    the csv module writes them."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for keys, cells in blocks:
+            line = ",".join(["%d"] * keys.shape[1] + [cell] * cells.shape[1]) + "\r\n"
+            for a in range(0, len(keys), _ROWS_PER_WRITE):
+                b = a + _ROWS_PER_WRITE
+                fh.write("".join(line % tuple(k + c) for k, c in
+                                 zip(keys[a:b].tolist(), cells[a:b].tolist())))
+
+
+def _read_table(path, n_keys: int, check_header, mask: bool = False):
+    """Read a table written by :func:`_write_table` in one pass.
+
+    ``check_header`` gets the header row (None for an empty file) and raises
+    if it is wrong; its result is returned first. Every other non-blank line
+    holds as many fields as the header: ``n_keys`` int keys, then cells that
+    are finite floats or, for a ``mask``, exactly ``0`` or ``1``. Blank lines
+    are skipped but counted, so each error names its line. Returns the
+    header check's result, an ``(n, n_keys)`` int array and an ``(n, d)``
+    float (bool for a mask) array.
+    """
+    keys = array("q")
+    cells = array("B" if mask else "d")
+    parse = int if mask else float
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        checked = check_header(header)
+        width = len(header)
+        d = width - n_keys
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != width or mask and not _BITS.issuperset(row[n_keys:]):
+                expected = f"{d} mask cells of 0 or 1" if mask else f"{width} fields"
+                raise TapkitError(f"{path}: line {lineno}: expected {expected}")
+            try:
+                keys.extend(map(int, row[:n_keys]))
+                cells.extend(map(parse, row[n_keys:]))
+            except ValueError:
+                for j, text in enumerate(row):
+                    try:
+                        (int if j < n_keys else float)(text)
+                    except ValueError:
+                        what = f"non-integer {_KEY_NAMES[j]}" if j < n_keys else "non-numeric value"
+                        raise TapkitError(f"{path}: line {lineno}: {what} {text!r}") from None
+    keys = np.frombuffer(keys, dtype=np.int64).reshape(-1, n_keys)
+    cells = np.frombuffer(cells, dtype=bool if mask else float).reshape(-1, d)
+    if not mask and not np.isfinite(cells).all():
+        i, j = divmod(int(np.argmin(np.isfinite(cells))), d)
+        lineno, row = _find_row(path, i)
+        where = "" if n_keys == 1 else " in the row of episode %d, t %d:" % tuple(keys[i])
+        raise TapkitError(f"{path}: line {lineno}: non-finite value{where} {row[n_keys + j]!r}")
+    return checked, keys, cells
+
+
+def _find_row(path, i: int) -> tuple[int, list[str]]:
+    """Line number and fields of data row ``i`` of a table (blank lines are
+    not rows). Error paths only: it reads the file again."""
+    with open(path, newline="") as fh:
+        rows = ((lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row)
+        return next(islice(rows, i + 1, None))

@@ -141,6 +141,19 @@ def random_matrix(rng, space, max_episodes=3, max_T=30):
     return SensorimotorMatrix(space, eps)
 
 
+# Floats a text round-trip can get wrong: signed zero, subnormals, the extremes.
+EDGE_FLOATS = (-0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+               1.7976931348623157e308, -1.7976931348623157e308)
+
+
+def edge_values(rng, shape):
+    """Standard normals with about half the cells replaced by EDGE_FLOATS."""
+    values = rng.standard_normal(shape)
+    planted = rng.random(shape) < 0.5
+    values[planted] = rng.choice(EDGE_FLOATS, size=int(planted.sum()))
+    return values
+
+
 # ---------------------------------------------------------------------------
 # Reference mask stages: one cell and one column at a time
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from tapkit.smcore import Episode
 
 from oracles import (
     brute_force_apply,
+    edge_values,
     random_matrix,
     random_space,
     random_tapping,
@@ -388,6 +389,45 @@ class TestDatasetCsv:
         lines[2] = lines[2].rsplit(",", 1)[0] + ",nan"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TapkitError, match="non-finite value in the row of episode 0, t 2"):
+            load_dataset_csv(path)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, seed):
+        rng = np.random.default_rng(seed)
+        space = random_space(rng)
+        tapping = random_tapping(rng, space)
+        eps = [Episode(i, edge_values(rng, (space.n_sm, int(rng.integers(1, 12)))))
+               for i in range(int(rng.integers(0, 3)))]
+        ds = apply(SensorimotorMatrix(space, eps), tapping)
+        ds.x_mask = rng.random(ds.x_mask.shape) < 0.5
+        ds.y_mask = rng.random(ds.y_mask.shape) < 0.5
+        path = tmp_path_factory.mktemp("ds") / "ds.csv"
+        save_dataset_csv(ds, path)
+        loaded = load_dataset_csv(path)
+        assert loaded == ds
+        # Bytes, not values: array_equal treats -0.0 and 0.0 as equal.
+        for name in ("X", "Y", "x_mask", "y_mask"):
+            assert getattr(loaded, name).tobytes() == getattr(ds, name).tobytes()
+
+    def test_wrong_field_count_names_line(self, nao_space, tmp_path):
+        ds = apply(line_matrix(nao_space, 4), tapdsl.forward(nao_space, "m", "vision"))
+        path = tmp_path / "ds.csv"
+        save_dataset_csv(ds, path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2] + ",1"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TapkitError, match="line 3: .*field"):
+            load_dataset_csv(path)
+
+    def test_non_numeric_value_names_line(self, nao_space, tmp_path):
+        ds = apply(line_matrix(nao_space, 4), tapdsl.forward(nao_space, "m", "vision"))
+        path = tmp_path / "ds.csv"
+        save_dataset_csv(ds, path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",banana"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TapkitError, match="line 3: non-numeric value"):
             load_dataset_csv(path)
 
 

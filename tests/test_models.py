@@ -82,6 +82,16 @@ class TestFit:
         with pytest.raises(TapkitError, match="empty"):
             fit(ds)
 
+    @pytest.mark.parametrize("ridge", [0.0, 1e-6])
+    @pytest.mark.parametrize("fmap", ["identity", "quadratic"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("block", ["X", "Y"])
+    def test_non_finite_dataset_errors(self, ridge, fmap, bad, block):
+        _, ds = linear_plant_dataset(steps=40)
+        getattr(ds, block)[7, 1] = bad
+        with pytest.raises(TapkitError, match="non-finite"):
+            fit(ds, fmap, ridge)
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["identity", "quadratic"]))
     def test_solution_zeroes_finite_difference_gradient(self, seed, fmap):

@@ -13,6 +13,8 @@ from tapkit import (
 )
 from tapkit.smcore import ChannelRef, Episode, parse_channel_ref
 
+from oracles import edge_values
+
 
 class TestDefineSpace:
     def test_nao_offsets(self, nao_space):
@@ -146,6 +148,37 @@ class TestCsv:
         with pytest.raises(TapkitError, match=f"line 3: non-finite value '{bad}'"):
             load_csv(nao_space, path)
 
+    def test_wrong_field_count_names_line(self, nao_space, tmp_path):
+        path = tmp_path / "d.csv"
+        header = "episode," + ",".join(nao_space.channel_names())
+        path.write_text(header + "\n0,1,2,3,4,5,6\n0,1,2,3,4,5\n")
+        with pytest.raises(TapkitError, match="line 3: expected 7 fields"):
+            load_csv(nao_space, path)
+
+    def test_non_integer_episode_id(self, nao_space, tmp_path):
+        path = tmp_path / "d.csv"
+        header = "episode," + ",".join(nao_space.channel_names())
+        path.write_text(header + "\n0.5,1,2,3,4,5,6\n")
+        with pytest.raises(TapkitError, match="line 2: non-integer episode id '0.5'"):
+            load_csv(nao_space, path)
+
+    def test_empty_file(self, nao_space, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("")
+        with pytest.raises(TapkitError, match="empty file, expected a header row"):
+            load_csv(nao_space, path)
+
+    def test_blank_lines_are_skipped_but_counted(self, nao_space, tmp_path):
+        path = tmp_path / "d.csv"
+        header = "episode," + ",".join(nao_space.channel_names())
+        path.write_text(header + "\n\n0,1,2,3,4,5,6\n\n0,1,2,3,4,5,oops\n")
+        with pytest.raises(TapkitError, match="line 5: non-numeric value 'oops'"):
+            load_csv(nao_space, path)
+        path.write_text(header + "\n\n0,1,2,3,4,5,6\n\n1,1,2,3,4,5,7\n\n")
+        loaded = load_csv(nao_space, path)
+        assert [ep.id for ep in loaded.episodes] == [0, 1]
+        assert loaded.episodes[1].data[:, 0].tolist() == [1, 2, 3, 4, 5, 7]
+
     def test_non_monotone_episode_ids(self, nao_space, tmp_path):
         path = tmp_path / "d.csv"
         header = "episode," + ",".join(nao_space.channel_names())
@@ -183,13 +216,27 @@ class TestCsv:
         space = define_space([("motor", "m", int(rng.integers(1, 4)))])
         n_eps = int(rng.integers(0, 3))
         eps = [
-            Episode(i, rng.standard_normal((space.n_sm, int(rng.integers(1, 6)))))
+            Episode(i, edge_values(rng, (space.n_sm, int(rng.integers(1, 6)))))
             for i in range(n_eps)
         ]
         m = SensorimotorMatrix(space, eps)
         path = tmp_path_factory.mktemp("csv") / "m.csv"
         save_csv(m, path)
-        assert load_csv(space, path) == m
+        loaded = load_csv(space, path)
+        assert loaded == m
+        # Bytes, not values: array_equal treats -0.0 and 0.0 as equal.
+        assert [ep.data.tobytes() for ep in loaded.episodes] == [ep.data.tobytes() for ep in eps]
+
+    def test_saved_text_is_pinned(self, tmp_path):
+        space = define_space([("motor", "m", 2)])
+        m = SensorimotorMatrix(space, [Episode(3, np.array([[0.1, -0.0], [5e-324, 1e17]]))])
+        path = tmp_path / "d.csv"
+        save_csv(m, path)
+        assert path.read_bytes() == (
+            b"episode,motor:m[0],motor:m[1]\r\n"
+            b"3,0.10000000000000001,4.9406564584124654e-324\r\n"
+            b"3,-0,1e+17\r\n"
+        )
 
 
 def test_parse_channel_ref():
