@@ -53,11 +53,10 @@ def _say(args, message: str) -> None:
 
 def _plant_config(args) -> sim.PlantConfig:
     kind = {"linear": "linear", "arm": "arm", "planted": "planted_lag"}[args.plant]
-    delay = args.lag if kind == "planted_lag" else args.delay
+    delay = args.delay if args.delay is not None else (3 if kind == "planted_lag" else 1)
     return sim.PlantConfig(
         kind=kind,
         dim=args.dim,
-        lag=args.lag,
         noise_std=args.noise,
         delay=delay,
         seed=args.seed,
@@ -251,7 +250,7 @@ def demo_nao(seed: int = 0, steps: int = 500, goals: int = 100,
     d_m = len(config.link_lengths)
     goal_rng = np.random.default_rng(np.random.SeedSequence(goal_seed))
     goal_cmds = goal_rng.uniform(config.command_low, config.command_high, (goals, d_m))
-    goal_points = [sim.arm_hand_position(config.link_lengths, c) for c in goal_cmds]
+    goal_points = sim.arm_hand_position(config.link_lengths, goal_cmds)
 
     sampler = models.box_sampler(config.command_low, config.command_high, dim=d_m)
     reach_rng = np.random.default_rng(np.random.SeedSequence(reach_seed))
@@ -264,10 +263,8 @@ def demo_nao(seed: int = 0, steps: int = 500, goals: int = 100,
 
     base_rng = np.random.default_rng(np.random.SeedSequence(baseline_seed))
     base_cmds = base_rng.uniform(config.command_low, config.command_high, (goals, d_m))
-    base_dists = [
-        float(np.linalg.norm(sim.arm_hand_position(config.link_lengths, c) - goal))
-        for c, goal in zip(base_cmds, goal_points)
-    ]
+    base_hands = sim.arm_hand_position(config.link_lengths, base_cmds)
+    base_dists = [float(np.linalg.norm(d)) for d in base_hands - goal_points]
 
     med_model = float(np.median(model_dists))
     med_base = float(np.median(base_dists))
@@ -332,8 +329,8 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV (space sidecar: .tap)")
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--dim", type=int, default=2, help="linear plant dimension")
-    p.add_argument("--lag", type=int, default=3, help="planted dependency lag")
-    p.add_argument("--delay", type=int, default=1, help="command-to-effect delay")
+    p.add_argument("--delay", "--lag", dest="delay", type=int, default=None,
+                   help="command-to-effect delay (default 3 for planted, else 1)")
     p.add_argument("--box", type=_box, default=(-1.0, 1.0),
                    help="command box LO:HI")
     p.set_defaults(func=cmd_gen)

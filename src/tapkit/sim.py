@@ -32,9 +32,8 @@ class PlantConfig:
     dim: int = 2                      # linear plant: motor and sensor dimension
     matrix: tuple[tuple[float, ...], ...] | None = None  # explicit linear map
     link_lengths: tuple[float, ...] = (1.0, 0.8, 0.6, 0.4)
-    lag: int = 3                      # planted_lag dependency depth
     noise_std: float = 0.0
-    delay: int = 1
+    delay: int = 1                    # planted_lag: the dependency depth
     seed: int = 0
     command_low: float = -1.0
     command_high: float = 1.0
@@ -50,8 +49,6 @@ class PlantConfig:
             raise TapkitError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.delay < 1:
             raise TapkitError(f"delay must be >= 1, got {self.delay}")
-        if self.lag < 1:
-            raise TapkitError(f"lag must be >= 1, got {self.lag}")
         if any(l <= 0 for l in self.link_lengths):
             raise TapkitError("arm link lengths must be positive")
 
@@ -93,18 +90,22 @@ def plant_matrix(config: PlantConfig) -> np.ndarray:
 
 def arm_hand_position(link_lengths, angles) -> np.ndarray:
     """Planar forward kinematics: joint angles are relative to the previous
-    link; the hand is the chain tip."""
-    absolute = np.cumsum(np.asarray(angles, dtype=float))
+    link; the hand is the chain tip. ``angles`` is one command or a
+    ``(..., n_links)`` batch; the result has shape ``(..., 2)``."""
+    absolute = np.cumsum(np.asarray(angles, dtype=float), axis=-1)
     ls = np.asarray(link_lengths, dtype=float)
-    return np.array([np.sum(ls * np.cos(absolute)), np.sum(ls * np.sin(absolute))])
+    return np.stack([np.sum(ls * np.cos(absolute), axis=-1),
+                     np.sum(ls * np.sin(absolute), axis=-1)], axis=-1)
 
 
-def _respond(config: PlantConfig, A: np.ndarray | None, command: np.ndarray) -> np.ndarray:
+def _respond(config: PlantConfig, A: np.ndarray | None, commands: np.ndarray) -> np.ndarray:
+    """Responses to a ``(T, d_m)`` block of commands, one row per step."""
     if config.kind == "linear":
-        return A @ command
+        # Bit-identical to A @ c per step; commands @ A.T changes last bits.
+        return np.matmul(A, commands[:, :, None])[:, :, 0]
     if config.kind == "arm":
-        return arm_hand_position(config.link_lengths, command)
-    return np.tanh(command)
+        return arm_hand_position(config.link_lengths, commands)
+    return np.tanh(commands)
 
 
 def generate(config: PlantConfig, episodes: int, steps_per_episode: int) -> SensorimotorMatrix:
@@ -128,13 +129,10 @@ def generate(config: PlantConfig, episodes: int, steps_per_episode: int) -> Sens
         cmds = rng.uniform(config.command_low, config.command_high,
                            (steps_per_episode, d_m))
         noise = rng.normal(0.0, config.noise_std, (steps_per_episode, d_s))
-        data = np.empty((space.n_sm, steps_per_episode))
-        zero = np.zeros(d_m)
-        for t in range(steps_per_episode):
-            cmd_then = cmds[t - config.delay] if t >= config.delay else zero
-            data[:d_m, t] = cmds[t]
-            data[d_m:, t] = _respond(config, A, cmd_then) + noise[t]
-        eps.append(Episode(e, data))
+        delayed = np.zeros_like(cmds)
+        delayed[config.delay:] = cmds[:max(0, steps_per_episode - config.delay)]
+        response = _respond(config, A, delayed) + noise
+        eps.append(Episode(e, np.vstack([cmds.T, response.T])))
     return SensorimotorMatrix(space, eps)
 
 
@@ -149,6 +147,5 @@ def planted_lag_series(lag: int, T: int, seed: int = 0,
         raise TapkitError(f"lag must be >= 1, got {lag}")
     if T <= lag:
         raise TapkitError(f"need T > lag, got T={T}, lag={lag}")
-    config = PlantConfig(kind="planted_lag", lag=lag, noise_std=noise_std,
-                         delay=lag, seed=seed)
+    config = PlantConfig(kind="planted_lag", noise_std=noise_std, delay=lag, seed=seed)
     return generate(config, 1, T)

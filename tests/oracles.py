@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from tapkit.sim import plant_matrix, space_for
 from tapkit.smcore import Episode, SensorimotorMatrix, define_space
 from tapkit.tapdsl import ROLE_INPUT, ROLE_TARGET, Tap, Tapping, tap_channels
 
@@ -241,3 +242,46 @@ def reference_blocking(matrix, tapping, proportion, seed=0):
     return (stack(out[ROLE_INPUT][0], d_in, float), stack(out[ROLE_TARGET][0], d_out, float),
             stack(out[ROLE_INPUT][1], d_in, bool), stack(out[ROLE_TARGET][1], d_out, bool),
             anchors)
+
+
+# ---------------------------------------------------------------------------
+# Reference generator: one step and one response at a time
+# ---------------------------------------------------------------------------
+
+def _reference_respond(config, A, command):
+    """One step's response, with the per-command forward kinematics."""
+    if config.kind == "linear":
+        return A @ command
+    if config.kind == "arm":
+        absolute = np.cumsum(np.asarray(command, dtype=float))
+        ls = np.asarray(config.link_lengths, dtype=float)
+        return np.array([np.sum(ls * np.cos(absolute)), np.sum(ls * np.sin(absolute))])
+    return np.tanh(command)
+
+
+def reference_generate(config, episodes, steps_per_episode):
+    """``sim.generate`` computed one step at a time.
+
+    Same seeding (child 0 for plant parameters, child 1 + e for episode e;
+    commands drawn before noise); the observation at t answers the command
+    at t - delay, or a zero command before that.
+    """
+    space = space_for(config)
+    d_m = space.groups[0].dim
+    d_s = space.groups[1].dim
+    children = np.random.SeedSequence(config.seed).spawn(1 + episodes)
+    A = plant_matrix(config) if config.kind == "linear" else None
+    eps = []
+    for e in range(episodes):
+        rng = np.random.default_rng(children[1 + e])
+        cmds = rng.uniform(config.command_low, config.command_high,
+                           (steps_per_episode, d_m))
+        noise = rng.normal(0.0, config.noise_std, (steps_per_episode, d_s))
+        data = np.empty((space.n_sm, steps_per_episode))
+        zero = np.zeros(d_m)
+        for t in range(steps_per_episode):
+            cmd_then = cmds[t - config.delay] if t >= config.delay else zero
+            data[:d_m, t] = cmds[t]
+            data[d_m:, t] = _reference_respond(config, A, cmd_then) + noise[t]
+        eps.append(Episode(e, data))
+    return SensorimotorMatrix(space, eps)

@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
 
 from tapkit import analysis, load_model, smcore, tapdsl
 from tapkit.cli import demo_nao, main, split_seed
 from tapkit.engine import load_dataset_csv
 from tapkit.smcore import ChannelRef
+
+from oracles import fk_oracle
 
 
 def run(capsys, *argv):
@@ -54,6 +57,42 @@ class TestExitCodes:
         code, _, err = run(capsys, "validate", str(bad))
         assert code == 2
         assert err.startswith("error: line")
+
+
+class TestGen:
+    def _gen(self, tmp_path, capsys, *argv):
+        data = tmp_path / "d.csv"
+        code, _, err = run(capsys, "gen", "--steps", "40", "--seed", "2",
+                           "--out", str(data), *argv)
+        if code != 0:
+            return code, err, None
+        space = smcore.infer_space_from_csv(data)
+        return code, err, smcore.load_csv(space, data).episodes[0].data
+
+    @pytest.mark.parametrize("argv, delay", [((), 3), (("--delay", "2"), 2),
+                                             (("--lag", "1"), 1)])
+    def test_planted_delay_option(self, tmp_path, capsys, argv, delay):
+        code, _, data = self._gen(tmp_path, capsys, "--plant", "planted", *argv)
+        assert code == 0
+        x, y = data
+        assert np.array_equal(y[:delay], np.zeros(delay))
+        assert np.array_equal(y[delay:], np.tanh(x[:-delay]))
+
+    @pytest.mark.parametrize("argv, delay", [((), 1), (("--lag", "2"), 2),
+                                             (("--delay", "3"), 3)])
+    def test_arm_delay_option(self, tmp_path, capsys, argv, delay):
+        code, _, data = self._gen(tmp_path, capsys, "--plant", "arm", *argv)
+        assert code == 0
+        links = (1.0, 0.8, 0.6, 0.4)
+        for t in range(40):
+            cmd = data[:4, t - delay] if t >= delay else np.zeros(4)
+            assert np.allclose(data[4:, t], fk_oracle(links, cmd), atol=1e-12)
+
+    @pytest.mark.parametrize("plant", ["planted", "linear"])
+    def test_nonpositive_delay_is_data_error(self, tmp_path, capsys, plant):
+        code, err, _ = self._gen(tmp_path, capsys, "--plant", plant, "--lag", "0")
+        assert code == 2
+        assert err.strip() == "error: delay must be >= 1, got 0"
 
 
 class TestPipeline:

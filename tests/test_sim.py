@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tapkit import PlantConfig, TapkitError, generate, planted_lag_series, plant_matrix
-from tapkit.sim import arm_hand_position, space_for
+from tapkit.sim import PLANT_KINDS, arm_hand_position, space_for
 
-from oracles import fk_oracle
+from oracles import fk_oracle, reference_generate
 
 
 class TestLinearPlant:
@@ -64,6 +66,11 @@ class TestArmPlant:
             angles = rng.uniform(-np.pi, np.pi, 4)
             assert np.allclose(arm_hand_position(links, angles),
                                fk_oracle(links, angles), atol=1e-12)
+        batch = rng.uniform(-np.pi, np.pi, (50, 4))
+        rows = np.array([arm_hand_position(links, angles) for angles in batch])
+        hands = arm_hand_position(links, batch)
+        assert hands.shape == (50, 2)
+        assert hands.tobytes() == rows.tobytes()
 
     def test_single_step_gives_no_forward_rows(self):
         from tapkit import apply, tapdsl
@@ -89,6 +96,35 @@ class TestPlantedLag:
     def test_t_not_longer_than_lag_rejected(self):
         with pytest.raises(TapkitError):
             planted_lag_series(5, 5, seed=0)
+
+
+def assert_same_matrix(got, want):
+    assert got.space == want.space
+    assert [ep.id for ep in got.episodes] == [ep.id for ep in want.episodes]
+    for a, b in zip(got.episodes, want.episodes):
+        assert a.data.shape == b.data.shape
+        assert a.data.tobytes() == b.data.tobytes()
+
+
+class TestReferenceGenerator:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(PLANT_KINDS), st.integers(1, 6), st.integers(1, 4),
+           st.sampled_from([0.0, 0.1]), st.integers(0, 3), st.integers(0, 2**32 - 1),
+           st.data())
+    def test_bit_identical_to_per_step_loop(self, kind, dim, delay, noise, episodes,
+                                            seed, data):
+        steps = data.draw(st.integers(1, 3 * delay + 5))
+        cfg = PlantConfig(kind=kind, dim=dim, delay=delay, noise_std=noise, seed=seed)
+        assert_same_matrix(generate(cfg, episodes, steps),
+                           reference_generate(cfg, episodes, steps))
+
+    @pytest.mark.parametrize("kind", PLANT_KINDS)
+    def test_episodes_around_the_delay(self, kind):
+        for delay in range(1, 5):
+            for steps in range(max(1, delay - 1), delay + 2):
+                cfg = PlantConfig(kind=kind, dim=3, delay=delay, seed=delay)
+                assert_same_matrix(generate(cfg, 2, steps),
+                                   reference_generate(cfg, 2, steps))
 
 
 class TestDeterminism:
