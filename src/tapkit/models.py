@@ -186,6 +186,8 @@ def best_of_n(model: LinearModel, goal, n: int, seed: int,
     if n < 1:
         raise TapkitError(f"n must be >= 1, got {n}")
     goal = np.asarray(goal, dtype=float).reshape(-1)
+    if goal.size != model.d_out:
+        raise TapkitError(f"goal must have {model.d_out} values, got {goal.size}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     candidates = np.asarray(command_sampler(rng, n), dtype=float)
     preds = predict(model, candidates)

@@ -136,6 +136,11 @@ def greedy_policy(q: np.ndarray) -> np.ndarray:
 # Rollouts and runners
 # ---------------------------------------------------------------------------
 
+def _check_episodes(episodes: int) -> None:
+    if episodes < 0:
+        raise TapkitError(f"episodes must be >= 0, got {episodes}")
+
+
 def rollout_episodes(env: ChainEnv, episodes: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Right-policy episodes from uniformly random start states.
 
@@ -143,6 +148,7 @@ def rollout_episodes(env: ChainEnv, episodes: int, seed: int) -> list[tuple[np.n
     step t and rewards[t] the reward received on arriving there (rewards[0]
     is 0). A terminal start yields a single-step episode with no transition.
     """
+    _check_episodes(episodes)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = []
     for _ in range(episodes):
@@ -218,6 +224,7 @@ def _epsilon_greedy(rng, q, s, epsilon) -> int:
 def q_learning_run(env: ChainEnv, episodes: int, alpha: float, epsilon: float,
                    seed: int, start: int = 0, max_steps: int = 10_000) -> ValueTable:
     """Epsilon-greedy Q-learning from a fixed start state."""
+    _check_episodes(episodes)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     table = action_values(env.n_states, alpha, env.gamma)
     for _ in range(episodes):
@@ -237,6 +244,7 @@ def q_learning_run(env: ChainEnv, episodes: int, alpha: float, epsilon: float,
 def sarsa_run(env: ChainEnv, episodes: int, alpha: float, epsilon: float,
               seed: int, start: int = 0, max_steps: int = 10_000) -> ValueTable:
     """Epsilon-greedy SARSA from a fixed start state."""
+    _check_episodes(episodes)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     table = action_values(env.n_states, alpha, env.gamma)
     for _ in range(episodes):

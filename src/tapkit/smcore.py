@@ -80,9 +80,6 @@ class SensorimotorSpace:
                 return g
         raise TapkitError(f"unknown group {name!r} in space {self.name!r}")
 
-    def has_group(self, name: str) -> bool:
-        return any(g.name == name for g in self.groups)
-
     def offset(self, name: str) -> int:
         off = 0
         for g in self.groups:
@@ -185,12 +182,6 @@ class SensorimotorMatrix:
                 for a, b in zip(self.episodes, other.episodes)
             )
         )
-
-    def episode(self, episode_id: int) -> Episode:
-        for ep in self.episodes:
-            if ep.id == episode_id:
-                return ep
-        raise TapkitError(f"no episode with id {episode_id}")
 
     def append_measurement(self, episode_id: int, sm_vector) -> "SensorimotorMatrix":
         """Append one measurement column (n_sm finite values) to an episode,

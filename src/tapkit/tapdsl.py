@@ -14,13 +14,15 @@ DSL grammar (UTF-8, ``#`` line comments, newlines are plain whitespace)::
     lag           := INT | INT ".." INT          # inclusive, ascending
     drop          := "[" "drop" "p" "=" NUMBER "]"
 
-KIND is one of motor/proprio/extero/intero. Conventional file extension:
-``.tap``.
+KIND is one of motor/proprio/extero/intero. NUMBER is an integer or a
+decimal, either with an optional exponent (``0.25``, ``1e-07``). Conventional
+file extension: ``.tap``.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -87,16 +89,7 @@ class Tapping:
         object.__setattr__(self, "taps", tuple(self.taps))
         if not self.taps:
             raise TapkitError(f"tapping {self.name!r} has no taps")
-        seen: set[tuple[str, int, int, str]] = set()
-        for tap in self.taps:
-            for ch in tap_channels(self.space, tap):
-                key = (tap.group, ch, tap.lag, tap.role)
-                if key in seen:
-                    raise TapkitError(
-                        f"tapping {self.name!r}: duplicate tap coordinate "
-                        f"{tap.group}[{ch}]@{tap.lag} ({tap.role})"
-                    )
-                seen.add(key)
+        _add_coordinates(set(), self.name, self.space, self.taps)
         if not any(t.role == ROLE_INPUT for t in self.taps):
             raise TapkitError(f"tapping {self.name!r} has no input taps")
         if not any(t.role == ROLE_TARGET for t in self.taps):
@@ -127,6 +120,20 @@ def tap_channels(space: SensorimotorSpace, tap: Tap) -> tuple[int, ...]:
                 f"channel index {ch} out of range for group {tap.group!r} (dim {g.dim})"
             )
     return tap.channels
+
+
+def _add_coordinates(seen: set, name: str, space: SensorimotorSpace, taps) -> None:
+    """Add each tap's (group, channel, lag, role) coordinates to ``seen``,
+    refusing one already there; ``name`` is the tapping's, for the message."""
+    for tap in taps:
+        for ch in tap_channels(space, tap):
+            key = (tap.group, ch, tap.lag, tap.role)
+            if key in seen:
+                raise TapkitError(
+                    f"tapping {name!r}: duplicate tap coordinate "
+                    f"{tap.group}[{ch}]@{tap.lag} ({tap.role})"
+                )
+            seen.add(key)
 
 
 @dataclass(frozen=True)
@@ -292,10 +299,6 @@ def template(space, kind, **params) -> Tapping:
 # Printer
 # ---------------------------------------------------------------------------
 
-def _fmt_drop(p: float) -> str:
-    return format(p, "g")
-
-
 def format_space(space: SensorimotorSpace) -> str:
     lines = [f"space {space.name} {{"]
     lines += [f"  {g.kind} {g.name}: {g.dim}" for g in space.groups]
@@ -308,7 +311,7 @@ def format_tapping(tapping: Tapping) -> str:
     lines = [f"tapping {tapping.name} {{"]
     for tap in tapping.taps:
         chans = "" if tap.channels is None else "[" + ",".join(map(str, tap.channels)) + "]"
-        drop = f" [drop p={_fmt_drop(tap.drop_p)}]" if tap.drop_p > 0 else ""
+        drop = f" [drop p={float(tap.drop_p)!r}]" if tap.drop_p > 0 else ""
         lines.append(f"  {tap.role} {tap.group}{chans} @ {tap.lag}{drop}")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -330,7 +333,7 @@ def to_text(space: SensorimotorSpace | None, tappings=()) -> str:
 _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t\r\n]+)
       | (?P<comment>\#[^\n]*)
-      | (?P<float>-?\d+\.\d+)
+      | (?P<float>-?\d+(?:\.\d+)?[eE][-+]?\d+|-?\d+\.\d+)
       | (?P<int>-?\d+)
       | (?P<ident>[A-Za-z_]\w*)
       | (?P<dotdot>\.\.)
@@ -394,6 +397,20 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
+    @contextmanager
+    def located(self, tok: _Token):
+        """Report a data-model error raised inside as a ParseError at ``tok``."""
+        try:
+            yield
+        except ParseError:
+            raise
+        except TapkitError as exc:
+            self.fail(str(exc), tok)
+
+    def at_sym(self, value: str) -> bool:
+        tok = self.peek()
+        return tok.kind == "sym" and tok.value == value
+
     def expect(self, kind: str, what: str, value: str | None = None) -> _Token:
         tok = self.peek()
         if tok.kind != kind or (value is not None and tok.value != value):
@@ -423,23 +440,17 @@ class _Parser:
         name_tok = self.expect("ident", "space name")
         self.expect("sym", "'{'", "{")
         spec = []
-        toks = []
-        while not (self.peek().kind == "sym" and self.peek().value == "}"):
+        while not self.at_sym("}"):
             kind_tok = self.expect("ident", f"modality kind ({'/'.join(KINDS)})")
-            if kind_tok.value not in KINDS:
-                self.fail(f"unknown modality kind {kind_tok.value!r}", kind_tok)
             gname_tok = self.expect("ident", "group name")
             self.expect("sym", "':'", ":")
             dim_tok = self.expect("int", "group dimension")
             spec.append((kind_tok.value, gname_tok.value, int(dim_tok.value)))
-            toks.append(gname_tok)
+            with self.located(kind_tok):
+                define_space(spec, name=name_tok.value)
         self.expect("sym", "'}'", "}")
-        if not spec:
-            self.fail("space block declares no groups", name_tok)
-        try:
+        with self.located(name_tok):
             return define_space(spec, name=name_tok.value)
-        except TapkitError as exc:
-            self.fail(str(exc), toks[-1] if toks else name_tok)
 
     def parse_tapping_block(self) -> Tapping:
         self.expect("ident", "'tapping'", "tapping")
@@ -449,64 +460,31 @@ class _Parser:
         self.expect("sym", "'{'", "{")
         taps: list[Tap] = []
         seen: set[tuple[str, int, int, str]] = set()
-        while not (self.peek().kind == "sym" and self.peek().value == "}"):
-            taps += self.parse_tap_line(seen)
+        while not self.at_sym("}"):
+            role_tok = self.peek()
+            if role_tok.kind != "ident" or role_tok.value not in (ROLE_INPUT, ROLE_TARGET):
+                self.fail(f"expected 'input' or 'target', got {role_tok.value!r}", role_tok)
+            self.next()
+            group_tok = self.expect("ident", "group name")
+            channels = self.parse_channels() if self.at_sym("[") else None
+            self.expect("sym", "'@'", "@")
+            lags = self.parse_lag()
+            drop_p = self.parse_drop() if self.at_sym("[") else 0.0
+            with self.located(group_tok):
+                line = [Tap(group_tok.value, lag, role_tok.value, channels, drop_p)
+                        for lag in lags]
+                _add_coordinates(seen, name_tok.value, self.space, line)
+            taps += line
         self.expect("sym", "'}'", "}")
-        try:
+        with self.located(name_tok):
             return Tapping(name_tok.value, self.space, tuple(taps))
-        except TapkitError as exc:
-            self.fail(str(exc), name_tok)
 
-    def parse_tap_line(self, seen) -> list[Tap]:
-        role_tok = self.peek()
-        if role_tok.kind != "ident" or role_tok.value not in (ROLE_INPUT, ROLE_TARGET):
-            self.fail(f"expected 'input' or 'target', got {role_tok.value!r}", role_tok)
-        self.next()
-        group_tok = self.expect("ident", "group name")
-        if not self.space.has_group(group_tok.value):
-            self.fail(f"unknown group {group_tok.value!r}", group_tok)
-        gdim = self.space.group(group_tok.value).dim
-        channels = None
-        if self.peek().kind == "sym" and self.peek().value == "[":
-            channels = self.parse_channels(group_tok.value, gdim)
-        self.expect("sym", "'@'", "@")
-        lags = self.parse_lag()
-        drop_p = 0.0
-        if self.peek().kind == "sym" and self.peek().value == "[":
-            drop_p = self.parse_drop()
-        taps = []
-        for lag in lags:
-            tap = Tap(group_tok.value, lag, role_tok.value, channels, drop_p)
-            for ch in tap_channels(self.space, tap):
-                key = (tap.group, ch, tap.lag, tap.role)
-                if key in seen:
-                    self.fail(
-                        f"duplicate tap coordinate {tap.group}[{ch}]@{tap.lag} "
-                        f"({tap.role})",
-                        group_tok,
-                    )
-                seen.add(key)
-            taps.append(tap)
-        return taps
-
-    def parse_channels(self, group: str, gdim: int) -> tuple[int, ...]:
+    def parse_channels(self) -> tuple[int, ...]:
         self.expect("sym", "'['", "[")
-        chans = []
-        while True:
-            tok = self.expect("int", "channel index")
-            ch = int(tok.value)
-            if not 0 <= ch < gdim:
-                self.fail(
-                    f"channel index {ch} out of range for group {group!r} (dim {gdim})",
-                    tok,
-                )
-            if ch in chans:
-                self.fail(f"duplicate channel index {ch}", tok)
-            chans.append(ch)
-            if self.peek().kind == "sym" and self.peek().value == ",":
-                self.next()
-                continue
-            break
+        chans = [int(self.expect("int", "channel index").value)]
+        while self.at_sym(","):
+            self.next()
+            chans.append(int(self.expect("int", "channel index").value))
         self.expect("sym", "']'", "]")
         return tuple(chans)
 
@@ -531,11 +509,8 @@ class _Parser:
         if tok.kind not in ("float", "int"):
             self.fail(f"expected drop probability, got {tok.value!r}", tok)
         self.next()
-        p = float(tok.value)
-        if not 0.0 <= p <= 1.0:
-            self.fail(f"drop_p must be in [0, 1], got {tok.value}", tok)
         self.expect("sym", "']'", "]")
-        return p
+        return float(tok.value)
 
 
 def parse(text: str, space: SensorimotorSpace | None = None) -> ParsedFile:

@@ -132,6 +132,21 @@ class TestPipeline:
                            "--box", "-2:2")
         assert code == 0
 
+    def test_reach_goal_of_wrong_length_is_data_error(self, tmp_path, capsys):
+        data, model_path = tmp_path / "d.csv", tmp_path / "m.txt"
+        assert run(capsys, "gen", "--plant", "linear", "--steps", "60",
+                   "--out", str(data))[0] == 0
+        (tmp_path / "d.tap").write_text((tmp_path / "d.tap").read_text() +
+                                        "tapping fwd { input m @ -1 target v @ 0 }\n")
+        assert run(capsys, "apply", "--space", str(tmp_path / "d.tap"), "--tapping",
+                   "fwd", "--data", str(data), "--out", str(tmp_path / "ds.csv"))[0] == 0
+        assert run(capsys, "train", "--data", str(tmp_path / "ds.csv"),
+                   "--out", str(model_path))[0] == 0
+        code, out, err = run(capsys, "reach", "--model", str(model_path),
+                             "--goal", "1,2,3")
+        assert (code, out) == (2, "")
+        assert err == "error: goal must have 2 values, got 3\n"
+
     def test_apply_unknown_tapping(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         run(capsys, "gen", "--plant", "linear", "--steps", "10", "--out", str(data))
@@ -230,6 +245,12 @@ class TestTd:
                            "--seed", "5")
         assert code == 0
         assert "policies match: True" in out
+
+    @pytest.mark.parametrize("algo", ["td0", "q", "sarsa"])
+    def test_negative_episodes_is_data_error(self, capsys, algo):
+        code, out, err = run(capsys, "td", "--algo", algo, "--episodes", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: episodes must be >= 0, got -1\n"
 
 
 class TestAnalyze:

@@ -199,6 +199,13 @@ class TestBestOfN:
         rng = np.random.default_rng(np.random.SeedSequence(9))
         assert np.array_equal(res.command, sampler(rng, 64)[0])
 
+    @pytest.mark.parametrize("goal", [[1.0], [1.0, 2.0, 3.0], []])
+    def test_goal_length_must_match_model_outputs(self, goal):
+        model = LinearModel(np.eye(2), np.zeros(2))
+        sampler = box_sampler(-1, 1, dim=2)
+        with pytest.raises(TapkitError, match=f"goal must have 2 values, got {len(goal)}"):
+            best_of_n(model, goal, 8, seed=0, command_sampler=sampler)
+
 
 class TestInverse:
     def test_invert_direct_hits_goal(self):

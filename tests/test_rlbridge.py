@@ -121,6 +121,16 @@ class TestTappedRun:
     def test_zero_episodes_zero_table(self, env):
         assert (tapped_td_run(env, 0, seed=1).v == 0).all()
 
+    @pytest.mark.parametrize("runner", [
+        lambda env: tapped_td_run(env, -1, seed=1),
+        lambda env: direct_td_run(env, -1, seed=1),
+        lambda env: rlbridge.q_learning_run(env, -1, 0.1, 0.1, seed=1),
+        lambda env: rlbridge.sarsa_run(env, -1, 0.1, 0.1, seed=1),
+    ])
+    def test_negative_episodes_rejected(self, env, runner):
+        with pytest.raises(TapkitError, match="episodes must be >= 0, got -1"):
+            runner(env)
+
     def test_terminal_start_has_no_rows(self, env):
         # A single-column episode is shorter than the td0 span (W=2).
         space = define_space([("intero", "s", 1), ("intero", "r", 1)], name="td")

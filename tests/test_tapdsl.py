@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tapkit import ParseError, Tap, Tapping, TapkitError, compose, define_space, validate
@@ -117,6 +117,41 @@ class TestParse:
             parse(text, space)
         assert exc.value.line >= 1 and exc.value.col >= 1
 
+    # Rules of the data model are checked by Tap, Tapping and define_space;
+    # the parser reports them at the offending line's group or kind token, or
+    # at the block's name when the whole block is at fault.
+    @pytest.mark.parametrize(
+        "text, line, col, fragment",
+        [
+            ("tapping t {\n  input zz @ -1\n  target m @ 0\n}",
+             2, 9, "unknown group 'zz'"),
+            ("tapping t {\n  input vision[7] @ -1\n  target m @ 0\n}",
+             2, 9, "channel index 7 out of range for group 'vision' (dim 2)"),
+            ("tapping t {\n  input m[1,1] @ -1\n  target vision @ 0\n}",
+             2, 9, "duplicate channel indices in (1, 1)"),
+            ("tapping t {\n  input m @ -1 [drop p=1.5]\n  target vision @ 0\n}",
+             2, 9, "drop_p must be in [0, 1], got 1.5"),
+            ("tapping t {\n  input m[0,1] @ -1\n  input m[1,2] @ -1\n"
+             "  target vision @ 0\n}",
+             3, 9, "duplicate tap coordinate m[1]@-1 (input)"),
+            ("tapping t {\n  input m @ -2\n  input m @ -3..-1\n  target vision @ 0\n}",
+             3, 9, "duplicate tap coordinate m[0]@-2 (input)"),
+            ("tapping bad {\n  input m @ -1\n}", 1, 9, "has no target taps"),
+            ("space s {\n  motor m: 2\n  sensory v: 1\n}",
+             3, 3, "unknown modality kind 'sensory'"),
+            ("space s {\n  motor m: 2\n  extero m: 1\n}",
+             3, 3, "duplicate group name 'm'"),
+            ("space s {\n  motor m: 2\n  extero v: 0\n}",
+             3, 3, "group 'v' has non-positive dimension 0"),
+            ("space s { }", 1, 7, "space has no channels"),
+        ],
+    )
+    def test_data_model_errors_are_positioned(self, space, text, line, col, fragment):
+        with pytest.raises(ParseError) as exc:
+            parse(text, space)
+        assert (exc.value.line, exc.value.col) == (line, col)
+        assert fragment in str(exc.value)
+
     def test_error_position_points_at_offender(self, space):
         with pytest.raises(ParseError) as exc:
             parse("tapping t {\n  input zz @ -1\n  target m @ 0\n}", space)
@@ -161,6 +196,18 @@ class TestPrinter:
         printed = to_text(space, first.tappings)
         second = parse(printed)
         assert second.tappings == first.tappings
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0, 1))
+    @example(5e-324)
+    @example(1e-7)
+    @example(0.1234567)
+    @example(1.0)
+    def test_drop_p_round_trips_exactly(self, drop_p):
+        space = define_space([("motor", "m", 4), ("extero", "vision", 2)], name="nao")
+        tapping = Tapping("t", space, (Tap("m", -1, ROLE_INPUT, drop_p=drop_p),
+                                       Tap("vision", 0, ROLE_TARGET)))
+        assert parse(to_text(space, [tapping])).tappings == [tapping]
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1))
