@@ -17,7 +17,6 @@ from .errors import ParseError, TapkitError
 from .models import (
     LinearModel,
     best_of_n,
-    box_sampler,
     fit,
     invert_direct,
     lms_step,
@@ -56,7 +55,6 @@ from .tapdsl import (
     parse_file,
     format_space,
     format_tapping,
-    template,
     to_text,
     validate,
 )

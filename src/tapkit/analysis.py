@@ -119,8 +119,7 @@ def lag_scan(matrix: SensorimotorMatrix, source: ChannelRef, target: ChannelRef,
 
 def effective_tapping(matrix: SensorimotorMatrix, target: ChannelRef,
                       max_lag: int, bins: int | None = None,
-                      threshold_frac: float = 0.5,
-                      name: str = "effective") -> Tapping:
+                      threshold_frac: float = 0.5) -> Tapping:
     """Build the tapping the data itself supports.
 
     Scans every channel at every lag 0..-max_lag against the target and
@@ -132,13 +131,14 @@ def effective_tapping(matrix: SensorimotorMatrix, target: ChannelRef,
     matrix.space.resolve(target.group, target.index)
     scans = [lag_scan(matrix, ref, target, max_lag, bins)
              for ref in matrix.space.channel_refs()]
-    return tapping_from_scans(matrix.space, target, scans, threshold_frac, name)
+    return tapping_from_scans(matrix.space, target, scans, threshold_frac)
 
 
 def tapping_from_scans(space: SensorimotorSpace, target: ChannelRef,
-                       scans: list[list[MIResult]], threshold_frac: float = 0.5,
-                       name: str = "effective") -> Tapping:
-    """Turn lag scans against ``target`` into input taps feeding target@0.
+                       scans: list[list[MIResult]],
+                       threshold_frac: float = 0.5) -> Tapping:
+    """Turn lag scans against ``target`` into input taps feeding target@0,
+    as the tapping named ``effective``.
 
     Skips the target's own lag-0 cell and keeps the cells whose MI reaches
     ``threshold_frac`` of the maximum found, in scan order.
@@ -159,7 +159,7 @@ def tapping_from_scans(space: SensorimotorSpace, target: ChannelRef,
         if res.mi_bits >= threshold_frac * max_mi
     ]
     taps.append(Tap(target.group, 0, ROLE_TARGET, channels=(target.index,)))
-    return Tapping(name, space, tuple(taps))
+    return Tapping("effective", space, tuple(taps))
 
 
 def _check_threshold(threshold_frac: float) -> None:

@@ -123,8 +123,7 @@ def cmd_train(args) -> int:
 def cmd_reach(args) -> int:
     model = models.load_model(args.model)
     goal = _parse_floats(args.goal, "goal")
-    sampler = models.box_sampler(args.box[0], args.box[1], dim=model.d_in)
-    result = models.best_of_n(model, goal, args.n, args.seed, sampler)
+    result = models.best_of_n(model, goal, args.n, args.seed, *args.box)
     _say(args, "command:   " + " ".join(f"{v:.6g}" for v in result.command))
     _say(args, "predicted: " + " ".join(f"{v:.6g}" for v in result.predicted))
     _say(args, f"predicted distance to goal: {result.distance:.6g}")
@@ -193,12 +192,7 @@ def cmd_analyze(args) -> int:
 def cmd_render(args) -> int:
     parsed = _load_space_and_tappings(args.spec)
     tapping = _find_tapping(parsed, args.tapping, args.spec)
-    window = None
-    if args.lag_min is not None or args.lag_max is not None:
-        lo = args.lag_min if args.lag_min is not None else min(tapping.min_lag, 0)
-        hi = args.lag_max if args.lag_max is not None else max(tapping.max_lag, 0)
-        window = (lo, hi)
-    options = render.DiagramOptions(lag_window=window,
+    options = render.DiagramOptions(lag_window=(args.lag_min, args.lag_max),
                                     collapse_groups=not args.expand_channels)
     text = render.to_dot(tapping, options)
     if args.out:
@@ -252,12 +246,12 @@ def demo_nao(seed: int = 0, steps: int = 500, goals: int = 100,
     goal_cmds = goal_rng.uniform(config.command_low, config.command_high, (goals, d_m))
     goal_points = sim.arm_hand_position(config.link_lengths, goal_cmds)
 
-    sampler = models.box_sampler(config.command_low, config.command_high, dim=d_m)
     reach_rng = np.random.default_rng(np.random.SeedSequence(reach_seed))
     model_dists = []
     for goal in goal_points:
         sub_seed = int(reach_rng.integers(0, 2**63))
-        result = models.best_of_n(model, goal, candidates, sub_seed, sampler)
+        result = models.best_of_n(model, goal, candidates, sub_seed,
+                                  config.command_low, config.command_high)
         executed = sim.arm_hand_position(config.link_lengths, result.command)
         model_dists.append(float(np.linalg.norm(executed - goal)))
 
@@ -428,10 +422,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except TapkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TapkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

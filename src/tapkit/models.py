@@ -8,52 +8,63 @@ row-major upper-triangle order, after the linear terms.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import TapkitError
 from .smcore import _fmt
 
-FEATURE_MAPS = ("identity", "quadratic")
+
+# The (i, j) pairs depend only on d, and np.triu_indices takes ~20 us a call:
+# twice the products of a 256 x 2 batch, which best_of_n maps once per goal.
+_triu_indices = functools.lru_cache(maxsize=None)(np.triu_indices)
+
+
+def _quadratic(X: np.ndarray) -> np.ndarray:
+    i, j = _triu_indices(X.shape[1])
+    pairs = X[:, i]
+    pairs *= X[:, j]  # in place: one (N, pairs) temporary fewer at the peak
+    return np.hstack([X, pairs])
+
+
+# name -> (feature dimension for d inputs, map of an (N, d) batch)
+_FEATURE_MAPS = {
+    "identity": (lambda d: d, lambda X: X),
+    "quadratic": (lambda d: d + d * (d + 1) // 2, _quadratic),
+}
+FEATURE_MAPS = tuple(_FEATURE_MAPS)
+
+
+def _feature_map(name: str):
+    try:
+        return _FEATURE_MAPS[name]
+    except KeyError:
+        raise TapkitError(f"unknown feature map {name!r}; expected {FEATURE_MAPS}") from None
 
 
 def feature_dim(d_in: int, feature_map: str) -> int:
-    if feature_map == "identity":
-        return d_in
-    if feature_map == "quadratic":
-        return d_in + d_in * (d_in + 1) // 2
-    raise TapkitError(f"unknown feature map {feature_map!r}; expected {FEATURE_MAPS}")
+    return _feature_map(feature_map)[0](d_in)
 
 
 def input_dim(d_feat: int, feature_map: str) -> int:
     """Invert :func:`feature_dim`."""
-    if feature_map == "identity":
-        return d_feat
-    if feature_map == "quadratic":
-        d = int(round((math.sqrt(8 * d_feat + 9) - 3) / 2))
-        if feature_dim(d, "quadratic") != d_feat:
-            raise TapkitError(f"{d_feat} is not a quadratic feature dimension")
-        return d
-    raise TapkitError(f"unknown feature map {feature_map!r}; expected {FEATURE_MAPS}")
+    dim = _feature_map(feature_map)[0]
+    for d in range(d_feat + 1):
+        if dim(d) == d_feat:
+            return d
+    raise TapkitError(f"{d_feat} is not a {feature_map} feature dimension")
 
 
 def features(x: np.ndarray, feature_map: str) -> np.ndarray:
     """Map raw inputs (N, d) or (d,) to the model's feature space."""
+    map_fn = _feature_map(feature_map)[1]
     arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    X = arr[None, :] if single else arr
-    if feature_map == "identity":
-        out = X
-    elif feature_map == "quadratic":
-        d = X.shape[1]
-        pairs = [X[:, i] * X[:, j] for i in range(d) for j in range(i, d)]
-        out = np.column_stack([X] + pairs) if pairs else X
-    else:
-        raise TapkitError(f"unknown feature map {feature_map!r}; expected {FEATURE_MAPS}")
-    return out[0] if single else out
+    if arr.ndim == 1:
+        return map_fn(arr[None, :])[0]
+    return map_fn(arr)
 
 
 @dataclass(frozen=True)
@@ -99,14 +110,16 @@ def fit(dataset, feature_map: str = "identity", ridge: float = 0.0) -> LinearMod
     phi = features(X, feature_map)
     n, df = phi.shape
     G = np.empty((df + 1, df + 1))
-    G[:df, :df] = phi.T @ phi + ridge * np.eye(df)
-    G[:df, df] = phi.sum(axis=0)
-    G[df, :df] = phi.sum(axis=0)
-    G[df, df] = n
     rhs = np.empty((df + 1, Y.shape[1]))
-    rhs[:df] = phi.T @ Y
-    rhs[df] = Y.sum(axis=0)
-    # Any nan or inf in X or Y reaches the diagonal of G or the sums in rhs.
+    # Any nan or inf in X or Y reaches the diagonal of G or the sums in rhs;
+    # the finiteness check below reports it, so NumPy's warnings are noise.
+    with np.errstate(invalid="ignore", over="ignore"):
+        G[:df, :df] = phi.T @ phi + ridge * np.eye(df)
+        G[:df, df] = phi.sum(axis=0)
+        G[df, :df] = phi.sum(axis=0)
+        G[df, df] = n
+        rhs[:df] = phi.T @ Y
+        rhs[df] = Y.sum(axis=0)
     if not (np.isfinite(G).all() and np.isfinite(rhs).all()):
         raise TapkitError("dataset has a non-finite value (nan, inf or overflow); "
                           "the normal equations are not finite")
@@ -125,16 +138,12 @@ def fit(dataset, feature_map: str = "identity", ridge: float = 0.0) -> LinearMod
 def predict(model: LinearModel, x) -> np.ndarray:
     """Evaluate the model on one input vector or a batch (rows)."""
     phi = features(np.asarray(x, dtype=float), model.feature_map)
-    if phi.ndim == 1:
-        if phi.shape[0] != model.d_feat:
-            raise TapkitError(
-                f"input maps to {phi.shape[0]} features, model expects {model.d_feat}"
-            )
-        return model.W @ phi + model.b
-    if phi.shape[1] != model.d_feat:
+    if phi.shape[-1] != model.d_feat:
         raise TapkitError(
-            f"input maps to {phi.shape[1]} features, model expects {model.d_feat}"
+            f"input maps to {phi.shape[-1]} features, model expects {model.d_feat}"
         )
+    if phi.ndim == 1:
+        return model.W @ phi + model.b
     return phi @ model.W.T + model.b
 
 
@@ -161,35 +170,25 @@ class ReachResult(NamedTuple):
     distance: float
 
 
-def box_sampler(low, high, dim: int | None = None) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """Uniform command sampler over a per-channel box."""
-    lo = np.atleast_1d(np.asarray(low, dtype=float))
-    hi = np.atleast_1d(np.asarray(high, dtype=float))
-    if dim is not None:
-        lo = np.broadcast_to(lo, (dim,))
-        hi = np.broadcast_to(hi, (dim,))
-    if lo.shape != hi.shape:
-        raise TapkitError("box bounds have different shapes")
-    if np.any(hi <= lo):
-        raise TapkitError("command box is empty (high <= low)")
-
-    def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(lo, hi, (n, lo.shape[0]))
-
-    return sample
-
-
-def best_of_n(model: LinearModel, goal, n: int, seed: int,
-              command_sampler: Callable[[np.random.Generator, int], np.ndarray]) -> ReachResult:
-    """Sample n candidate commands and keep the one whose prediction lands
-    closest (Euclidean) to the goal; ties go to the lowest sample index."""
+def best_of_n(model: LinearModel, goal, n: int, seed: int, low, high) -> ReachResult:
+    """Sample n candidate commands uniformly from the box [low, high) (scalar
+    or per-channel bounds) and keep the one whose prediction lands closest
+    (Euclidean) to the goal; ties go to the lowest sample index."""
     if n < 1:
         raise TapkitError(f"n must be >= 1, got {n}")
     goal = np.asarray(goal, dtype=float).reshape(-1)
     if goal.size != model.d_out:
         raise TapkitError(f"goal must have {model.d_out} values, got {goal.size}")
+    d = model.d_in
+    try:
+        lo = np.broadcast_to(np.asarray(low, dtype=float), (d,))
+        hi = np.broadcast_to(np.asarray(high, dtype=float), (d,))
+    except ValueError:
+        raise TapkitError(f"command box bounds must broadcast to {d} channels") from None
+    if np.any(hi <= lo):
+        raise TapkitError("command box is empty (high <= low)")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    candidates = np.asarray(command_sampler(rng, n), dtype=float)
+    candidates = rng.uniform(lo, hi, (n, d))
     preds = predict(model, candidates)
     dists = np.linalg.norm(preds - goal, axis=1)
     i = int(np.argmin(dists))

@@ -26,18 +26,16 @@ _FILL = {
 @dataclass(frozen=True)
 class DiagramOptions:
     """Lag window to draw (must bracket 0) and whether to draw one cell per
-    group or one per channel."""
+    group or one per channel. An end left ``None`` reaches the tapping's
+    farthest lag on that side, or 0 if no tap lies beyond it."""
 
-    lag_window: tuple[int, int] | None = None
+    lag_window: tuple[int | None, int | None] = (None, None)
     collapse_groups: bool = True
 
     def __post_init__(self):
-        if self.lag_window is not None:
-            lo, hi = self.lag_window
-            if not lo <= 0 <= hi:
-                raise TapkitError(
-                    f"lag window must contain 0, got [{lo}, {hi}]"
-                )
+        lo, hi = self.lag_window
+        if (lo is not None and lo > 0) or (hi is not None and hi < 0):
+            raise TapkitError(f"lag window must contain 0, got [{lo}, {hi}]")
 
 
 def _lag_tag(lag: int) -> str:
@@ -51,11 +49,11 @@ def _lag_tag(lag: int) -> str:
 def to_dot(tapping: Tapping, options: DiagramOptions | None = None) -> str:
     """Render one tapping; raises if the window excludes any tap."""
     options = options or DiagramOptions()
-    if options.lag_window is None:
-        window = (min(tapping.min_lag, 0), max(tapping.max_lag, 0))
-    else:
-        window = options.lag_window
-    lo, hi = window
+    lo, hi = options.lag_window
+    if lo is None:
+        lo = min(tapping.min_lag, 0)
+    if hi is None:
+        hi = max(tapping.max_lag, 0)
     excluded = [t for t in tapping.taps if not lo <= t.lag <= hi]
     if excluded:
         listing = ", ".join(f"{t.role} {t.group}@{t.lag}" for t in excluded)

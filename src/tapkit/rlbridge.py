@@ -24,6 +24,7 @@ from .tapdsl import td0
 
 LEFT, RIGHT = 0, 1
 ACTIONS = (LEFT, RIGHT)
+MAX_STEPS = 10_000  # per control episode of q_learning_run and sarsa_run
 
 
 @dataclass(frozen=True)
@@ -136,9 +137,9 @@ def greedy_policy(q: np.ndarray) -> np.ndarray:
 # Rollouts and runners
 # ---------------------------------------------------------------------------
 
-def _check_episodes(episodes: int) -> None:
-    if episodes < 0:
-        raise TapkitError(f"episodes must be >= 0, got {episodes}")
+def _check_count(what: str, count: int) -> None:
+    if count < 0:
+        raise TapkitError(f"{what} must be >= 0, got {count}")
 
 
 def rollout_episodes(env: ChainEnv, episodes: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -148,7 +149,7 @@ def rollout_episodes(env: ChainEnv, episodes: int, seed: int) -> list[tuple[np.n
     step t and rewards[t] the reward received on arriving there (rewards[0]
     is 0). A terminal start yields a single-step episode with no transition.
     """
-    _check_episodes(episodes)
+    _check_count("episodes", episodes)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = []
     for _ in range(episodes):
@@ -202,12 +203,13 @@ def direct_td_run(env: ChainEnv, episodes: int, seed: int,
     return table
 
 
-def td0_sweeps(env: ChainEnv, sweeps: int, alpha: float, start: int = 0) -> ValueTable:
-    """Policy evaluation of the always-right policy: one episode per sweep."""
+def td0_sweeps(env: ChainEnv, sweeps: int, alpha: float) -> ValueTable:
+    """Policy evaluation of the always-right policy: one episode from state 0
+    per sweep."""
+    _check_count("sweeps", sweeps)
     table = state_values(env.n_states, alpha, env.gamma)
     for _ in range(sweeps):
-        s = start
-        done = s == env.terminal
+        s, done = 0, False
         while not done:
             s2, r, done = env.step(s, RIGHT)
             table = td0_update(table, s, r, s2)
@@ -222,16 +224,14 @@ def _epsilon_greedy(rng, q, s, epsilon) -> int:
 
 
 def q_learning_run(env: ChainEnv, episodes: int, alpha: float, epsilon: float,
-                   seed: int, start: int = 0, max_steps: int = 10_000) -> ValueTable:
-    """Epsilon-greedy Q-learning from a fixed start state."""
-    _check_episodes(episodes)
+                   seed: int) -> ValueTable:
+    """Epsilon-greedy Q-learning, every episode starting at state 0."""
+    _check_count("episodes", episodes)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     table = action_values(env.n_states, alpha, env.gamma)
     for _ in range(episodes):
-        s = start
-        for _ in range(max_steps):
-            if s == env.terminal:
-                break
+        s = 0
+        for _ in range(MAX_STEPS):
             a = _epsilon_greedy(rng, table.q, s, epsilon)
             s2, r, done = env.step(s, a)
             table = q_update(table, s, a, r, s2)
@@ -242,17 +242,15 @@ def q_learning_run(env: ChainEnv, episodes: int, alpha: float, epsilon: float,
 
 
 def sarsa_run(env: ChainEnv, episodes: int, alpha: float, epsilon: float,
-              seed: int, start: int = 0, max_steps: int = 10_000) -> ValueTable:
-    """Epsilon-greedy SARSA from a fixed start state."""
-    _check_episodes(episodes)
+              seed: int) -> ValueTable:
+    """Epsilon-greedy SARSA, every episode starting at state 0."""
+    _check_count("episodes", episodes)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     table = action_values(env.n_states, alpha, env.gamma)
     for _ in range(episodes):
-        s = start
-        if s == env.terminal:
-            continue
+        s = 0
         a = _epsilon_greedy(rng, table.q, s, epsilon)
-        for _ in range(max_steps):
+        for _ in range(MAX_STEPS):
             s2, r, done = env.step(s, a)
             a2 = _epsilon_greedy(rng, table.q, s2, epsilon)
             table = sarsa_update(table, s, a, r, s2, a2)
@@ -282,11 +280,11 @@ def bellman_v(env: ChainEnv) -> np.ndarray:
     return v
 
 
-def value_iteration(env: ChainEnv, tol: float = 1e-12,
-                    max_iter: int = 100_000) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal action values and greedy policy by exact iteration."""
+def value_iteration(env: ChainEnv) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal action values and greedy policy by exact iteration, stopped
+    once no value moves by 1e-12 (or after 100 000 sweeps)."""
     q = np.zeros((env.n_states, len(ACTIONS)))
-    for _ in range(max_iter):
+    for _ in range(100_000):
         q_new = np.zeros_like(q)
         for s in range(env.n_states):
             if s == env.terminal:
@@ -294,7 +292,7 @@ def value_iteration(env: ChainEnv, tol: float = 1e-12,
             for a in ACTIONS:
                 s2, r, done = env.step(s, a)
                 q_new[s, a] = r + (0.0 if done else env.gamma * np.max(q[s2]))
-        if np.max(np.abs(q_new - q)) < tol:
+        if np.max(np.abs(q_new - q)) < 1e-12:
             q = q_new
             break
         q = q_new

@@ -144,19 +144,13 @@ class Episode:
 
 @dataclass(eq=False)
 class SensorimotorMatrix:
-    """Per-episode channel x time storage against a fixed space.
-
-    ``dt`` is sampling-interval metadata only; all semantics are in integer
-    steps, so equality compares space and episode payloads and ignores ``dt``.
-    """
+    """Per-episode channel x time storage against a fixed space; time is in
+    integer steps. Equality compares the space and the episode payloads."""
 
     space: SensorimotorSpace
     episodes: list[Episode] = field(default_factory=list)
-    dt: float = 1.0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise TapkitError(f"dt must be positive, got {self.dt}")
         last = None
         for ep in self.episodes:
             ep.data = np.asarray(ep.data, dtype=float)
@@ -232,7 +226,7 @@ def save_csv(matrix: SensorimotorMatrix, path) -> None:
     )
 
 
-def load_csv(space: SensorimotorSpace, path, dt: float = 1.0) -> SensorimotorMatrix:
+def load_csv(space: SensorimotorSpace, path) -> SensorimotorMatrix:
     """Read a matrix saved by :func:`save_csv`, validating the header against
     ``space``. Episode ids must be non-decreasing and never revisit; every
     value must be finite."""
@@ -259,11 +253,12 @@ def load_csv(space: SensorimotorSpace, path, dt: float = 1.0) -> SensorimotorMat
     bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
     episodes = [Episode(int(ids[a]), np.ascontiguousarray(cells[a:b].T))
                 for a, b in zip(bounds, bounds[1:]) if b > a]
-    return SensorimotorMatrix(space, episodes, dt=dt)
+    return SensorimotorMatrix(space, episodes)
 
 
-def infer_space_from_csv(path, name: str = "inferred") -> SensorimotorSpace:
-    """Reconstruct the space declaration from a data CSV header.
+def infer_space_from_csv(path) -> SensorimotorSpace:
+    """Reconstruct the space declaration, named ``inferred``, from a data CSV
+    header.
 
     Convenience for CLI paths where no sidecar space file is given; the
     header columns carry kind, group, and index for every channel.
@@ -287,7 +282,7 @@ def infer_space_from_csv(path, name: str = "inferred") -> SensorimotorSpace:
             if idx != 0:
                 raise TapkitError(f"{path}: group {gname!r} does not start at index 0")
             spec.append((kind, gname, 1))
-    return define_space(spec, name=name)
+    return define_space(spec, name="inferred")
 
 
 _ROWS_PER_WRITE = 4096

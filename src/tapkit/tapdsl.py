@@ -67,7 +67,13 @@ class Tap:
             if chans[0] < 0:
                 raise TapkitError(f"negative channel index in {chans}")
             object.__setattr__(self, "channels", chans)
-        object.__setattr__(self, "lag", int(self.lag))
+        try:
+            lag = int(self.lag)
+        except (TypeError, ValueError, OverflowError):
+            lag = None
+        if lag is None or lag != self.lag:
+            raise TapkitError(f"lag must be an integer, got {self.lag}")
+        object.__setattr__(self, "lag", lag)
 
 
 @dataclass(frozen=True)
@@ -269,30 +275,6 @@ def td0(space, state_group, reward_group, name=None) -> Tapping:
                     Tap(state_group, 0, ROLE_INPUT),
                     Tap(reward_group, 0, ROLE_INPUT),
                     Tap(state_group, -1, ROLE_TARGET)))
-
-
-TEMPLATES = {
-    "temporal_predictor": temporal_predictor,
-    "intermodal_predictor": intermodal_predictor,
-    "forward": forward,
-    "inverse": inverse,
-    "multi_step": multi_step,
-    "autoencoder": autoencoder,
-    "ape": ape,
-    "conditioning": conditioning,
-    "td0": td0,
-}
-
-
-def template(space, kind, **params) -> Tapping:
-    """Instantiate a named template on a space."""
-    try:
-        fn = TEMPLATES[kind]
-    except KeyError:
-        raise TapkitError(
-            f"unknown template {kind!r}; known: {', '.join(sorted(TEMPLATES))}"
-        ) from None
-    return fn(space, **params)
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,15 @@ class TestRender:
         assert code == 2
         assert "excludes taps" in err
 
+    def test_render_one_ended_window(self, tmp_path, capsys):
+        spec = tmp_path / "g.tap"
+        spec.write_text(GALLERY)
+        code, out, _ = run(capsys, "render", "--spec", str(spec),
+                           "--tapping", "fwd", "--lag-max", "2")
+        assert code == 0
+        assert [f"@{lag}\"" in out for lag in range(-3, 4)] == [
+            False, False, True, True, True, True, False]
+
 
 class TestDemo:
     def test_small_override_reports_paper_count(self, capsys):

@@ -8,7 +8,6 @@ from tapkit import (
     TapkitError,
     apply,
     best_of_n,
-    box_sampler,
     fit,
     generate,
     invert_direct,
@@ -173,38 +172,56 @@ class TestPredictAndLms:
             lms_step(zero_model(3, 2), np.ones(3), np.ones(3), 0.1)
 
 
+def uniform_draws(seed, low, high, n, d):
+    """The candidates best_of_n is documented to draw, made independently."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return rng.uniform(low, high, (n, d))
+
+
 class TestBestOfN:
     def test_n1_returns_the_sample(self):
         model = LinearModel(np.eye(2), np.zeros(2))
-        sampler = box_sampler(-1, 1, dim=2)
-        res = best_of_n(model, [0.0, 0.0], 1, seed=4, command_sampler=sampler)
-        rng = np.random.default_rng(np.random.SeedSequence(4))
-        assert np.array_equal(res.command, sampler(rng, 1)[0])
+        res = best_of_n(model, [0.0, 0.0], 1, 4, -1, 1)
+        assert np.array_equal(res.command, uniform_draws(4, -1, 1, 1, 2)[0])
 
     def test_argmin_property(self):
         model = LinearModel(np.eye(2), np.zeros(2))
-        sampler = box_sampler(-1, 1, dim=2)
         goal = np.array([0.3, 0.3])
-        res = best_of_n(model, goal, 4096, seed=0, command_sampler=sampler)
-        rng = np.random.default_rng(np.random.SeedSequence(0))
-        cands = sampler(rng, 4096)
-        dists = np.linalg.norm(predict(model, cands) - goal, axis=1)
-        assert res.distance <= dists.min() + 1e-15
+        res = best_of_n(model, goal, 4096, 0, -1, 1)
+        cands = uniform_draws(0, -1, 1, 4096, 2)
+        dists = np.linalg.norm(cands - goal, axis=1)
+        assert res.distance == dists.min()
+        assert np.array_equal(res.command, cands[np.argmin(dists)])
 
     def test_tie_breaks_to_lowest_index(self):
         # A constant model makes every candidate equally good.
         model = LinearModel(np.zeros((2, 2)), np.zeros(2))
-        sampler = box_sampler(-1, 1, dim=2)
-        res = best_of_n(model, [0.0, 0.0], 64, seed=9, command_sampler=sampler)
-        rng = np.random.default_rng(np.random.SeedSequence(9))
-        assert np.array_equal(res.command, sampler(rng, 64)[0])
+        res = best_of_n(model, [0.0, 0.0], 64, 9, -1, 1)
+        assert np.array_equal(res.command, uniform_draws(9, -1, 1, 64, 2)[0])
+
+    def test_per_channel_box(self):
+        model = LinearModel(np.zeros((1, 3)), np.zeros(1))
+        low, high = [-1.0, 0.0, 10.0], [1.0, 0.5, 11.0]
+        res = best_of_n(model, [0.0], 16, 2, low, high)
+        assert np.array_equal(res.command, uniform_draws(2, low, high, 16, 3)[0])
+
+    @pytest.mark.parametrize("low, high", [(1, 1), (1, -1), ([-1, 1], [1, 1])])
+    def test_empty_box_rejected(self, low, high):
+        model = LinearModel(np.eye(2), np.zeros(2))
+        with pytest.raises(TapkitError, match=r"command box is empty \(high <= low\)"):
+            best_of_n(model, [0.0, 0.0], 8, 0, low, high)
+
+    @pytest.mark.parametrize("low, high", [([-1, -1, -1], 1), (-1, [1, 1, 1]), ([[-1, -1]], 1)])
+    def test_box_must_broadcast_to_inputs(self, low, high):
+        model = LinearModel(np.eye(2), np.zeros(2))
+        with pytest.raises(TapkitError, match="command box bounds must broadcast to 2 channels"):
+            best_of_n(model, [0.0, 0.0], 8, 0, low, high)
 
     @pytest.mark.parametrize("goal", [[1.0], [1.0, 2.0, 3.0], []])
     def test_goal_length_must_match_model_outputs(self, goal):
         model = LinearModel(np.eye(2), np.zeros(2))
-        sampler = box_sampler(-1, 1, dim=2)
         with pytest.raises(TapkitError, match=f"goal must have 2 values, got {len(goal)}"):
-            best_of_n(model, goal, 8, seed=0, command_sampler=sampler)
+            best_of_n(model, goal, 8, 0, -1, 1)
 
 
 class TestInverse:

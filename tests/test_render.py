@@ -1,4 +1,5 @@
 import pathlib
+import re
 
 import pytest
 
@@ -65,8 +66,29 @@ class TestWindow:
         with pytest.raises(TapkitError, match="contain 0"):
             DiagramOptions(lag_window=(-3, -1))
 
+    @pytest.mark.parametrize("window", [(None, -1), (1, None)])
+    def test_open_window_must_contain_zero(self, window):
+        with pytest.raises(TapkitError, match="contain 0"):
+            DiagramOptions(lag_window=window)
+
+    @pytest.mark.parametrize("window, lags", [
+        ((None, 2), [-1, 0, 1, 2]),
+        ((-3, None), [-3, -2, -1, 0]),
+        ((None, None), [-1, 0]),
+    ])
+    def test_open_end_reaches_the_farthest_tap(self, grid_space, window, lags):
+        dot = to_dot(tapdsl.forward(grid_space, "m", "vision"),
+                     DiagramOptions(lag_window=window))
+        assert drawn_lags(dot) == lags
+
     def test_default_window_brackets_zero(self, grid_space):
         t = Tapping("past", grid_space, (
             Tap("m", -3, "input"), Tap("vision", -2, "target")))
         dot = to_dot(t)
         assert 'label="m@0"' in dot  # window extends to 0 even with no tap there
+
+
+def drawn_lags(dot: str) -> list[int]:
+    """The lag columns of a DOT drawing, in the order they are drawn."""
+    tags = re.findall(r"subgraph lag_(m\d+|0|p\d+) ", dot)
+    return [0 if t == "0" else (-1 if t[0] == "m" else 1) * int(t[1:]) for t in tags]

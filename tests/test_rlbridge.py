@@ -131,6 +131,10 @@ class TestTappedRun:
         with pytest.raises(TapkitError, match="episodes must be >= 0, got -1"):
             runner(env)
 
+    def test_negative_sweeps_rejected(self, env):
+        with pytest.raises(TapkitError, match="sweeps must be >= 0, got -1"):
+            td0_sweeps(env, -1, alpha=0.1)
+
     def test_terminal_start_has_no_rows(self, env):
         # A single-column episode is shorter than the td0 span (W=2).
         space = define_space([("intero", "s", 1), ("intero", "r", 1)], name="td")

@@ -244,8 +244,3 @@ def test_parse_channel_ref():
     with pytest.raises(TapkitError):
         parse_channel_ref("vision")
 
-
-def test_dt_is_metadata_only(nao_space):
-    a = SensorimotorMatrix(nao_space, [Episode(0, np.zeros((6, 2)))], dt=0.05)
-    b = SensorimotorMatrix(nao_space, [Episode(0, np.zeros((6, 2)))], dt=1.0)
-    assert a == b

@@ -30,6 +30,16 @@ class TestTapInvariants:
     def test_channels_normalized_ascending(self):
         assert Tap("m", -1, ROLE_INPUT, channels=(2, 0)).channels == (0, 2)
 
+    @pytest.mark.parametrize("lag", [1.7, -0.5, float("nan"), float("inf"), "2", None])
+    def test_non_integral_lag_rejected(self, lag):
+        with pytest.raises(TapkitError, match=f"lag must be an integer, got {lag}"):
+            Tap("m", lag, ROLE_INPUT)
+
+    @pytest.mark.parametrize("lag", [-2, np.int64(-2), np.int32(-2), -2.0, np.float64(-2.0)])
+    def test_integral_lag_accepted_as_int(self, lag):
+        tap = Tap("m", lag, ROLE_INPUT)
+        assert tap.lag == -2 and type(tap.lag) is int
+
     def test_drop_p_bounds(self):
         with pytest.raises(TapkitError):
             Tap("m", 0, ROLE_INPUT, drop_p=1.5)
@@ -354,13 +364,8 @@ class TestTemplates:
             lambda s: tapdsl.multi_step(s, "vision", 1, symmetric=True),
             lambda s: tapdsl.conditioning(s, "q", "vision", 0),
             lambda s: tapdsl.forward(s, "nope", "vision"),
-            lambda s: tapdsl.template(s, "no_such_template"),
         ],
     )
     def test_template_errors(self, space, call):
         with pytest.raises(TapkitError):
             call(space)
-
-    def test_template_dispatcher(self, space):
-        t = tapdsl.template(space, "forward", motor_group="m", sensor_group="vision")
-        assert t == tapdsl.forward(space, "m", "vision")
