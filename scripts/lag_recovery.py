@@ -6,8 +6,9 @@ Run: python scripts/lag_recovery.py [--lag 3 --samples 10000 --noise 0.1]
 """
 
 import argparse
+import sys
 
-from tapkit import ChannelRef, effective_tapping, lag_scan, planted_lag_series
+from tapkit import ChannelRef, TapkitError, effective_tapping, lag_scan, planted_lag_series
 from tapkit.tapdsl import format_tapping
 
 
@@ -38,4 +39,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except TapkitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

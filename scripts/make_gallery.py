@@ -7,8 +7,9 @@ Run: python scripts/make_gallery.py [--out-dir gallery/]
 
 import argparse
 import pathlib
+import sys
 
-from tapkit import define_space, to_dot, validate
+from tapkit import TapkitError, define_space, to_dot, validate
 from tapkit import tapdsl
 
 
@@ -54,4 +55,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except TapkitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -6,7 +6,9 @@ Run: python scripts/nao_reaching.py [--seeds 0 1 2] [--steps 500]
 """
 
 import argparse
+import sys
 
+from tapkit import TapkitError
 from tapkit.cli import demo_nao
 
 
@@ -24,4 +26,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except TapkitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

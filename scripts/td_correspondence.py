@@ -6,10 +6,11 @@ Run: python scripts/td_correspondence.py [--states 5 --gamma 0.9]
 """
 
 import argparse
+import sys
 
 import numpy as np
 
-from tapkit import ChainEnv, bellman_v
+from tapkit import ChainEnv, TapkitError, bellman_v
 from tapkit.rlbridge import direct_td_run, tapped_td_run, td0_sweeps
 
 
@@ -26,13 +27,13 @@ def main():
     env = ChainEnv(args.states, args.gamma)
     tapped = tapped_td_run(env, args.episodes, args.seed, args.alpha)
     direct = direct_td_run(env, args.episodes, args.seed, args.alpha)
+    table = td0_sweeps(env, args.sweeps, args.alpha)
+    oracle = bellman_v(env)
     print(f"{args.episodes} random episodes, alpha={args.alpha}:")
     print("  tapped v:", np.array_str(tapped.v, precision=6))
     print("  direct v:", np.array_str(direct.v, precision=6))
     print("  bit-identical:", np.array_equal(tapped.v, direct.v))
 
-    table = td0_sweeps(env, args.sweeps, args.alpha)
-    oracle = bellman_v(env)
     print(f"\n{args.sweeps} sweeps of the right policy:")
     print("  learned v:", np.array_str(table.v, precision=6))
     print("  oracle  v:", np.array_str(oracle, precision=6))
@@ -40,4 +41,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except TapkitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -50,7 +50,6 @@ from .tapdsl import (
     CausalityReport,
     Tap,
     Tapping,
-    compose,
     parse,
     parse_file,
     format_space,

@@ -8,11 +8,13 @@ Windows never span episode boundaries.
 
 Each entry point compiles the tapping once into a plan: the column layout
 (X block, then Y block), the matrix row and lag every column reads, and the
-column range of every tap. Batch rows are one gather per episode through the
-plan's row and lag arrays; blocking is that gather plus a mask over each
-blocked tap's columns; the stream reads the same cells from a window of the
-last ``span`` measurements. Dropout works on a finished dataset and masks each
-copy's drawn cells with one indexed assignment per X/Y block.
+column range of every tap. Batch rows are gathered through the plan's row and
+lag arrays from a strided view of the length-``span`` windows of the episodes
+laid end to end, one gather per X/Y block and group of episodes; blocking is
+that gather plus a mask over each blocked tap's columns; the stream reads the
+same cells from a window of the last ``span`` measurements. Dropout works on a
+finished dataset and masks each copy's drawn cells with one indexed assignment
+per X/Y block.
 
 Randomized operations (dropout augmentation, blocking taps) draw from NumPy's
 PCG64 generator; independent substreams are derived with
@@ -29,6 +31,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import TapkitError
 from .smcore import (ChannelRef, SensorimotorMatrix, _as_measurement, _find_row, _read_table,
@@ -51,16 +54,22 @@ class Dataset:
     """Aligned supervised arrays with activity masks and anchor provenance.
 
     Masks are True where a cell is active; dropout/blocking set masked cells
-    to an inactive fill value and flip the mask to False.
+    to an inactive fill value and flip the mask to False. Row i's anchor
+    (episode id, t) is row i of the ``(n, 2)`` int64 array ``_anchors``.
     """
 
     X: np.ndarray
     Y: np.ndarray
     x_mask: np.ndarray
     y_mask: np.ndarray
-    anchors: list[tuple[int, int]]
+    _anchors: np.ndarray
     x_layout: tuple[Column, ...]
     y_layout: tuple[Column, ...]
+
+    @property
+    def anchors(self) -> list[tuple[int, int]]:
+        """Each row's (episode id, anchor time t), built on every read."""
+        return list(zip(*self._anchors.T.tolist()))
 
     @property
     def n(self) -> int:
@@ -87,7 +96,7 @@ class Dataset:
             and np.array_equal(self.Y, other.Y)
             and np.array_equal(self.x_mask, other.x_mask)
             and np.array_equal(self.y_mask, other.y_mask)
-            and self.anchors == other.anchors
+            and np.array_equal(self._anchors, other._anchors)
             and self.x_layout == other.x_layout
             and self.y_layout == other.y_layout
         )
@@ -143,6 +152,12 @@ def _compile(tapping: Tapping) -> _Plan:
     )
 
 
+# Episodes whose first rows fall in one range of this many rows are read by
+# one gather, so many short episodes cost one NumPy call while each read
+# stays small enough to be cached before it is copied into X and Y.
+_BLOCK_ROWS = 4096
+
+
 def _gather(matrix: SensorimotorMatrix, tapping: Tapping):
     """Compile the tapping and read every row of every episode.
 
@@ -155,17 +170,37 @@ def _gather(matrix: SensorimotorMatrix, tapping: Tapping):
             f"({tapping.space.name!r} vs {matrix.space.name!r})"
         )
     plan = _compile(tapping)
-    d_in, first = plan.d_in, -tapping.min_lag
-    lengths = [max(0, ep.data.shape[1] - tapping.span + 1) for ep in matrix.episodes]
+    d_in, span = plan.d_in, tapping.span
+    widths = [ep.data.shape[1] for ep in matrix.episodes]
+    lengths = [max(0, w - span + 1) for w in widths]
     bounds = list(accumulate(lengths, initial=0))
-    X = np.empty((bounds[-1], d_in))
-    Y = np.empty((bounds[-1], len(plan.layout) - d_in))
-    anchors: list[tuple[int, int]] = []
-    for ep, a, n in zip(matrix.episodes, bounds, lengths):
-        ts = np.arange(first, first + n)
-        cells = ep.data[plan.rows[None, :], ts[:, None] + plan.lags[None, :]]
-        X[a:a + n], Y[a:a + n] = cells[:, :d_in], cells[:, d_in:]
-        anchors += [(ep.id, t) for t in ts.tolist()]
+    n = bounds[-1]
+    X = np.empty((n, d_in))
+    Y = np.empty((n, len(plan.layout) - d_in))
+    local = np.arange(n) - np.repeat(bounds[:-1], lengths)  # row index within its episode
+    anchors = np.empty((n, 2), dtype=np.int64)
+    anchors[:, 0] = np.repeat([ep.id for ep in matrix.episodes], lengths)
+    anchors[:, 1] = local - tapping.min_lag
+    if not n:
+        return plan, X, Y, anchors, bounds
+    # With the episodes laid end to end, row i reads the length-span window
+    # that starts at column starts[i]; its cell at lag l is offset l - min_lag.
+    starts = local + np.repeat(list(accumulate(widths, initial=0))[:-1], lengths)
+    windows = sliding_window_view(
+        np.concatenate([ep.data for ep in matrix.episodes], axis=1), span, axis=1)
+    x_rows, y_rows = np.split(plan.rows, [d_in])
+    x_offs, y_offs = np.split(plan.lags - tapping.min_lag, [d_in])
+    firsts = np.asarray(bounds[:-1])
+    edges = firsts[np.diff(firsts // _BLOCK_ROWS, prepend=-1) > 0].tolist() + [n]
+    for a, b in zip(edges, edges[1:]):
+        if a == b:
+            continue
+        lo, hi = starts[a], starts[b - 1] + 1
+        for out, rows, offs in ((X, x_rows, x_offs), (Y, y_rows, y_offs)):
+            cells = windows[rows, lo:hi, offs].T
+            if hi - lo > b - a:  # drop the windows that straddle two episodes
+                cells = np.ascontiguousarray(cells)[starts[a:b] - lo]
+            out[a:b] = cells
     return plan, X, Y, anchors, bounds
 
 
@@ -246,7 +281,7 @@ def dropout_augment(dataset: Dataset, config: DropoutConfig) -> Dataset:
     Y = np.tile(dataset.Y, (reps, 1))
     x_mask = np.tile(dataset.x_mask, (reps, 1))
     y_mask = np.tile(dataset.y_mask, (reps, 1))
-    anchors = list(dataset.anchors) * reps
+    anchors = np.tile(dataset._anchors, (reps, 1))
     children = np.random.SeedSequence(config.seed).spawn(config.copies)
     x_cells = n * d_in
     y_cells = n * d_out
@@ -316,7 +351,7 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
     """Write values to ``path`` and the 0/1 activity mask to the parallel
     mask file. Masked cells hold their fill value in the main file."""
     header = ["episode", "t"] + [_column_header(c) for c in dataset.layout]
-    keys = np.array(dataset.anchors, dtype=np.int64).reshape(-1, 2)
+    keys = dataset._anchors
     _write_table(path, header, [(keys, np.hstack([dataset.X, dataset.Y]))])
     _write_table(mask_path_for(path), header,
                  [(keys, np.hstack([dataset.x_mask, dataset.y_mask]))], cell="%d")
@@ -363,6 +398,5 @@ def load_dataset_csv(path) -> Dataset:
                               f"episode,t does not match {path}")
         if len(mask_keys) != len(keys):
             raise TapkitError(f"{mpath}: mask row count does not match {path}")
-    anchors = list(map(tuple, keys.tolist()))
-    return Dataset(data[:, :d_in], data[:, d_in:], mask[:, :d_in], mask[:, d_in:], anchors,
+    return Dataset(data[:, :d_in], data[:, d_in:], mask[:, :d_in], mask[:, d_in:], keys,
                    layout[:d_in], layout[d_in:])

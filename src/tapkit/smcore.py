@@ -12,6 +12,7 @@ import csv
 import re
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -70,7 +71,7 @@ class SensorimotorSpace:
     name: str
     groups: tuple[Group, ...]
 
-    @property
+    @cached_property  # read on every append and stream push
     def n_sm(self) -> int:
         return sum(g.dim for g in self.groups)
 
@@ -136,10 +137,27 @@ def define_space(spec, name: str = "sm") -> SensorimotorSpace:
 
 @dataclass
 class Episode:
-    """One contiguous recording: ``data`` has shape (n_sm, T_e)."""
+    """One contiguous recording: ``data`` has shape (n_sm, T_e).
+
+    Appends fill a column-major buffer that doubles when full; ``data`` is a
+    view of its filled columns. An append writes in place only while ``data``
+    is the view it last handed out, and never rewrites a filled column, so an
+    array taken from ``data`` earlier keeps its values.
+    """
 
     id: int
     data: np.ndarray
+    _filled: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _append(self, vec: np.ndarray) -> None:
+        data = self.data
+        t = data.shape[1]
+        buf = data.base
+        if data is not self._filled or buf is None or buf.shape[1] == t:
+            buf = np.empty((len(vec), max(2 * t, 16)), order="F")
+            buf[:, :t] = data
+        buf[:, t] = vec
+        self.data = self._filled = buf[:, :t + 1]
 
 
 @dataclass(eq=False)
@@ -185,16 +203,12 @@ class SensorimotorMatrix:
         are closed and reject appends.
         """
         vec = _as_measurement(self.space, sm_vector)
-        if self.episodes:
-            last = self.episodes[-1]
-            if episode_id == last.id:
-                last.data = np.hstack([last.data, vec[:, None]])
-                return self
-            if episode_id < last.id:
-                raise TapkitError(
-                    f"episode {episode_id} is closed (episode {last.id} already started)"
-                )
-        self.episodes.append(Episode(episode_id, vec[:, None].copy()))
+        last = self.episodes[-1].id if self.episodes else None
+        if last is not None and episode_id < last:
+            raise TapkitError(f"episode {episode_id} is closed (episode {last} already started)")
+        if episode_id != last:
+            self.episodes.append(Episode(episode_id, np.empty((len(vec), 0))))
+        self.episodes[-1]._append(vec)
         return self
 
 
@@ -203,7 +217,7 @@ def _as_measurement(space: SensorimotorSpace, sm_vector) -> np.ndarray:
     vec = np.asarray(sm_vector, dtype=float).reshape(-1)
     if vec.shape[0] != space.n_sm:
         raise TapkitError(f"measurement has {vec.shape[0]} values, space needs {space.n_sm}")
-    if not np.isfinite(vec).all():
+    if np.count_nonzero(np.isfinite(vec)) != len(vec):  # faster than .all() on short vectors
         raise TapkitError("measurement has a non-finite value")
     return vec
 

@@ -169,24 +169,6 @@ def validate(tapping: Tapping) -> CausalityReport:
     return CausalityReport(kind, delay)
 
 
-def compose(a: Tapping, b: Tapping, name: str) -> Tapping:
-    """Union of two tappings over one space; exact duplicate taps dropped.
-
-    Order is a's taps followed by b's novel taps. Partial coordinate overlaps
-    (same coordinate, different tap value) are rejected by the Tapping
-    invariant rather than merged.
-    """
-    if not a.space.compatible(b.space):
-        raise TapkitError(
-            f"cannot compose {a.name!r} and {b.name!r}: different spaces"
-        )
-    taps = list(a.taps)
-    for tap in b.taps:
-        if tap not in taps:
-            taps.append(tap)
-    return Tapping(name, a.space, tuple(taps))
-
-
 # ---------------------------------------------------------------------------
 # Templates
 # ---------------------------------------------------------------------------

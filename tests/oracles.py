@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from tapkit.errors import TapkitError
 from tapkit.sim import plant_matrix, space_for
 from tapkit.smcore import Episode, SensorimotorMatrix, define_space
 from tapkit.tapdsl import ROLE_INPUT, ROLE_TARGET, Tap, Tapping, tap_channels
@@ -153,6 +154,33 @@ def edge_values(rng, shape):
     planted = rng.random(shape) < 0.5
     values[planted] = rng.choice(EDGE_FLOATS, size=int(planted.sum()))
     return values
+
+
+# ---------------------------------------------------------------------------
+# Reference append: the whole episode copied on every call
+# ---------------------------------------------------------------------------
+
+def reference_append(episodes, n_sm, episode_id, sm_vector):
+    """Append one measurement column by rebuilding the episode with
+    ``np.hstack``, the quadratic storage ``append_measurement`` replaced.
+
+    ``episodes`` is a list of ``[id, data]`` pairs, changed in place. Raises
+    TapkitError for a wrong length, a non-finite value or a closed episode,
+    and then changes nothing.
+    """
+    vec = np.asarray(sm_vector, dtype=float).reshape(-1)
+    if vec.shape[0] != n_sm:
+        raise TapkitError(f"measurement has {vec.shape[0]} values, space needs {n_sm}")
+    if not np.isfinite(vec).all():
+        raise TapkitError("measurement has a non-finite value")
+    if episodes:
+        last = episodes[-1]
+        if episode_id == last[0]:
+            last[1] = np.hstack([last[1], vec[:, None]])
+            return
+        if episode_id < last[0]:
+            raise TapkitError(f"episode {episode_id} is closed (episode {last[0]} already started)")
+    episodes.append([episode_id, vec[:, None].copy()])
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,18 @@ class TestAgainstBruteForce:
         assert np.array_equal(ds.Y, np.array(ys).reshape(len(ys), -1) if ys else ds.Y)
         assert ds.n == row_count_law(matrix, tapping)
 
+    def test_episodes_across_gather_blocks(self, vspace):
+        # Long, short and too-short episodes over several 4096-row gather blocks.
+        rng = np.random.default_rng(8)
+        eps = [Episode(i, rng.standard_normal((1, T)))
+               for i, T in enumerate([3000, 1, 2500, 5000, 2, 40, 4200])]
+        matrix = SensorimotorMatrix(vspace, eps)
+        tapping = tapdsl.multi_step(vspace, "v", 2, symmetric=True)
+        ds = apply(matrix, tapping)
+        anchors, xs, ys = brute_force_apply(matrix, tapping)
+        assert ds.anchors == anchors
+        assert np.array_equal(ds.X, np.array(xs)) and np.array_equal(ds.Y, np.array(ys))
+
 
 def assert_bit_identical(dataset, reference):
     """Dataset fields equal (X, Y, x_mask, y_mask, anchors) byte for byte."""
@@ -342,6 +354,58 @@ class TestBlocking:
         assert a == b
         c = apply_blocking(m, tapping, 0.5, seed=43)
         assert a != c  # different seed, different block sets (generic)
+
+
+class TestAnchors:
+    """``Dataset.anchors`` reads as a list of (episode id, t) int tuples."""
+
+    @staticmethod
+    def matrix(space, last_id=2**40):
+        # Row counts 5, 0 (too short) and 1 under a span-3 tapping; ids past int32.
+        data = [np.arange(space.n_sm * T, dtype=float).reshape(space.n_sm, T) for T in (7, 1, 3)]
+        return SensorimotorMatrix(space, [Episode(i, d) for i, d in zip((0, 4, last_id), data)])
+
+    @staticmethod
+    def assert_int_tuples(anchors):
+        assert type(anchors) is list
+        assert all(type(a) is tuple and len(a) == 2 and all(type(v) is int for v in a)
+                   for a in anchors)
+
+    def future(self, vspace):
+        return Tapping("future", vspace, (Tap("v", 1, "input"), Tap("v", 3, "target")))
+
+    def test_list_of_builtin_int_tuples(self, vspace):
+        m = self.matrix(vspace)
+        ds = apply(m, self.future(vspace))
+        self.assert_int_tuples(ds.anchors)
+        assert ds.anchors == brute_force_apply(m, self.future(vspace))[0]
+        assert ds.anchors[0] == (0, -1) and ds.anchors[-1] == (2**40, -1)
+        self.assert_int_tuples(apply_blocking(m, self.future(vspace), 0.5, seed=1).anchors)
+        self.assert_int_tuples(apply(SensorimotorMatrix(vspace), self.future(vspace)).anchors)
+
+    def test_csv_round_trip_is_exact(self, vspace, tmp_path):
+        ds = apply(self.matrix(vspace), self.future(vspace))
+        path = tmp_path / "ds.csv"
+        save_dataset_csv(ds, path)
+        loaded = load_dataset_csv(path)
+        self.assert_int_tuples(loaded.anchors)
+        assert loaded.anchors == ds.anchors
+        assert loaded == ds
+
+    @pytest.mark.parametrize("copies", [0, 1, 3])
+    def test_dropout_repeats_anchors(self, vspace, copies):
+        ds = apply(self.matrix(vspace), self.future(vspace))
+        out = dropout_augment(ds, DropoutConfig(copies=copies, proportion=0.5, seed=2))
+        self.assert_int_tuples(out.anchors)
+        assert out.anchors == ds.anchors * (copies + 1)
+
+    def test_eq_sees_one_anchor_difference(self, vspace):
+        a = apply(self.matrix(vspace, last_id=7), self.future(vspace))
+        b = apply(self.matrix(vspace, last_id=8), self.future(vspace))
+        assert sum(x != y for x, y in zip(a.anchors, b.anchors)) == 1
+        assert np.array_equal(a.X, b.X) and np.array_equal(a.Y, b.Y)
+        assert a != b
+        assert a == apply(self.matrix(vspace, last_id=7), self.future(vspace))
 
 
 class TestDatasetCsv:

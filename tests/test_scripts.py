@@ -10,6 +10,17 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def _run(tmp_path, script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    cmd = [sys.executable, str(ROOT / "scripts" / script)]
+    cmd += [a.format(tmp=tmp_path) for a in args]
+    return subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 @pytest.mark.parametrize(
     "script, args",
     [
@@ -20,13 +31,25 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_exits_zero(tmp_path, script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    cmd = [sys.executable, str(ROOT / "scripts" / script)]
-    cmd += [a.format(tmp=tmp_path) for a in args]
-    proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = _run(tmp_path, script, args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+@pytest.mark.parametrize(
+    "script, args, message",
+    [
+        ("td_correspondence.py", ["--episodes", "10", "--sweeps", "-1"],
+         "error: sweeps must be >= 0, got -1"),
+        ("lag_recovery.py", ["--samples", "5"], "error: insufficient data"),
+        ("nao_reaching.py", ["--steps", "1", "--goals", "2"],
+         "error: cannot fit on an empty dataset"),
+    ],
+)
+def test_script_error_is_one_line(tmp_path, script, args, message):
+    """Bad input exits 2 with one ``error:`` line on stderr, as the CLI does."""
+    proc = _run(tmp_path, script, args)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message), proc.stderr

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from tapkit import (
 )
 from tapkit.smcore import ChannelRef, Episode, parse_channel_ref
 
-from oracles import edge_values
+from oracles import edge_values, reference_append
 
 
 class TestDefineSpace:
@@ -96,6 +98,114 @@ class TestAppend:
         eps = [Episode(1, np.zeros((6, 2))), Episode(1, np.zeros((6, 2)))]
         with pytest.raises(TapkitError, match="strictly increasing"):
             SensorimotorMatrix(nao_space, eps)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_APPEND_OPS = st.one_of(
+    # (op, episode id relative to the last one, values); -1 hits a closed episode
+    st.tuples(st.just("append"), st.sampled_from([-1, 0, 0, 0, 1, 2]),
+              st.lists(_FINITE, min_size=6, max_size=6)),
+    # (op, columns appended to the last episode, value)
+    st.tuples(st.just("burst"), st.integers(1, 40), _FINITE),
+    # (op, position of the bad value, bad value)
+    st.tuples(st.just("non_finite"), st.integers(0, 5),
+              st.sampled_from([np.nan, np.inf, -np.inf])),
+    # (op, episode index) for the rest
+    st.tuples(st.just("reassign"), st.integers(0, 9)),
+    st.tuples(st.just("slice"), st.integers(0, 9), st.integers(0, 3),
+              st.one_of(st.none(), st.integers(0, 40)), st.integers(1, 2)),
+    st.tuples(st.just("snapshot"), st.integers(0, 9)),
+)
+
+
+class TestAppendOracle:
+    """Appends against ``reference_append``, the whole-episode np.hstack copy."""
+
+    @staticmethod
+    def _same_outcome(call, reference_call):
+        outcomes = []
+        for f in (reference_call, call):
+            try:
+                f()
+                outcomes.append(None)
+            except TapkitError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_APPEND_OPS, max_size=60))
+    def test_random_operations_match_the_oracle(self, ops):
+        space = define_space([("motor", "m", 4), ("extero", "vision", 2)], name="nao")
+        m, ref, snapshots = SensorimotorMatrix(space), [], []
+        for op, *args in ops:
+            last = ref[-1][0] if ref else 0
+            if op in ("append", "burst", "non_finite"):
+                if op == "append":
+                    eid, vecs = last + args[0], [np.array(args[1])]
+                elif op == "burst":
+                    eid, vecs = last, [np.full(6, args[1])] * args[0]
+                else:
+                    eid, vecs = last, [np.zeros(6)]
+                    vecs[0][args[0]] = args[1]
+                for vec in vecs:
+                    self._same_outcome(lambda: m.append_measurement(eid, vec),
+                                       lambda: reference_append(ref, 6, eid, vec))
+            elif ref:
+                i = args[0] % len(ref)
+                ep = m.episodes[i]
+                if op == "reassign":
+                    ep.data = ep.data.copy()
+                elif op == "slice":
+                    cols = slice(*args[1:])
+                    ep.data = ep.data[:, cols]
+                    ref[i][1] = ref[i][1][:, cols]
+                else:
+                    snapshots.append((ep.data, ep.data.copy()))
+            assert [e.id for e in m.episodes] == [eid for eid, _ in ref]
+            for e, (_, want) in zip(m.episodes, ref):
+                assert e.data.shape == want.shape
+                assert e.data.tobytes() == want.tobytes()
+        for taken, frozen in snapshots:
+            assert taken.shape == frozen.shape and taken.tobytes() == frozen.tobytes()
+
+    def test_reference_taken_mid_stream_does_not_change(self, nao_space):
+        m = SensorimotorMatrix(nao_space)
+        for t in range(10):
+            m.append_measurement(0, np.full(6, float(t)))
+        taken = m.episodes[0].data
+        frozen = taken.copy()
+        for t in range(10, 200):  # past several capacity doublings
+            m.append_measurement(0, np.full(6, float(t)))
+        assert taken.shape == (6, 10) and taken.tobytes() == frozen.tobytes()
+        assert np.array_equal(m.episodes[0].data[0], np.arange(200.0))
+
+    def test_buffer_grows_by_doubling(self, nao_space):
+        m = SensorimotorMatrix(nao_space)
+        bases = []
+        for t in range(1000):
+            m.append_measurement(0, np.full(6, float(t)))
+            bases.append(m.episodes[0].data.base)
+        moves = sum(a is not b for a, b in zip(bases, bases[1:]))
+        assert moves <= 6  # capacity 16 doubled up to 1024: amortised O(1) appends
+
+    def test_deep_copy_grows_independently(self, nao_space):
+        m = SensorimotorMatrix(nao_space)
+        for t in range(5):
+            m.append_measurement(0, np.full(6, float(t)))
+        twin = copy.deepcopy(m)
+        m.append_measurement(0, np.full(6, 5.0))
+        twin.append_measurement(0, np.full(6, -5.0))
+        assert m.episodes[0].data[0].tolist() == [0, 1, 2, 3, 4, 5]
+        assert twin.episodes[0].data[0].tolist() == [0, 1, 2, 3, 4, -5]
+
+    def test_grown_episode_round_trips_csv(self, nao_space, tmp_path):
+        m = SensorimotorMatrix(nao_space)
+        rng = np.random.default_rng(3)
+        for eid in (0, 2):
+            for vec in edge_values(rng, (37, 6)):
+                m.append_measurement(eid, vec)
+        save_csv(m, tmp_path / "d.csv")
+        assert load_csv(nao_space, tmp_path / "d.csv") == m
 
 
 class TestCsv:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tapkit import ParseError, Tap, Tapping, TapkitError, compose, define_space, validate
+from tapkit import ParseError, Tap, Tapping, TapkitError, define_space, validate
 from tapkit import tapdsl
 from tapkit.tapdsl import (
     ACAUSAL,
@@ -259,53 +259,6 @@ class TestValidate:
         for k in (2, 3, 5):
             report = validate(tapdsl.multi_step(space, "vision", k, symmetric=True))
             assert (report.kind, report.buffer_delay) == (BUFFERED, k - 1)
-
-
-class TestCompose:
-    def test_proto_tappings_compose(self, space):
-        a = tapdsl.temporal_predictor(space, "vision")
-        b = tapdsl.intermodal_predictor(space, "q", "vision")
-        c = compose(a, b, "fused")
-        # Hand union: temporal gives (in vision@-1, tgt vision@0); intermodal
-        # adds (in q@0) and a duplicate of the target.
-        assert [(t.role, t.group, t.lag) for t in c.taps] == [
-            ("input", "vision", -1),
-            ("target", "vision", 0),
-            ("input", "q", 0),
-        ]
-
-    def test_idempotent(self, space):
-        a = tapdsl.forward(space, "m", "vision")
-        assert compose(a, a, "again").taps == a.taps
-
-    def test_space_mismatch(self, space):
-        other = define_space([("motor", "m", 1)])
-        a = tapdsl.forward(space, "m", "vision")
-        b = tapdsl.temporal_predictor(other, "m")
-        with pytest.raises(TapkitError, match="different spaces"):
-            compose(a, b, "x")
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_associative_commutative_up_to_set(self, seed):
-        # Partial coordinate overlaps are rejected, not merged, so the
-        # property reads: every grouping either raises or yields one tap set.
-        rng = np.random.default_rng(seed)
-        space = random_space(rng)
-        a, b, c = (random_tapping(rng, space) for _ in range(3))
-
-        def try_compose(builder):
-            try:
-                return set(builder().taps)
-            except TapkitError:
-                return "conflict"
-
-        ab_c = try_compose(lambda: compose(compose(a, b, "ab"), c, "abc"))
-        a_bc = try_compose(lambda: compose(a, compose(b, c, "bc"), "abc"))
-        assert ab_c == a_bc
-        ab = try_compose(lambda: compose(a, b, "x"))
-        ba = try_compose(lambda: compose(b, a, "x"))
-        assert ab == ba
 
 
 class TestTemplates:
