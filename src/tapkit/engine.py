@@ -321,15 +321,16 @@ def apply_blocking(matrix: SensorimotorMatrix, tapping: Tapping,
     plan, X, Y, anchors, bounds = _gather(matrix, tapping)
     active = np.ones((X.shape[0], len(plan.layout)), dtype=bool)
     k = int(np.floor(proportion * len(plan.taps)))
+    d_in = plan.d_in
     children = np.random.SeedSequence(seed).spawn(len(matrix.episodes))
     for child, a, b in zip(children, bounds, bounds[1:]):
         blocked = np.random.default_rng(child).choice(len(plan.taps), size=k, replace=False)
         for tap in blocked:
-            active[a:b, plan.taps[tap]] = False
-    ds = _dataset(plan, X, Y, active, anchors)
-    ds.X[~ds.x_mask] = 0.0
-    ds.Y[~ds.y_mask] = 0.0
-    return ds
+            cols = plan.taps[tap]
+            active[a:b, cols] = False
+            X[a:b, cols.start:min(cols.stop, d_in)] = 0.0
+            Y[a:b, max(cols.start - d_in, 0):max(cols.stop - d_in, 0)] = 0.0
+    return _dataset(plan, X, Y, active, anchors)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +355,7 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
     keys = dataset._anchors
     _write_table(path, header, [(keys, np.hstack([dataset.X, dataset.Y]))])
     _write_table(mask_path_for(path), header,
-                 [(keys, np.hstack([dataset.x_mask, dataset.y_mask]))], cell="%d")
+                 [(keys, np.hstack([dataset.x_mask, dataset.y_mask]))])
 
 
 _HEADER_COL_RE = re.compile(r"([xy]):(\w+)\[(\d+)\]@(-?\d+)\Z")
@@ -369,6 +370,8 @@ def load_dataset_csv(path) -> Dataset:
     def parse_header(header):
         if not header or header[:2] != ["episode", "t"]:
             raise TapkitError(f"{path}: expected dataset header starting episode,t")
+        if len(header) == 2:
+            raise TapkitError(f"{path}: dataset header has no columns after episode,t")
         layout: list[Column] = []
         for col in header[2:]:
             m = _HEADER_COL_RE.match(col.strip())

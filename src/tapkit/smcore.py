@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import re
+import warnings
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -304,59 +305,92 @@ _KEY_NAMES = ("episode id", "t")
 _BITS = frozenset("01")
 
 
-def _write_table(path, header: list[str], blocks, cell: str = "%.17g") -> None:
+def _write_table(path, header: list[str], blocks) -> None:
     """Write ``header``, then one line per row of each ``(keys, cells)`` block:
-    the ``(n, k)`` int keys as ``%d``, then the ``(n, d)`` cells in ``cell``
-    format. ``%.17g`` round-trips any float64 exactly. Lines end in CRLF, as
-    the csv module writes them."""
+    the ``(n, k)`` int keys as ``%d``, then the ``(n, d)`` cells, floats as
+    ``%.17g``, which round-trips any float64 exactly, and bools as ``0`` or
+    ``1``. Lines end in CRLF, as the csv module writes them."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for keys, cells in blocks:
-            line = ",".join(["%d"] * keys.shape[1] + [cell] * cells.shape[1]) + "\r\n"
+            key_line = ",".join(["%d"] * keys.shape[1])
             for a in range(0, len(keys), _ROWS_PER_WRITE):
-                b = a + _ROWS_PER_WRITE
-                fh.write("".join(line % tuple(k + c) for k, c in
-                                 zip(keys[a:b].tolist(), cells[a:b].tolist())))
+                k = keys[a:a + _ROWS_PER_WRITE].tolist()
+                c = cells[a:a + _ROWS_PER_WRITE]
+                if c.dtype == bool:  # each row's ",0,1,...\r\n" is one row of a uint8 block
+                    tail = np.full((len(c), 2 * c.shape[1] + 2), ord(","), dtype=np.uint8)
+                    tail[:, 1:-2:2] = c.view(np.uint8) + ord("0")
+                    tail[:, -2:] = ord("\r"), ord("\n")
+                    line = (key_line + "%s").encode()
+                    tails = tail.view(f"S{tail.shape[1]}")[:, 0].tolist()
+                    fh.write(b"".join(line % (*ks, t) for ks, t in zip(k, tails)).decode())
+                else:
+                    line = key_line + ",%.17g" * c.shape[1] + "\r\n"
+                    fh.write("".join(line % tuple(ks + cs) for ks, cs in zip(k, c.tolist())))
 
 
 def _read_table(path, n_keys: int, check_header, mask: bool = False):
-    """Read a table written by :func:`_write_table` in one pass.
+    """Read a table written by :func:`_write_table`.
 
     ``check_header`` gets the header row (None for an empty file) and raises
     if it is wrong; its result is returned first. Every other non-blank line
     holds as many fields as the header: ``n_keys`` int keys, then cells that
-    are finite floats or, for a ``mask``, exactly ``0`` or ``1``. Blank lines
-    are skipped but counted, so each error names its line. Returns the
+    are finite floats or, for a ``mask``, exactly ``0`` or ``1``. Returns the
     header check's result, an ``(n, n_keys)`` int array and an ``(n, d)``
     float (bool for a mask) array.
+
+    NumPy's C reader parses the body in one pass. Any body it refuses or
+    warns about (no rows, an id past int64, quotes, ...) is read again by a
+    ``csv`` row loop that gives the same arrays or names the offending line;
+    blank lines are skipped by both but counted by the loop.
     """
-    keys = array("q")
-    cells = array("B" if mask else "d")
-    parse = int if mask else float
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         checked = check_header(header)
         width = len(header)
         d = width - n_keys
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width or mask and not _BITS.issuperset(row[n_keys:]):
-                expected = f"{d} mask cells of 0 or 1" if mask else f"{width} fields"
-                raise TapkitError(f"{path}: line {lineno}: expected {expected}")
-            try:
-                keys.extend(map(int, row[:n_keys]))
-                cells.extend(map(parse, row[n_keys:]))
-            except ValueError:
-                for j, text in enumerate(row):
-                    try:
-                        (int if j < n_keys else float)(text)
-                    except ValueError:
-                        what = f"non-integer {_KEY_NAMES[j]}" if j < n_keys else "non-numeric value"
-                        raise TapkitError(f"{path}: line {lineno}: {what} {text!r}") from None
-    keys = np.frombuffer(keys, dtype=np.int64).reshape(-1, n_keys)
-    cells = np.frombuffer(cells, dtype=bool if mask else float).reshape(-1, d)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(
+                    # S2 cells cannot tell "1\0" from "1": give a NUL line one field, so it is refused.
+                    (line if "\0" not in line else "\0" for line in fh) if mask else fh,
+                    dtype=[("k", "<i8", (n_keys,)), ("c", "S2" if mask else "<f8", (d,))],
+                    delimiter=",", comments=None, ndmin=1)
+            keys, cells = table["k"], table["c"]
+            if mask:  # the cells as little-endian byte pairs: "0" is 0x0030, "1" 0x0031
+                code = cells.view("<u2")
+                cells = code == ord("1")
+                if np.count_nonzero(cells) + np.count_nonzero(code == ord("0")) != code.size:
+                    raise ValueError("mask cell other than 0 or 1")
+        except (ValueError, Warning):
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            keys = array("q")
+            cells = array("B" if mask else "d")
+            parse = int if mask else float
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != width or mask and not _BITS.issuperset(row[n_keys:]):
+                    expected = f"{d} mask cells of 0 or 1" if mask else f"{width} fields"
+                    raise TapkitError(f"{path}: line {lineno}: expected {expected}")
+                try:
+                    keys.extend(map(int, row[:n_keys]))
+                    cells.extend(map(parse, row[n_keys:]))
+                except (ValueError, OverflowError):
+                    for j, text in enumerate(row):
+                        try:
+                            value = (int if j < n_keys else float)(text)
+                        except ValueError:
+                            what = f"non-integer {_KEY_NAMES[j]}" if j < n_keys else "non-numeric value"
+                            raise TapkitError(f"{path}: line {lineno}: {what} {text!r}") from None
+                        if j < n_keys and not -2**63 <= value < 2**63:
+                            raise TapkitError(
+                                f"{path}: line {lineno}: {_KEY_NAMES[j]} out of range {text!r}")
+            keys = np.frombuffer(keys, dtype=np.int64).reshape(-1, n_keys)
+            cells = np.frombuffer(cells, dtype=bool if mask else float).reshape(-1, d)
     if not mask and not np.isfinite(cells).all():
         i, j = divmod(int(np.argmin(np.isfinite(cells))), d)
         lineno, row = _find_row(path, i)

@@ -7,7 +7,10 @@ under test is never checked against itself.
 
 from __future__ import annotations
 
+import csv
 import math
+from array import array
+from itertools import islice
 
 import numpy as np
 
@@ -313,3 +316,57 @@ def reference_generate(config, episodes, steps_per_episode):
             data[d_m:, t] = _reference_respond(config, A, cmd_then) + noise[t]
         eps.append(Episode(e, data))
     return SensorimotorMatrix(space, eps)
+
+
+# ---------------------------------------------------------------------------
+# Reference table reader: the csv row loop, one int or float call per cell
+# ---------------------------------------------------------------------------
+
+_KEY_NAMES = ("episode id", "t")
+_BITS = frozenset("01")
+
+
+def reference_read_table(path, n_keys, check_header, mask=False):
+    """The ``csv.reader`` row loop ``smcore._read_table`` had before NumPy's
+    C reader parsed the body. It lets an episode id or ``t`` past int64
+    escape as ``OverflowError``; everything else it returns or refuses is
+    what ``_read_table`` must return or refuse, message for message."""
+    keys = array("q")
+    cells = array("B" if mask else "d")
+    parse = int if mask else float
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        checked = check_header(header)
+        width = len(header)
+        d = width - n_keys
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != width or mask and not _BITS.issuperset(row[n_keys:]):
+                expected = f"{d} mask cells of 0 or 1" if mask else f"{width} fields"
+                raise TapkitError(f"{path}: line {lineno}: expected {expected}")
+            try:
+                keys.extend(map(int, row[:n_keys]))
+                cells.extend(map(parse, row[n_keys:]))
+            except ValueError:
+                for j, text in enumerate(row):
+                    try:
+                        (int if j < n_keys else float)(text)
+                    except ValueError:
+                        what = f"non-integer {_KEY_NAMES[j]}" if j < n_keys else "non-numeric value"
+                        raise TapkitError(f"{path}: line {lineno}: {what} {text!r}") from None
+    keys = np.frombuffer(keys, dtype=np.int64).reshape(-1, n_keys)
+    cells = np.frombuffer(cells, dtype=bool if mask else float).reshape(-1, d)
+    if not mask and not np.isfinite(cells).all():
+        i, j = divmod(int(np.argmin(np.isfinite(cells))), d)
+        lineno, row = _reference_find_row(path, i)
+        where = "" if n_keys == 1 else " in the row of episode %d, t %d:" % tuple(keys[i])
+        raise TapkitError(f"{path}: line {lineno}: non-finite value{where} {row[n_keys + j]!r}")
+    return checked, keys, cells
+
+
+def _reference_find_row(path, i):
+    with open(path, newline="") as fh:
+        rows = ((lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row)
+        return next(islice(rows, i + 1, None))

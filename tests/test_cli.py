@@ -6,7 +6,7 @@ from tapkit.cli import demo_nao, main, split_seed
 from tapkit.engine import load_dataset_csv
 from tapkit.smcore import ChannelRef
 
-from oracles import fk_oracle
+from oracles import fk_oracle, reference_read_table
 
 
 def run(capsys, *argv):
@@ -192,6 +192,17 @@ class TestBadInput:
         assert err == f"error: {data}: line 6: non-finite value 'nan'\n"
         assert not (tmp_path / "ds.csv").exists()
 
+    def test_episode_id_past_int64_is_data_error(self, tmp_path, capsys):
+        data, space_file = self.gen(tmp_path, capsys)
+        lines = data.read_text().splitlines()
+        lines[5] = "99999999999999999999," + lines[5].split(",", 1)[1]
+        data.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "apply", "--space", str(space_file),
+                           "--tapping", "fwd", "--data", str(data),
+                           "--out", str(tmp_path / "ds.csv"))
+        assert code == 2
+        assert err == f"error: {data}: line 6: episode id out of range '99999999999999999999'\n"
+
     @pytest.mark.parametrize("mask_cell, value", [("x", None), (None, "nan")])
     def test_train_rejects_bad_dataset(self, tmp_path, capsys, mask_cell, value):
         data, space_file = self.gen(tmp_path, capsys)
@@ -376,3 +387,29 @@ class TestQuiet:
                 "--blocking", "0.5", "--seed", "4")
             outs.append(out.read_bytes() + (tmp_path / name.replace(".csv", ".mask.csv")).read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestPipelineFiles:
+    def test_c_reader_reads_them_as_the_row_loop_does(self, tmp_path, capsys, monkeypatch):
+        # The benchmark's pipeline inputs: gen, then apply of the forward tapping.
+        data, ds = tmp_path / "data.csv", tmp_path / "ds.csv"
+        run(capsys, "gen", "--plant", "arm", "--episodes", "5", "--steps", "2000",
+            "--seed", "1", "--out", str(data))
+        space_file = tmp_path / "data.tap"
+        space_file.write_text(space_file.read_text() +
+                              "tapping fwd {\n  input m @ -1\n  target vision @ 0\n}\n")
+        code, _, _ = run(capsys, "apply", "--space", str(space_file), "--tapping", "fwd",
+                         "--data", str(data), "--out", str(ds))
+        assert code == 0
+        tables = [(data, 1, False), (ds, 2, False), (tmp_path / "ds.mask.csv", 2, True)]
+        want = [reference_read_table(path, n_keys, len, mask) for path, n_keys, mask in tables]
+
+        def row_loop(*args):
+            raise AssertionError("a pipeline file fell back to the csv row loop")
+
+        monkeypatch.setattr(smcore, "array", row_loop)
+        for (path, n_keys, mask), (width, keys, cells) in zip(tables, want):
+            got = smcore._read_table(path, n_keys, len, mask)
+            assert got[0] == width
+            assert (got[1].dtype, got[1].shape, got[1].tobytes()) == (keys.dtype, keys.shape, keys.tobytes())
+            assert (got[2].dtype, got[2].shape, got[2].tobytes()) == (cells.dtype, cells.shape, cells.tobytes())

@@ -495,6 +495,13 @@ class TestDatasetCsv:
             load_dataset_csv(path)
 
 
+    def test_header_without_columns(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_text("episode,t\n0,1\n0,2\n")
+        with pytest.raises(TapkitError, match="dataset header has no columns after episode,t"):
+            load_dataset_csv(path)
+
+
 class TestMaskFile:
     def saved(self, nao_space, tmp_path):
         ds = apply_blocking(line_matrix(nao_space, 6), tapdsl.forward(nao_space, "m", "vision"),

@@ -13,9 +13,9 @@ from tapkit import (
     load_csv,
     save_csv,
 )
-from tapkit.smcore import ChannelRef, Episode, parse_channel_ref
+from tapkit.smcore import ChannelRef, Episode, _read_table, parse_channel_ref
 
-from oracles import edge_values, reference_append
+from oracles import edge_values, reference_append, reference_read_table
 
 
 class TestDefineSpace:
@@ -272,6 +272,15 @@ class TestCsv:
         with pytest.raises(TapkitError, match="line 2: non-integer episode id '0.5'"):
             load_csv(nao_space, path)
 
+    @pytest.mark.parametrize("big", ["99999999999999999999", "-9223372036854775809"])
+    def test_episode_id_past_int64_names_line(self, nao_space, tmp_path, big):
+        path = tmp_path / "d.csv"
+        header = "episode," + ",".join(nao_space.channel_names())
+        path.write_text(header + f"\n0,1,2,3,4,5,6\n{big},1,2,3,4,5,6\n")
+        with pytest.raises(TapkitError) as info:
+            load_csv(nao_space, path)
+        assert str(info.value) == f"{path}: line 3: episode id out of range '{big}'"
+
     def test_empty_file(self, nao_space, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("")
@@ -354,3 +363,92 @@ def test_parse_channel_ref():
     with pytest.raises(TapkitError):
         parse_channel_ref("vision")
 
+
+# One change to an otherwise well-formed table, each a case where NumPy's C
+# reader and the csv row loop could part ways.
+TABLE_MUTATIONS = (
+    "none", "drop a field", "nan", "inf", "1_0", "quoted number", "space in key",
+    "plus in key", "space in cell", "plus in cell", "01 in cell", "2 in cell",
+    "whitespace-only line", "lone CR", "key past int64", "header only", "NUL after cell",
+    "# after field",
+)
+BIG = ("99999999999999999999", "-9223372036854775809")
+
+
+def write_table(path, rng, n_keys, mask, newline, mutation):
+    """Write a random table with ``mutation`` applied. Returns the line
+    number and text of a key past int64, or None."""
+    n, d = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+    keys = rng.choice([-2**63, -7, 0, 3, 2**63 - 1], size=(n, n_keys)).tolist()
+    if mask:
+        cells = rng.integers(0, 2, (n, d)).astype(str).tolist()
+    else:
+        cells = [[format(v, ".17g") for v in row] for row in edge_values(rng, (n, d)).tolist()]
+    rows = [[str(k) for k in ks] + cs for ks, cs in zip(keys, cells)]
+    r, key, cell = int(rng.integers(n)), int(rng.integers(n_keys)), n_keys + int(rng.integers(d))
+    field = int(rng.integers(n_keys + d))
+    row, big = rows[r], None
+    if mutation == "drop a field":
+        del row[field]
+    elif mutation in ("nan", "inf"):
+        row[cell] = rng.choice([mutation, "-" + mutation])
+    elif mutation == "1_0":
+        row[field] = "1_0"
+    elif mutation == "quoted number":
+        row[field] = f'"{row[field]}"'
+    elif mutation in ("space in key", "plus in key", "space in cell", "plus in cell"):
+        j = key if mutation.endswith("key") else cell
+        row[j] = (" " if mutation.startswith("space") else "+") + row[j]
+    elif mutation in ("01 in cell", "2 in cell"):
+        row[cell] = mutation.split()[0]
+    elif mutation == "NUL after cell":
+        row[cell] += "\0"
+    elif mutation == "# after field":
+        row[field] += "#1"
+    elif mutation == "key past int64":
+        row[key] = big = str(rng.choice(BIG))
+    elif mutation == "header only":
+        rows = []
+    lines = [",".join(["episode", "t"][:n_keys] + [f"c{j}" for j in range(d)])]
+    for i, row in enumerate(rows):
+        lines += [""] * int(rng.integers(0, 2))  # blank lines are skipped but counted
+        if i == r and big is not None:
+            big = (len(lines) + 1, ("episode id", "t")[key], big)
+        lines.append(",".join(row))
+    if mutation == "whitespace-only line":
+        lines.insert(int(rng.integers(1, len(lines) + 1)), str(rng.choice([" ", "\t"])))
+    ends = [newline] * len(lines)
+    if mutation == "lone CR":
+        ends[int(rng.integers(len(ends)))] = "\r"
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(line + end for line, end in zip(lines, ends)))
+    return big
+
+
+def read_outcome(read, path, n_keys, mask):
+    """The arrays a reader returns, as dtypes, shapes and bytes, or its error."""
+    try:
+        checked, keys, cells = read(path, n_keys, lambda header: header, mask)
+    except TapkitError as e:
+        return str(e)
+    return (checked, keys.dtype, keys.shape, keys.tobytes(),
+            cells.dtype, cells.shape, cells.tobytes())
+
+
+class TestReadTableAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_keys=st.sampled_from([1, 2]),
+           mask=st.booleans(), newline=st.sampled_from(["\r\n", "\n"]),
+           mutation=st.sampled_from(TABLE_MUTATIONS))
+    def test_same_arrays_or_same_error(self, tmp_path_factory, seed, n_keys, mask,
+                                       newline, mutation):
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        big = write_table(path, np.random.default_rng(seed), n_keys, mask, newline, mutation)
+        got = read_outcome(_read_table, path, n_keys, mask)
+        if big is None:
+            assert got == read_outcome(reference_read_table, path, n_keys, mask)
+        else:  # the reference lets OverflowError escape
+            with pytest.raises(OverflowError):
+                reference_read_table(path, n_keys, lambda header: header, mask)
+            lineno, name, text = big
+            assert got == f"{path}: line {lineno}: {name} out of range {text!r}"
