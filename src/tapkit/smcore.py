@@ -308,25 +308,17 @@ _BITS = frozenset("01")
 def _write_table(path, header: list[str], blocks) -> None:
     """Write ``header``, then one line per row of each ``(keys, cells)`` block:
     the ``(n, k)`` int keys as ``%d``, then the ``(n, d)`` cells, floats as
-    ``%.17g``, which round-trips any float64 exactly, and bools as ``0`` or
-    ``1``. Lines end in CRLF, as the csv module writes them."""
+    ``%.17g``, which round-trips any float64 exactly, and bools as ``%d``.
+    Lines end in CRLF, as the csv module writes them."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for keys, cells in blocks:
-            key_line = ",".join(["%d"] * keys.shape[1])
+            cell = "%d" if cells.dtype == bool else "%.17g"
+            line = ",".join(["%d"] * keys.shape[1] + [cell] * cells.shape[1]) + "\r\n"
             for a in range(0, len(keys), _ROWS_PER_WRITE):
-                k = keys[a:a + _ROWS_PER_WRITE].tolist()
-                c = cells[a:a + _ROWS_PER_WRITE]
-                if c.dtype == bool:  # each row's ",0,1,...\r\n" is one row of a uint8 block
-                    tail = np.full((len(c), 2 * c.shape[1] + 2), ord(","), dtype=np.uint8)
-                    tail[:, 1:-2:2] = c.view(np.uint8) + ord("0")
-                    tail[:, -2:] = ord("\r"), ord("\n")
-                    line = (key_line + "%s").encode()
-                    tails = tail.view(f"S{tail.shape[1]}")[:, 0].tolist()
-                    fh.write(b"".join(line % (*ks, t) for ks, t in zip(k, tails)).decode())
-                else:
-                    line = key_line + ",%.17g" * c.shape[1] + "\r\n"
-                    fh.write("".join(line % tuple(ks + cs) for ks, cs in zip(k, c.tolist())))
+                b = a + _ROWS_PER_WRITE
+                fh.write("".join(line % tuple(k + c) for k, c in
+                                 zip(keys[a:b].tolist(), cells[a:b].tolist())))
 
 
 def _read_table(path, n_keys: int, check_header, mask: bool = False):
@@ -343,6 +335,10 @@ def _read_table(path, n_keys: int, check_header, mask: bool = False):
     warns about (no rows, an id past int64, quotes, ...) is read again by a
     ``csv`` row loop that gives the same arrays or names the offending line;
     blank lines are skipped by both but counted by the loop.
+
+    Warnings are turned into errors with ``warnings.catch_warnings()``,
+    which changes the filters of the whole process: do not load tables
+    from several threads at once.
     """
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
