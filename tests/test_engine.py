@@ -314,6 +314,18 @@ class TestDropout:
         out = dropout_augment(ds, DropoutConfig(copies=2, proportion=0.1, seed=4))
         assert out.anchors == ds.anchors * 3
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(copies=-1, proportion=0.1), "copies must be >= 0, got -1"),
+        (dict(copies=1, proportion=1.5), "proportion must be in [0, 1], got 1.5"),
+        (dict(copies=1, proportion=-0.1), "proportion must be in [0, 1], got -0.1"),
+        (dict(copies=1, proportion=0.1, scope="cells"),
+         "scope must be one of ('inputs', 'targets', 'both'), got 'cells'"),
+    ])
+    def test_config_refusal_text(self, kwargs, message):
+        with pytest.raises(TapkitError) as exc:
+            DropoutConfig(**kwargs)
+        assert str(exc.value) == message
+
 
 class TestBlocking:
     def test_zero_proportion_equals_apply(self, nao_space):
@@ -354,6 +366,13 @@ class TestBlocking:
         assert a == b
         c = apply_blocking(m, tapping, 0.5, seed=43)
         assert a != c  # different seed, different block sets (generic)
+
+    @pytest.mark.parametrize("proportion", [-0.1, 1.5])
+    def test_proportion_refusal_text(self, vspace, proportion):
+        m = SensorimotorMatrix(vspace, [Episode(0, np.arange(1.0, 7.0)[None, :])])
+        with pytest.raises(TapkitError) as exc:
+            apply_blocking(m, tapdsl.multi_step(vspace, "v", 2), proportion)
+        assert str(exc.value) == f"proportion must be in [0, 1], got {proportion}"
 
 
 class TestAnchors:

@@ -44,6 +44,11 @@ class TestFeatures:
         with pytest.raises(TapkitError):
             input_dim(8, "quadratic")
 
+    def test_unknown_feature_map_text(self):
+        with pytest.raises(TapkitError) as exc:
+            features(np.ones(2), "cubic")
+        assert str(exc.value) == "unknown feature map 'cubic'; expected ('identity', 'quadratic')"
+
 
 class TestFit:
     def test_recovers_linear_plant(self):
@@ -172,6 +177,18 @@ class TestPredictAndLms:
             lms_step(zero_model(3, 2), np.ones(3), np.ones(3), 0.1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: fit(linear_plant_dataset(steps=11)[1], ridge=-1.0), "ridge must be >= 0, got -1.0"),
+    (lambda: lms_step(zero_model(2, 2), np.ones(2), np.ones(2), rate=-0.5),
+     "rate must be >= 0, got -0.5"),
+    (lambda: best_of_n(zero_model(2, 2), np.zeros(2), 0, 1, -1.0, 1.0), "n must be >= 1, got 0"),
+])
+def test_refusal_text(call, message):
+    with pytest.raises(TapkitError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def uniform_draws(seed, low, high, n, d):
     """The candidates best_of_n is documented to draw, made independently."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -275,3 +292,18 @@ class TestSerialization:
         path.write_text("2 2 0 identity\n1 2\n")
         with pytest.raises(TapkitError):
             load_model(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("\n \n", "empty model file"),
+        ("1 1 0\n1\n0\n", "malformed model header '1 1 0'"),
+        ("1 x 0 identity\n1\n0\n", "malformed model header '1 x 0 identity'"),
+        ("1 1 0 cubic\n1\n0\n", "unknown feature map 'cubic'"),
+        ("1 1 0 identity\nx\n0\n", "non-numeric model entry"),
+        ("1 2 0 identity\n1\n0\n", "model shape does not match header"),
+    ])
+    def test_load_refusal_text(self, tmp_path, text, message):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        with pytest.raises(TapkitError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}: {message}"

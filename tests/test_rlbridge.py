@@ -65,6 +65,35 @@ class TestUpdates:
         assert (table.v == 0).all()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ChainEnv(5, 0.9).step(0, 2), "unknown action 2"),
+    (lambda: ChainEnv(5, 0.9).step(5, RIGHT), "state 5 out of range [0, 5)"),
+    (lambda: ChainEnv(5, 0.9).step(-1, LEFT), "state -1 out of range [0, 5)"),
+    (lambda: rlbridge.ValueTable(0.0, 0.9, v=np.zeros(3)), "alpha must be in (0, 1], got 0.0"),
+    (lambda: rlbridge.ValueTable(1.5, 0.9, v=np.zeros(3)), "alpha must be in (0, 1], got 1.5"),
+    (lambda: rlbridge.ValueTable(0.1, 0.9), "exactly one of v and q must be set"),
+    (lambda: rlbridge.ValueTable(0.1, 0.9, v=np.zeros(3), q=np.zeros((3, 2))),
+     "exactly one of v and q must be set"),
+    (lambda: td0_update(action_values(5, 0.1, 0.9), 0, 0.0, 1),
+     "td0_update needs a state-value table"),
+    (lambda: sarsa_update(state_values(5, 0.1, 0.9), 0, RIGHT, 0.0, 1, RIGHT),
+     "sarsa_update needs an action-value table"),
+    (lambda: q_update(state_values(5, 0.1, 0.9), 0, RIGHT, 0.0, 1),
+     "q_update needs an action-value table"),
+    # the table kind is checked before the states
+    (lambda: q_update(state_values(5, 0.1, 0.9), 7, RIGHT, 0.0, 1),
+     "q_update needs an action-value table"),
+    (lambda: td0_update(state_values(5, 0.1, 0.9), 0, 0.0, 5), "state 5 out of range [0, 5)"),
+    (lambda: sarsa_update(action_values(4, 0.1, 0.9), -1, RIGHT, 0.0, 9, RIGHT),
+     "state -1 out of range [0, 4)"),
+    (lambda: q_update(action_values(4, 0.1, 0.9), 0, RIGHT, 0.0, 4), "state 4 out of range [0, 4)"),
+])
+def test_refusal_text(call, message):
+    with pytest.raises(TapkitError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 class TestConvergence:
     def test_td0_reaches_bellman_values(self, env):
         table = td0_sweeps(env, 2000, alpha=0.1)
