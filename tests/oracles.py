@@ -10,11 +10,13 @@ from __future__ import annotations
 import csv
 import math
 from array import array
+from dataclasses import replace
 from itertools import islice
 
 import numpy as np
 
 from tapkit.errors import TapkitError
+from tapkit.rlbridge import ACTIONS, RIGHT, action_values, state_values
 from tapkit.sim import plant_matrix, space_for
 from tapkit.smcore import Episode, SensorimotorMatrix, define_space
 from tapkit.tapdsl import ROLE_INPUT, ROLE_TARGET, Tap, Tapping, tap_channels
@@ -370,3 +372,133 @@ def _reference_find_row(path, i):
     with open(path, newline="") as fh:
         rows = ((lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row)
         return next(islice(rows, i + 1, None))
+
+
+# ---------------------------------------------------------------------------
+# Reference TD rules: each update body and runner loop written out in full
+# ---------------------------------------------------------------------------
+
+REFERENCE_MAX_STEPS = 10_000  # rlbridge.MAX_STEPS; the law test may lower both
+
+
+def _reference_check_index(table, s):
+    n = len(table.v) if table.v is not None else table.q.shape[0]
+    if not 0 <= s < n:
+        raise TapkitError(f"state {s} out of range [0, {n})")
+
+
+def reference_td0_update(table, s, r, s_next):
+    """The TD(0) update ``rlbridge`` had before its three update rules
+    shared one body; ``td0_update`` must give the same table bytes."""
+    if table.v is None:
+        raise TapkitError("td0_update needs a state-value table")
+    _reference_check_index(table, s)
+    _reference_check_index(table, s_next)
+    v = table.v.copy()
+    v[s] += table.alpha * (r + table.gamma * v[s_next] - v[s])
+    return replace(table, v=v)
+
+
+def reference_sarsa_update(table, s, a, r, s_next, a_next):
+    if table.q is None:
+        raise TapkitError("sarsa_update needs an action-value table")
+    _reference_check_index(table, s)
+    _reference_check_index(table, s_next)
+    q = table.q.copy()
+    q[s, a] += table.alpha * (r + table.gamma * q[s_next, a_next] - q[s, a])
+    return replace(table, q=q)
+
+
+def reference_q_update(table, s, a, r, s_next):
+    if table.q is None:
+        raise TapkitError("q_update needs an action-value table")
+    _reference_check_index(table, s)
+    _reference_check_index(table, s_next)
+    q = table.q.copy()
+    q[s, a] += table.alpha * (r + table.gamma * np.max(q[s_next]) - q[s, a])
+    return replace(table, q=q)
+
+
+def _reference_check_count(what, count):
+    if count < 0:
+        raise TapkitError(f"{what} must be >= 0, got {count}")
+
+
+def reference_rollout_episodes(env, episodes, seed):
+    """Right-policy episodes from uniformly random start states, as
+    ``(states, rewards)`` arrays with ``rewards[0] == 0``."""
+    _reference_check_count("episodes", episodes)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    out = []
+    for _ in range(episodes):
+        s = int(rng.integers(0, env.n_states))
+        states, rewards = [s], [0.0]
+        done = s == env.terminal
+        while not done:
+            s, r, done = env.step(s, RIGHT)
+            states.append(s)
+            rewards.append(r)
+        out.append((np.array(states, dtype=float), np.array(rewards)))
+    return out
+
+
+def reference_direct_td_run(env, episodes, seed, alpha=0.1):
+    """TD(0) over the rollouts, no tapping: what ``tapped_td_run`` and
+    ``direct_td_run`` must both equal."""
+    table = state_values(env.n_states, alpha, env.gamma)
+    for states, rewards in reference_rollout_episodes(env, episodes, seed):
+        for t in range(1, len(states)):
+            table = reference_td0_update(table, int(states[t - 1]), float(rewards[t]),
+                                         int(states[t]))
+    return table
+
+
+def reference_td0_sweeps(env, sweeps, alpha):
+    _reference_check_count("sweeps", sweeps)
+    table = state_values(env.n_states, alpha, env.gamma)
+    for _ in range(sweeps):
+        s, done = 0, False
+        while not done:
+            s2, r, done = env.step(s, RIGHT)
+            table = reference_td0_update(table, s, r, s2)
+            s = s2
+    return table
+
+
+def _reference_epsilon_greedy(rng, q, s, epsilon):
+    if rng.random() < epsilon:
+        return int(rng.integers(0, len(ACTIONS)))
+    return int(np.argmax(q[s]))
+
+
+def reference_q_learning_run(env, episodes, alpha, epsilon, seed):
+    _reference_check_count("episodes", episodes)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    table = action_values(env.n_states, alpha, env.gamma)
+    for _ in range(episodes):
+        s = 0
+        for _ in range(REFERENCE_MAX_STEPS):
+            a = _reference_epsilon_greedy(rng, table.q, s, epsilon)
+            s2, r, done = env.step(s, a)
+            table = reference_q_update(table, s, a, r, s2)
+            s = s2
+            if done:
+                break
+    return table
+
+
+def reference_sarsa_run(env, episodes, alpha, epsilon, seed):
+    _reference_check_count("episodes", episodes)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    table = action_values(env.n_states, alpha, env.gamma)
+    for _ in range(episodes):
+        s = 0
+        a = _reference_epsilon_greedy(rng, table.q, s, epsilon)
+        for _ in range(REFERENCE_MAX_STEPS):
+            s2, r, done = env.step(s, a)
+            a2 = _reference_epsilon_greedy(rng, table.q, s2, epsilon)
+            table = reference_sarsa_update(table, s, a, r, s2, a2)
+            s, a = s2, a2
+            if done:
+                break
+    return table

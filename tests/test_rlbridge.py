@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tapkit import ChainEnv, TapkitError, bellman_v, q_update, sarsa_update, td0_update, value_iteration
 from tapkit import rlbridge
@@ -11,6 +15,7 @@ from tapkit.rlbridge import (
     greedy_policy,
     q_learning_run,
     rollout_episodes,
+    sarsa_run,
     state_values,
     tapped_td_run,
     td0_sweeps,
@@ -19,6 +24,19 @@ from tapkit.rlbridge import (
 from tapkit import models, tapdsl
 from tapkit.engine import apply
 from tapkit.smcore import Episode, SensorimotorMatrix, define_space
+
+import oracles
+from oracles import (
+    edge_values,
+    reference_direct_td_run,
+    reference_q_learning_run,
+    reference_q_update,
+    reference_rollout_episodes,
+    reference_sarsa_run,
+    reference_sarsa_update,
+    reference_td0_sweeps,
+    reference_td0_update,
+)
 
 
 @pytest.fixture
@@ -211,3 +229,64 @@ class TestTappedRun:
         grid = np.arange(env.n_states - 1, dtype=float)
         preds = [float(models.predict(model, np.array([v]))[0]) for v in grid]
         assert np.array_equal(np.argsort(preds), np.argsort(table.v[:-1]))
+
+
+UNIT = st.floats(0.0, 1.0, exclude_min=True)  # alpha and gamma: (0, 1]
+
+
+class TestAgainstReference:
+    """Every TD rule gives the table bytes of its written-out reference in
+    ``tests/oracles.py``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_states=st.integers(2, 6), alpha=UNIT, gamma=UNIT, seed=st.integers(0, 2**32 - 1))
+    def test_single_updates(self, n_states, alpha, gamma, seed):
+        # Edge values (subnormals, +-max float) make any reordering of the
+        # float expression show; overflow to inf and inf - inf are expected.
+        rng = np.random.default_rng(seed)
+        v = rlbridge.ValueTable(alpha, gamma, v=edge_values(rng, n_states))
+        q = rlbridge.ValueTable(alpha, gamma, q=edge_values(rng, (n_states, 2)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(10):
+                s, s2 = rng.integers(0, n_states, 2).tolist()
+                a, a2 = rng.integers(0, 2, 2).tolist()
+                r = float(edge_values(rng, 1)[0])
+                v_next = td0_update(v, s, r, s2)
+                assert v_next.v.tobytes() == reference_td0_update(v, s, r, s2).v.tobytes()
+                want = reference_sarsa_update(q, s, a, r, s2, a2).q.tobytes()
+                assert sarsa_update(q, s, a, r, s2, a2).q.tobytes() == want
+                q_next = q_update(q, s, a, r, s2)
+                assert q_next.q.tobytes() == reference_q_update(q, s, a, r, s2).q.tobytes()
+                v, q = v_next, q_next
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_states=st.integers(2, 6), alpha=UNIT, gamma=UNIT, count=st.integers(0, 20),
+           seed=st.integers(0, 2**32 - 1))
+    def test_td0_runners(self, n_states, alpha, gamma, count, seed):
+        env = ChainEnv(n_states, gamma)
+        rollouts = rollout_episodes(env, count, seed)
+        want = reference_rollout_episodes(env, count, seed)
+        assert [(s.tobytes(), r.tobytes()) for s, r in rollouts] == \
+            [(s.tobytes(), r.tobytes()) for s, r in want]
+        direct = reference_direct_td_run(env, count, seed, alpha).v.tobytes()
+        assert tapped_td_run(env, count, seed, alpha).v.tobytes() == direct
+        assert direct_td_run(env, count, seed, alpha).v.tobytes() == direct
+        sweeps = reference_td0_sweeps(env, count, alpha).v.tobytes()
+        assert td0_sweeps(env, count, alpha).v.tobytes() == sweeps
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_states=st.integers(2, 6), alpha=UNIT, gamma=UNIT, count=st.integers(0, 20),
+           epsilon=st.floats(0.1, 1.0), seed=st.integers(0, 2**32 - 1),
+           max_steps=st.integers(1, 40))
+    @example(n_states=3, alpha=0.1, gamma=0.9, count=20, epsilon=0.5, seed=7,
+             max_steps=rlbridge.MAX_STEPS)
+    def test_control_runners(self, n_states, alpha, gamma, count, epsilon, seed, max_steps):
+        # A low epsilon leaves the walker at state 0 until the step cap, so
+        # the cap is lowered in both to keep an example to a few ms.
+        env = ChainEnv(n_states, gamma)
+        with mock.patch.object(rlbridge, "MAX_STEPS", max_steps), \
+                mock.patch.object(oracles, "REFERENCE_MAX_STEPS", max_steps):
+            for run, reference in ((q_learning_run, reference_q_learning_run),
+                                   (sarsa_run, reference_sarsa_run)):
+                got = run(env, count, alpha, epsilon, seed).q.tobytes()
+                assert got == reference(env, count, alpha, epsilon, seed).q.tobytes()
