@@ -13,14 +13,13 @@ and value iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import apply
+from . import engine, smcore, tapdsl
 from .errors import TapkitError
-from .smcore import Episode, SensorimotorMatrix, define_space
-from .tapdsl import td0
+from .smcore import Episode, SensorimotorMatrix
 
 LEFT, RIGHT = 0, 1
 ACTIONS = (LEFT, RIGHT)
@@ -50,7 +49,7 @@ class ChainEnv:
 
     def step(self, s: int, a: int) -> tuple[int, float, bool]:
         """(next state, reward, done); stepping from the terminal is a no-op."""
-        self._check_state(s)
+        _check_state(s, self.n_states)
         if a not in ACTIONS:
             raise TapkitError(f"unknown action {a}")
         if s == self.terminal:
@@ -59,9 +58,10 @@ class ChainEnv:
         r = 1.0 if s2 == self.terminal else 0.0
         return s2, r, s2 == self.terminal
 
-    def _check_state(self, s: int) -> None:
-        if not 0 <= s < self.n_states:
-            raise TapkitError(f"state {s} out of range [0, {self.n_states})")
+
+def _check_state(s: int, n_states: int) -> None:
+    if not 0 <= s < n_states:
+        raise TapkitError(f"state {s} out of range [0, {n_states})")
 
 
 @dataclass(frozen=True)
@@ -89,44 +89,41 @@ def action_values(n_states: int, alpha: float, gamma: float) -> ValueTable:
     return ValueTable(alpha, gamma, q=np.zeros((n_states, len(ACTIONS))))
 
 
-def _check_index(table: ValueTable, s: int) -> None:
-    n = len(table.v) if table.v is not None else table.q.shape[0]
-    if not 0 <= s < n:
-        raise TapkitError(f"state {s} out of range [0, {n})")
+def _checked(table: ValueTable, field: str, update: str, s: int, s_next: int) -> np.ndarray:
+    """The ``v`` or ``q`` array ``update`` reads, once both states index it."""
+    values = getattr(table, field)
+    if values is None:
+        raise TapkitError(f"{update} needs {'a state' if field == 'v' else 'an action'}-value table")
+    _check_state(s, len(values))
+    _check_state(s_next, len(values))
+    return values
+
+
+def _moved(table: ValueTable, field: str, cell, target) -> ValueTable:
+    """A new table whose ``cell`` moved ``alpha`` of the way to ``target``, in
+    the float order ``cell += alpha * (target - cell)``."""
+    values = getattr(table, field).copy()
+    values[cell] += table.alpha * (target - values[cell])
+    return ValueTable(table.alpha, table.gamma, **{field: values})
 
 
 def td0_update(table: ValueTable, s: int, r: float, s_next: int) -> ValueTable:
     """v(s) += alpha * (r + gamma * v(s') - v(s)); only v(s) changes."""
-    if table.v is None:
-        raise TapkitError("td0_update needs a state-value table")
-    _check_index(table, s)
-    _check_index(table, s_next)
-    v = table.v.copy()
-    v[s] += table.alpha * (r + table.gamma * v[s_next] - v[s])
-    return replace(table, v=v)
+    v = _checked(table, "v", "td0_update", s, s_next)
+    return _moved(table, "v", s, r + table.gamma * v[s_next])
 
 
 def sarsa_update(table: ValueTable, s: int, a: int, r: float,
                  s_next: int, a_next: int) -> ValueTable:
     """On-policy update: bootstrap from the action actually taken next."""
-    if table.q is None:
-        raise TapkitError("sarsa_update needs an action-value table")
-    _check_index(table, s)
-    _check_index(table, s_next)
-    q = table.q.copy()
-    q[s, a] += table.alpha * (r + table.gamma * q[s_next, a_next] - q[s, a])
-    return replace(table, q=q)
+    q = _checked(table, "q", "sarsa_update", s, s_next)
+    return _moved(table, "q", (s, a), r + table.gamma * q[s_next, a_next])
 
 
 def q_update(table: ValueTable, s: int, a: int, r: float, s_next: int) -> ValueTable:
     """Off-policy update: bootstrap from the best next action."""
-    if table.q is None:
-        raise TapkitError("q_update needs an action-value table")
-    _check_index(table, s)
-    _check_index(table, s_next)
-    q = table.q.copy()
-    q[s, a] += table.alpha * (r + table.gamma * np.max(q[s_next]) - q[s, a])
-    return replace(table, q=q)
+    q = _checked(table, "q", "q_update", s, s_next)
+    return _moved(table, "q", (s, a), r + table.gamma * np.max(q[s_next]))
 
 
 def greedy_policy(q: np.ndarray) -> np.ndarray:
@@ -142,6 +139,15 @@ def _check_count(what: str, count: int) -> None:
         raise TapkitError(f"{what} must be >= 0, got {count}")
 
 
+def _walk_right(env: ChainEnv, s: int):
+    """The always-right policy's ``(s, r, s')`` transitions from ``s`` to the terminal."""
+    done = s == env.terminal
+    while not done:
+        s_next, r, done = env.step(s, RIGHT)
+        yield s, r, s_next
+        s = s_next
+
+
 def rollout_episodes(env: ChainEnv, episodes: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Right-policy episodes from uniformly random start states.
 
@@ -155,9 +161,7 @@ def rollout_episodes(env: ChainEnv, episodes: int, seed: int) -> list[tuple[np.n
     for _ in range(episodes):
         s = int(rng.integers(0, env.n_states))
         states, rewards = [s], [0.0]
-        done = s == env.terminal
-        while not done:
-            s, r, done = env.step(s, RIGHT)
+        for _, r, s in _walk_right(env, s):
             states.append(s)
             rewards.append(r)
         out.append((np.array(states, dtype=float), np.array(rewards)))
@@ -166,12 +170,19 @@ def rollout_episodes(env: ChainEnv, episodes: int, seed: int) -> list[tuple[np.n
 
 def trajectory_matrix(rollouts) -> SensorimotorMatrix:
     """Pack rollouts into a two-channel matrix (intero s, intero r)."""
-    space = define_space([("intero", "s", 1), ("intero", "r", 1)], name="td")
+    space = smcore.define_space([("intero", "s", 1), ("intero", "r", 1)], name="td")
     eps = [
         Episode(i, np.vstack([states, rewards]))
         for i, (states, rewards) in enumerate(rollouts)
     ]
     return SensorimotorMatrix(space, eps)
+
+
+def _td0_run(table: ValueTable, transitions) -> ValueTable:
+    """TD(0) over a stream of ``(s, r, s')`` transitions, one update each."""
+    for s, r, s_next in transitions:
+        table = td0_update(table, s, r, s_next)
+    return table
 
 
 def tapped_td_run(env: ChainEnv, episodes: int, seed: int,
@@ -183,38 +194,26 @@ def tapped_td_run(env: ChainEnv, episodes: int, seed: int,
     is bit-identical to running td0_update directly on the transitions.
     """
     matrix = trajectory_matrix(rollout_episodes(env, episodes, seed))
-    tapping = td0(matrix.space, "s", "r")
-    dataset = apply(matrix, tapping)
-    table = state_values(env.n_states, alpha, env.gamma)
-    for x in dataset.X:
-        s_prev, s_now, r = int(x[0]), int(x[1]), float(x[2])
-        table = td0_update(table, s_prev, r, s_now)
-    return table
+    rows = engine.apply(matrix, tapdsl.td0(matrix.space, "s", "r")).X.tolist()
+    return _td0_run(state_values(env.n_states, alpha, env.gamma),
+                    ((int(s), r, int(s_next)) for s, s_next, r in rows))
 
 
 def direct_td_run(env: ChainEnv, episodes: int, seed: int,
                   alpha: float = 0.1) -> ValueTable:
     """The same rollouts updated without any tapping machinery."""
-    table = state_values(env.n_states, alpha, env.gamma)
-    for states, rewards in rollout_episodes(env, episodes, seed):
-        for t in range(1, len(states)):
-            table = td0_update(table, int(states[t - 1]), float(rewards[t]),
-                               int(states[t]))
-    return table
+    return _td0_run(state_values(env.n_states, alpha, env.gamma), (
+        (int(states[t - 1]), float(rewards[t]), int(states[t]))
+        for states, rewards in rollout_episodes(env, episodes, seed)
+        for t in range(1, len(states))))
 
 
 def td0_sweeps(env: ChainEnv, sweeps: int, alpha: float) -> ValueTable:
     """Policy evaluation of the always-right policy: one episode from state 0
     per sweep."""
     _check_count("sweeps", sweeps)
-    table = state_values(env.n_states, alpha, env.gamma)
-    for _ in range(sweeps):
-        s, done = 0, False
-        while not done:
-            s2, r, done = env.step(s, RIGHT)
-            table = td0_update(table, s, r, s2)
-            s = s2
-    return table
+    return _td0_run(state_values(env.n_states, alpha, env.gamma),
+                    (step for _ in range(sweeps) for step in _walk_right(env, 0)))
 
 
 def _epsilon_greedy(rng, q, s, epsilon) -> int:
