@@ -279,7 +279,7 @@ def infer_space_from_csv(path) -> SensorimotorSpace:
     header columns carry kind, group, and index for every channel.
     """
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+        _, header = next(_csv_rows(path, fh), (1, None))
     if not header or header[0].strip() != "episode":
         raise TapkitError(f"{path}: missing 'episode' header column")
     spec: list[tuple[str, str, int]] = []
@@ -341,7 +341,7 @@ def _read_table(path, n_keys: int, check_header, mask: bool = False):
     from several threads at once.
     """
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+        _, header = next(_csv_rows(path, fh), (1, None))
         checked = check_header(header)
         width = len(header)
         d = width - n_keys
@@ -361,12 +361,12 @@ def _read_table(path, n_keys: int, check_header, mask: bool = False):
                     raise ValueError("mask cell other than 0 or 1")
         except (ValueError, Warning):
             fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
+            rows = _csv_rows(path, fh)
+            next(rows)
             keys = array("q")
             cells = array("B" if mask else "d")
             parse = int if mask else float
-            for lineno, row in enumerate(reader, start=2):
+            for lineno, row in rows:
                 if not row:
                     continue
                 if len(row) != width or mask and not _BITS.issuperset(row[n_keys:]):
@@ -399,5 +399,19 @@ def _find_row(path, i: int) -> tuple[int, list[str]]:
     """Line number and fields of data row ``i`` of a table (blank lines are
     not rows). Error paths only: it reads the file again."""
     with open(path, newline="") as fh:
-        rows = ((lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row)
+        rows = ((lineno, row) for lineno, row in _csv_rows(path, fh) if row)
         return next(islice(rows, i + 1, None))
+
+
+def _csv_rows(path, fh):
+    """Each row ``csv.reader`` reads from ``fh`` with its line number, from 1;
+    a blank line is an empty row. A line the reader refuses (a field longer
+    than ``csv.field_size_limit()``, or a NUL before Python 3.11) raises a
+    TapkitError that names it."""
+    lineno = 0
+    try:
+        for row in csv.reader(fh):
+            lineno += 1
+            yield lineno, row
+    except csv.Error as exc:
+        raise TapkitError(f"{path}: line {lineno + 1}: {exc}") from None

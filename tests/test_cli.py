@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,23 @@ class TestBadInput:
                            "--out", str(tmp_path / "ds.csv"))
         assert code == 2
         assert err == f"error: {data}: line 6: episode id out of range '99999999999999999999'\n"
+
+    # "1" and zeros parse as inf in NumPy's C reader, "x"s go to the row loop
+    @pytest.mark.parametrize("big", ["1", "x"])
+    def test_field_past_csv_limit_is_data_error(self, tmp_path, capsys, big):
+        data, space_file = self.gen(tmp_path, capsys)
+        lines = data.read_text().splitlines()
+        cell = big.ljust(csv.field_size_limit() + 1, "0" if big == "1" else "x")
+        lines[5] = lines[5].rsplit(",", 1)[0] + "," + cell
+        data.write_text("\n".join(lines) + "\n")
+        limit = csv.field_size_limit()
+        expected = f"error: {data}: line 6: field larger than field limit ({limit})\n"
+        code, _, err = run(capsys, "apply", "--space", str(space_file),
+                           "--tapping", "fwd", "--data", str(data),
+                           "--out", str(tmp_path / "ds.csv"))
+        assert (code, err) == (2, expected)
+        code, _, err = run(capsys, "analyze", "--data", str(data), "--target", "v[0]")
+        assert (code, err) == (2, expected)
 
     @pytest.mark.parametrize("mask_cell, value", [("x", None), (None, "nan")])
     def test_train_rejects_bad_dataset(self, tmp_path, capsys, mask_cell, value):

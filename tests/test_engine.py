@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -513,6 +515,22 @@ class TestDatasetCsv:
         with pytest.raises(TapkitError, match="line 3: non-numeric value"):
             load_dataset_csv(path)
 
+
+    # "1" and zeros parse as inf in NumPy's C reader, "x"s go to the row loop
+    @pytest.mark.parametrize("name, big", [("ds.csv", "1"), ("ds.csv", "x"), ("ds.mask.csv", "1")])
+    def test_field_past_csv_limit_names_line(self, nao_space, tmp_path, name, big):
+        ds = apply_blocking(line_matrix(nao_space, 6), tapdsl.forward(nao_space, "m", "vision"),
+                            0.5, seed=1)
+        save_dataset_csv(ds, tmp_path / "ds.csv")
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        cell = big.ljust(csv.field_size_limit() + 1, "0" if big == "1" else "x")
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + cell
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TapkitError) as info:
+            load_dataset_csv(tmp_path / "ds.csv")
+        limit = csv.field_size_limit()
+        assert str(info.value) == f"{path}: line 3: field larger than field limit ({limit})"
 
     def test_header_without_columns(self, tmp_path):
         path = tmp_path / "ds.csv"

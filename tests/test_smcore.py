@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,9 @@ from tapkit import (
 from tapkit.smcore import ChannelRef, Episode, _read_table, parse_channel_ref
 
 from oracles import edge_values, reference_append, reference_read_table
+
+# What csv.reader says of a field longer than its limit, which stays at the default.
+FIELD_LIMIT_ERROR = f"field larger than field limit ({csv.field_size_limit()})"
 
 
 class TestDefineSpace:
@@ -282,6 +287,25 @@ class TestCsv:
             load_csv(nao_space, path)
         assert str(info.value) == f"{path}: line 3: episode id out of range '{big}'"
 
+    # "1" and zeros parse as inf in NumPy's C reader, "x"s go to the row loop
+    @pytest.mark.parametrize("big", ["1", "x"])
+    def test_field_past_csv_limit_names_line(self, nao_space, tmp_path, big):
+        path = tmp_path / "d.csv"
+        header = "episode," + ",".join(nao_space.channel_names())
+        cell = big.ljust(csv.field_size_limit() + 1, "0" if big == "1" else "x")
+        path.write_text(header + f"\n0,1,2,3,4,5,6\n0,1,2,3,4,5,{cell}\n")
+        with pytest.raises(TapkitError) as info:
+            load_csv(nao_space, path)
+        assert str(info.value) == f"{path}: line 3: {FIELD_LIMIT_ERROR}"
+
+    def test_header_field_past_csv_limit_names_line(self, nao_space, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("episode," + "m" * (csv.field_size_limit() + 1) + "\n0,1\n")
+        for read in (lambda: load_csv(nao_space, path), lambda: infer_space_from_csv(path)):
+            with pytest.raises(TapkitError) as info:
+                read()
+            assert str(info.value) == f"{path}: line 1: {FIELD_LIMIT_ERROR}"
+
     def test_empty_file(self, nao_space, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("")
@@ -428,8 +452,8 @@ def write_table(path, rng, n_keys, mask, newline, mutation):
 
 def read_outcome(read, path, n_keys, mask):
     """The arrays a reader returns, as dtypes, shapes and bytes, or its error.
-    Before Python 3.11 ``csv.reader`` refuses a NUL with ``csv.Error``, so
-    that error is compared too."""
+    Before Python 3.11 ``csv.reader`` refuses a NUL with ``csv.Error``, which
+    the reference lets escape."""
     try:
         checked, keys, cells = read(path, n_keys, lambda header: header, mask)
     except (TapkitError, csv.Error) as e:
@@ -438,18 +462,38 @@ def read_outcome(read, path, n_keys, mask):
             cells.dtype, cells.shape, cells.tobytes())
 
 
+def nul_refusing(reader):
+    """``reader`` made to refuse a line holding a NUL, as ``csv.reader`` does
+    before Python 3.11."""
+    def refusing(lines, *args, **kwargs):
+        def checked():
+            for line in lines:
+                if "\0" in line:
+                    raise csv.Error("line contains NUL")
+                yield line
+        return reader(checked(), *args, **kwargs)
+    return refusing
+
+
 class TestReadTableAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_keys=st.sampled_from([1, 2]),
            mask=st.booleans(), newline=st.sampled_from(["\r\n", "\n"]),
-           mutation=st.sampled_from(TABLE_MUTATIONS))
+           mutation=st.sampled_from(TABLE_MUTATIONS), refuse_nul=st.booleans())
     def test_same_arrays_or_same_error(self, tmp_path_factory, seed, n_keys, mask,
-                                       newline, mutation):
+                                       newline, mutation, refuse_nul):
         path = tmp_path_factory.mktemp("table") / "t.csv"
         big = write_table(path, np.random.default_rng(seed), n_keys, mask, newline, mutation)
-        got = read_outcome(_read_table, path, n_keys, mask)
+        with (mock.patch.object(csv, "reader", nul_refusing(csv.reader)) if refuse_nul
+              else contextlib.nullcontext()):
+            got = read_outcome(_read_table, path, n_keys, mask)
+            want = read_outcome(reference_read_table, path, n_keys, mask) if big is None else None
         if big is None:
-            assert got == read_outcome(reference_read_table, path, n_keys, mask)
+            if want[0] == "Error":  # csv.Error: _read_table names the NUL's line
+                with open(path, newline="") as fh:
+                    lineno = next(i for i, line in enumerate(fh, start=1) if "\0" in line)
+                want = ("TapkitError", f"{path}: line {lineno}: {want[1]}")
+            assert got == want
         else:  # the reference lets OverflowError escape
             with pytest.raises(OverflowError):
                 reference_read_table(path, n_keys, lambda header: header, mask)
