@@ -516,7 +516,8 @@ class TestDatasetCsv:
             load_dataset_csv(path)
 
 
-    # "1" and zeros parse as inf in NumPy's C reader, "x"s go to the row loop
+    # In ds.csv "1" and zeros parse as inf in NumPy's C reader and "x"s go to
+    # the row loop; the mask file's reader sends any long cell to the row loop.
     @pytest.mark.parametrize("name, big", [("ds.csv", "1"), ("ds.csv", "x"), ("ds.mask.csv", "1")])
     def test_field_past_csv_limit_names_line(self, nao_space, tmp_path, name, big):
         ds = apply_blocking(line_matrix(nao_space, 6), tapdsl.forward(nao_space, "m", "vision"),
