@@ -8,7 +8,9 @@ Run: python scripts/lag_recovery.py [--lag 3 --samples 10000 --noise 0.1]
 import argparse
 import sys
 
-from tapkit import ChannelRef, TapkitError, effective_tapping, lag_scan, planted_lag_series
+from tapkit import ChannelRef, planted_lag_series
+from tapkit.analysis import lag_scan, tapping_from_scans
+from tapkit.cli import _exit_status
 from tapkit.tapdsl import format_tapping
 
 
@@ -25,22 +27,20 @@ def main():
     matrix = planted_lag_series(args.lag, args.samples, seed=args.seed,
                                 noise_std=args.noise)
     target = ChannelRef("y", 0)
+    scans = {ref: lag_scan(matrix, ref, target, args.max_lag)
+             for ref in matrix.space.channel_refs()}
+    tapping = tapping_from_scans(matrix.space, target, list(scans.values()),
+                                 args.threshold)
     print(f"planted y_t = tanh(x_(t-{args.lag})) + noise({args.noise}), "
           f"{args.samples} samples\n")
     print("lag   MI(x@lag; y@0) bits")
-    for res in lag_scan(matrix, ChannelRef("x", 0), target, args.max_lag):
+    for res in scans[ChannelRef("x", 0)]:
         bar = "#" * int(40 * res.mi_bits / 2.0)
         print(f"{res.lag:>4}  {res.mi_bits:8.4f}  {bar}")
 
-    tapping = effective_tapping(matrix, target, args.max_lag,
-                                threshold_frac=args.threshold)
     print("\nrecovered tapping:")
     print(format_tapping(tapping))
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except TapkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(2)
+    sys.exit(_exit_status(main))

@@ -9,8 +9,9 @@ import argparse
 import pathlib
 import sys
 
-from tapkit import TapkitError, define_space, to_dot, validate
+from tapkit import define_space, to_dot, validate
 from tapkit import tapdsl
+from tapkit.cli import _exit_status
 
 
 def gallery_space():
@@ -55,8 +56,4 @@ def main():
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except TapkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(2)
+    sys.exit(_exit_status(main))

@@ -8,8 +8,7 @@ Run: python scripts/nao_reaching.py [--seeds 0 1 2] [--steps 500]
 import argparse
 import sys
 
-from tapkit import TapkitError
-from tapkit.cli import demo_nao
+from tapkit.cli import _exit_status, demo_nao
 
 
 def main():
@@ -26,8 +25,4 @@ def main():
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except TapkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(2)
+    sys.exit(_exit_status(main))

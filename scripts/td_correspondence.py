@@ -10,7 +10,8 @@ import sys
 
 import numpy as np
 
-from tapkit import ChainEnv, TapkitError, bellman_v
+from tapkit import ChainEnv, bellman_v
+from tapkit.cli import _exit_status
 from tapkit.rlbridge import direct_td_run, tapped_td_run, td0_sweeps
 
 
@@ -41,8 +42,4 @@ def main():
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except TapkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(2)
+    sys.exit(_exit_status(main))

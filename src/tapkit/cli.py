@@ -420,8 +420,15 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         print("error: missing subcommand", file=sys.stderr)
         return 1
+    return _exit_status(args.func, args)
+
+
+def _exit_status(func, *args):
+    """Run ``func(*args)`` and return its result. A TapkitError or OSError
+    is printed as one ``error:`` line on stderr and gives exit status 2.
+    The command line and the experiment scripts exit through this."""
     try:
-        return args.func(args)
+        return func(*args)
     except (TapkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

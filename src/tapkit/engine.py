@@ -8,13 +8,13 @@ Windows never span episode boundaries.
 
 Each entry point compiles the tapping once into a plan: the column layout
 (X block, then Y block), the matrix row and lag every column reads, and the
-column range of every tap. Batch rows are gathered through the plan's row and
-lag arrays from a strided view of the length-``span`` windows of the episodes
-laid end to end, one gather per X/Y block and group of episodes; blocking is
-that gather plus a mask over each blocked tap's columns; the stream reads the
-same cells from a window of the last ``span`` measurements. Dropout works on a
-finished dataset and masks each copy's drawn cells with one indexed assignment
-per X/Y block.
+block and block-relative columns of every tap. Batch rows are gathered through
+the plan's row and lag arrays from a strided view of the length-``span``
+windows of the episodes laid end to end, one gather per X/Y block and group of
+episodes; blocking is that gather plus a mask over each blocked tap's columns
+of its block; the stream reads the same cells from a window of the last
+``span`` measurements. Dropout works on a finished dataset and masks each
+copy's drawn cells with one indexed assignment per X/Y block.
 
 Randomized operations (dropout augmentation, blocking taps) draw from NumPy's
 PCG64 generator; independent substreams are derived with
@@ -129,25 +129,26 @@ class _Plan(NamedTuple):
     rows: np.ndarray  # matrix row each column reads
     lags: np.ndarray  # lag each column reads
     d_in: int
-    taps: tuple[slice, ...]  # each tap's columns within the layout
+    taps: tuple[tuple[int, slice], ...]  # each tap's block (0 X, 1 Y) and columns in it
 
 
 def _compile(tapping: Tapping) -> _Plan:
     space = tapping.space
-    layout: list[Column] = []
-    taps = [slice(0)] * len(tapping.taps)
-    for role in (ROLE_INPUT, ROLE_TARGET):
-        for i, tap in enumerate(tapping.taps):
-            if tap.role == role:
-                start = len(layout)
-                layout += [Column(ChannelRef(tap.group, ch), tap.lag, role)
-                           for ch in tap_channels(space, tap)]
-                taps[i] = slice(start, len(layout))
+    blocks: tuple[list[Column], list[Column]] = ([], [])  # X columns, Y columns
+    taps = []
+    for tap in tapping.taps:
+        block = 0 if tap.role == ROLE_INPUT else 1
+        cols = blocks[block]
+        start = len(cols)
+        cols += [Column(ChannelRef(tap.group, ch), tap.lag, tap.role)
+                 for ch in tap_channels(space, tap)]
+        taps.append((block, slice(start, len(cols))))
+    layout = tuple(blocks[0] + blocks[1])
     return _Plan(
-        layout=tuple(layout),
+        layout=layout,
         rows=np.array([space.resolve(c.ref.group, c.ref.index) for c in layout], dtype=np.intp),
         lags=np.array([c.lag for c in layout], dtype=np.intp),
-        d_in=sum(c.role == ROLE_INPUT for c in layout),
+        d_in=len(blocks[0]),
         taps=tuple(taps),
     )
 
@@ -161,8 +162,8 @@ _BLOCK_ROWS = 4096
 def _gather(matrix: SensorimotorMatrix, tapping: Tapping):
     """Compile the tapping and read every row of every episode.
 
-    Returns the plan, X, Y, the anchors, and the first row of each episode
-    followed by the row count.
+    Returns the plan, the dataset with every cell active, and the first row
+    of each episode followed by the row count.
     """
     if not tapping.space.compatible(matrix.space):
         raise TapkitError(
@@ -181,8 +182,10 @@ def _gather(matrix: SensorimotorMatrix, tapping: Tapping):
     anchors = np.empty((n, 2), dtype=np.int64)
     anchors[:, 0] = np.repeat([ep.id for ep in matrix.episodes], lengths)
     anchors[:, 1] = local - tapping.min_lag
+    dataset = Dataset(X, Y, np.ones(X.shape, dtype=bool), np.ones(Y.shape, dtype=bool),
+                      anchors, plan.layout[:d_in], plan.layout[d_in:])
     if not n:
-        return plan, X, Y, anchors, bounds
+        return plan, dataset, bounds
     # With the episodes laid end to end, row i reads the length-span window
     # that starts at column starts[i]; its cell at lag l is offset l - min_lag.
     starts = local + np.repeat(list(accumulate(widths, initial=0))[:-1], lengths)
@@ -201,14 +204,7 @@ def _gather(matrix: SensorimotorMatrix, tapping: Tapping):
             if hi - lo > b - a:  # drop the windows that straddle two episodes
                 cells = np.ascontiguousarray(cells)[starts[a:b] - lo]
             out[a:b] = cells
-    return plan, X, Y, anchors, bounds
-
-
-def _dataset(plan: _Plan, X, Y, active: np.ndarray, anchors) -> Dataset:
-    """Assemble a Dataset, splitting the layout-wide activity mask at d_in."""
-    d = plan.d_in
-    return Dataset(X, Y, active[:, :d].copy(), active[:, d:].copy(), anchors,
-                   plan.layout[:d], plan.layout[d:])
+    return plan, dataset, bounds
 
 
 def apply(matrix: SensorimotorMatrix, tapping: Tapping) -> Dataset:
@@ -218,8 +214,7 @@ def apply(matrix: SensorimotorMatrix, tapping: Tapping) -> Dataset:
     (row(c), t + lag). Episodes too short for the tapping's span contribute
     nothing; an all-short matrix yields an empty dataset, not an error.
     """
-    plan, X, Y, anchors, _ = _gather(matrix, tapping)
-    return _dataset(plan, X, Y, np.ones((X.shape[0], len(plan.layout)), dtype=bool), anchors)
+    return _gather(matrix, tapping)[1]
 
 
 class StreamState:
@@ -284,27 +279,20 @@ def dropout_augment(dataset: Dataset, config: DropoutConfig) -> Dataset:
     anchors = np.tile(dataset._anchors, (reps, 1))
     children = np.random.SeedSequence(config.seed).spawn(config.copies)
     x_cells = n * d_in
-    y_cells = n * d_out
-    if config.scope == "inputs":
-        total = x_cells
-    elif config.scope == "targets":
-        total = y_cells
-    else:
-        total = x_cells + y_cells
+    # The scope's first cell and cell count in the X-then-Y numbering.
+    first, total = {"inputs": (0, x_cells), "targets": (x_cells, n * d_out),
+                    "both": (0, x_cells + n * d_out)}[config.scope]
     k = int(np.floor(config.proportion * total))
     for i in range(config.copies):
         rng = np.random.default_rng(children[i])
-        chosen = rng.choice(total, size=k, replace=False)
-        if config.scope == "targets":
-            chosen += x_cells
+        chosen = rng.choice(total, size=k, replace=False) + first
         base = (i + 1) * n
         in_x = chosen < x_cells
-        r, c = np.divmod(chosen[in_x], d_in)
-        X[base + r, c] = config.inactive_value
-        x_mask[base + r, c] = False
-        r, c = np.divmod(chosen[~in_x] - x_cells, d_out)
-        Y[base + r, c] = config.inactive_value
-        y_mask[base + r, c] = False
+        for values, mask, cells, d in ((X, x_mask, chosen[in_x], d_in),
+                                       (Y, y_mask, chosen[~in_x] - x_cells, d_out)):
+            r, c = np.divmod(cells, d)
+            values[base + r, c] = config.inactive_value
+            mask[base + r, c] = False
     return Dataset(X, Y, x_mask, y_mask, anchors, dataset.x_layout, dataset.y_layout)
 
 
@@ -318,19 +306,17 @@ def apply_blocking(matrix: SensorimotorMatrix, tapping: Tapping,
     """
     if not 0.0 <= proportion <= 1.0:
         raise TapkitError(f"proportion must be in [0, 1], got {proportion}")
-    plan, X, Y, anchors, bounds = _gather(matrix, tapping)
-    active = np.ones((X.shape[0], len(plan.layout)), dtype=bool)
+    plan, dataset, bounds = _gather(matrix, tapping)
+    values, masks = (dataset.X, dataset.Y), (dataset.x_mask, dataset.y_mask)
     k = int(np.floor(proportion * len(plan.taps)))
-    d_in = plan.d_in
     children = np.random.SeedSequence(seed).spawn(len(matrix.episodes))
     for child, a, b in zip(children, bounds, bounds[1:]):
         blocked = np.random.default_rng(child).choice(len(plan.taps), size=k, replace=False)
         for tap in blocked:
-            cols = plan.taps[tap]
-            active[a:b, cols] = False
-            X[a:b, cols.start:min(cols.stop, d_in)] = 0.0
-            Y[a:b, max(cols.start - d_in, 0):max(cols.stop - d_in, 0)] = 0.0
-    return _dataset(plan, X, Y, active, anchors)
+            block, cols = plan.taps[tap]
+            values[block][a:b, cols] = 0.0
+            masks[block][a:b, cols] = False
+    return dataset
 
 
 # ---------------------------------------------------------------------------

@@ -83,12 +83,8 @@ class SensorimotorSpace:
         raise TapkitError(f"unknown group {name!r} in space {self.name!r}")
 
     def offset(self, name: str) -> int:
-        off = 0
-        for g in self.groups:
-            if g.name == name:
-                return off
-            off += g.dim
-        raise TapkitError(f"unknown group {name!r} in space {self.name!r}")
+        """Row of channel 0 of group ``name``."""
+        return sum(g.dim for g in self.groups[:self.groups.index(self.group(name))])
 
     def resolve(self, group: str, index: int) -> int:
         """Absolute row of channel ``index`` within ``group``."""
@@ -404,14 +400,16 @@ def _find_row(path, i: int) -> tuple[int, list[str]]:
 
 
 def _csv_rows(path, fh):
-    """Each row ``csv.reader`` reads from ``fh`` with its line number, from 1;
-    a blank line is an empty row. A line the reader refuses (a field longer
-    than ``csv.field_size_limit()``, or a NUL before Python 3.11) raises a
-    TapkitError that names it."""
-    lineno = 0
+    """Each row ``csv.reader`` reads from ``fh`` with the number of the line
+    it starts on, from 1 (a quoted field may span lines); a blank line is an
+    empty row. A row the reader refuses (a field longer than
+    ``csv.field_size_limit()``, or a NUL before Python 3.11) raises a
+    TapkitError that names the line it starts on."""
+    reader = csv.reader(fh)
+    lineno = 1
     try:
-        for row in csv.reader(fh):
-            lineno += 1
+        for row in reader:
             yield lineno, row
+            lineno = reader.line_num + 1
     except csv.Error as exc:
-        raise TapkitError(f"{path}: line {lineno + 1}: {exc}") from None
+        raise TapkitError(f"{path}: line {lineno}: {exc}") from None

@@ -117,14 +117,10 @@ class Tapping:
 
 def tap_channels(space: SensorimotorSpace, tap: Tap) -> tuple[int, ...]:
     """Concrete ascending channel indices a tap addresses, range-checked."""
-    g = space.group(tap.group)
     if tap.channels is None:
-        return tuple(range(g.dim))
+        return tuple(range(space.group(tap.group).dim))
     for ch in tap.channels:
-        if ch >= g.dim:
-            raise TapkitError(
-                f"channel index {ch} out of range for group {tap.group!r} (dim {g.dim})"
-            )
+        space.resolve(tap.group, ch)
     return tap.channels
 
 

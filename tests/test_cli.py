@@ -222,6 +222,17 @@ class TestBadInput:
         code, _, err = run(capsys, "analyze", "--data", str(data), "--target", "v[0]")
         assert (code, err) == (2, expected)
 
+    def test_line_after_multiline_row_is_data_error(self, tmp_path, capsys):
+        data, space_file = self.gen(tmp_path, capsys)
+        lines = data.read_text().splitlines()
+        lines[1] = '"%s\n",%s' % tuple(lines[1].split(",", 1))  # episode id spans lines 2-3
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",x"
+        data.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "apply", "--space", str(space_file),
+                           "--tapping", "fwd", "--data", str(data),
+                           "--out", str(tmp_path / "ds.csv"))
+        assert (code, err) == (2, f"error: {data}: line 7: non-numeric value 'x'\n")
+
     @pytest.mark.parametrize("mask_cell, value", [("x", None), (None, "nan")])
     def test_train_rejects_bad_dataset(self, tmp_path, capsys, mask_cell, value):
         data, space_file = self.gen(tmp_path, capsys)

@@ -584,6 +584,17 @@ class TestMaskFile:
         with pytest.raises(TapkitError, match="line 2: episode,t does not match"):
             load_dataset_csv(path)
 
+    def test_mismatch_after_multiline_row_names_its_line(self, nao_space, tmp_path):
+        path, mpath = self.saved(nao_space, tmp_path)
+        lines = mpath.read_text().splitlines()
+        lines[1] = '"%s\n",%s' % tuple(lines[1].split(",", 1))  # episode id spans lines 2-3
+        episode, t, cells = lines[3].split(",", 2)
+        lines[3] = f"{episode},{int(t) + 100},{cells}"
+        mpath.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TapkitError) as info:
+            load_dataset_csv(path)
+        assert str(info.value) == f"{mpath}: line 5: episode,t does not match {path}"
+
     def test_row_count_must_match(self, nao_space, tmp_path):
         path, mpath = self.saved(nao_space, tmp_path)
         mpath.write_text("\n".join(mpath.read_text().splitlines()[:-1]) + "\n")

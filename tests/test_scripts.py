@@ -44,12 +44,18 @@ def test_script_exits_zero(tmp_path, script, args):
         ("lag_recovery.py", ["--samples", "5"], "error: insufficient data"),
         ("nao_reaching.py", ["--steps", "1", "--goals", "2"],
          "error: cannot fit on an empty dataset"),
+        ("lag_recovery.py", ["--samples", "2000", "--threshold", "2"],
+         "error: threshold_frac must be in (0, 1], got 2.0"),
+        ("make_gallery.py", ["--out-dir", "{tmp}/file/sub"], "error: [Errno 20] Not a directory"),
     ],
 )
 def test_script_error_is_one_line(tmp_path, script, args, message):
-    """Bad input exits 2 with one ``error:`` line on stderr, as the CLI does."""
+    """Bad input, or an output path that cannot be written, exits 2 with one
+    ``error:`` line on stderr and nothing on stdout, as the CLI does."""
+    (tmp_path / "file").write_text("")
     proc = _run(tmp_path, script, args)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(message), proc.stderr

@@ -62,10 +62,14 @@ class TestDefineSpace:
             define_space(spec)
 
     def test_unknown_group_lookup(self, nao_space):
-        with pytest.raises(TapkitError):
-            nao_space.resolve("arm", 0)
-        with pytest.raises(TapkitError):
-            nao_space.resolve("m", 4)
+        for lookup in (nao_space.group, nao_space.offset, lambda g: nao_space.resolve(g, 0)):
+            with pytest.raises(TapkitError) as exc:
+                lookup("arm")
+            assert str(exc.value) == "unknown group 'arm' in space 'nao'"
+        for index in (4, 9):
+            with pytest.raises(TapkitError) as exc:
+                nao_space.resolve("m", index)
+            assert str(exc.value) == f"channel index {index} out of range for group 'm' (dim 4)"
 
 
 class TestAppend:
@@ -305,6 +309,20 @@ class TestCsv:
             with pytest.raises(TapkitError) as info:
                 read()
             assert str(info.value) == f"{path}: line 1: {FIELD_LIMIT_ERROR}"
+
+    # A quoted field may span lines: a row is reported at the line it starts on.
+    @pytest.mark.parametrize("bad, message", [
+        ("x", "non-numeric value 'x'"),
+        ("nan", "non-finite value 'nan'"),
+        ("x" * (csv.field_size_limit() + 1), FIELD_LIMIT_ERROR),
+    ], ids=["non-numeric", "non-finite", "field-limit"])
+    def test_line_after_multiline_row(self, tmp_path, bad, message):
+        space = define_space([("motor", "m", 1)])
+        path = tmp_path / "d.csv"
+        path.write_text(f'episode,motor:m[0]\n0,"1\n"\n0,{bad}\n')
+        with pytest.raises(TapkitError) as info:
+            load_csv(space, path)
+        assert str(info.value) == f"{path}: line 4: {message}"
 
     def test_empty_file(self, nao_space, tmp_path):
         path = tmp_path / "d.csv"

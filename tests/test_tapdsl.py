@@ -68,9 +68,11 @@ class TestTapInvariants:
         assert t.span == 1
 
     def test_channel_out_of_range(self, space):
-        with pytest.raises(TapkitError, match="out of range"):
-            Tapping("t", space, (Tap("vision", -1, ROLE_INPUT, channels=(2,)),
-                                 Tap("vision", 0, ROLE_TARGET)))
+        for ch in (2, 9):
+            with pytest.raises(TapkitError) as exc:
+                Tapping("t", space, (Tap("vision", -1, ROLE_INPUT, channels=(ch,)),
+                                     Tap("vision", 0, ROLE_TARGET)))
+            assert str(exc.value) == f"channel index {ch} out of range for group 'vision' (dim 2)"
 
 
 class TestParse:
