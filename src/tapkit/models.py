@@ -131,7 +131,8 @@ def fit(dataset, feature_map: str = "identity", ridge: float = 0.0) -> LinearMod
     try:
         theta = np.linalg.solve(G, rhs)
     except np.linalg.LinAlgError:
-        raise TapkitError("singular normal equations; set ridge > 0") from None
+        raise TapkitError(f"singular normal equations; ridge {ridge:g} is too small "
+                          "to regularise them") from None
     return LinearModel(theta[:df].T.copy(), theta[df].copy(), feature_map, ridge)
 
 

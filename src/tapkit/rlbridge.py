@@ -157,15 +157,10 @@ def rollout_episodes(env: ChainEnv, episodes: int, seed: int) -> list[tuple[np.n
     """
     _check_count("episodes", episodes)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    out = []
-    for _ in range(episodes):
-        s = int(rng.integers(0, env.n_states))
-        states, rewards = [s], [0.0]
-        for _, r, s in _walk_right(env, s):
-            states.append(s)
-            rewards.append(r)
-        out.append((np.array(states, dtype=float), np.array(rewards)))
-    return out
+    starts = rng.integers(0, env.n_states, size=episodes).tolist()
+    steps = {s: [(s, 0.0)] + [(s2, r) for _, r, s2 in _walk_right(env, s)] for s in set(starts)}
+    walks = {s: tuple(np.array(steps[s]).T.copy()) for s in steps}
+    return [(states.copy(), rewards.copy()) for states, rewards in map(walks.get, starts)]
 
 
 def trajectory_matrix(rollouts) -> SensorimotorMatrix:
@@ -179,10 +174,14 @@ def trajectory_matrix(rollouts) -> SensorimotorMatrix:
 
 
 def _td0_run(table: ValueTable, transitions) -> ValueTable:
-    """TD(0) over a stream of ``(s, r, s')`` transitions, one update each."""
+    """TD(0) over ``(s, r, s')`` transitions, updating a private list in place
+    with ``td0_update``'s state checks and float order."""
+    v, alpha, gamma = table.v.tolist(), table.alpha, table.gamma
     for s, r, s_next in transitions:
-        table = td0_update(table, s, r, s_next)
-    return table
+        _check_state(s, len(v))
+        _check_state(s_next, len(v))
+        v[s] += alpha * ((r + gamma * v[s_next]) - v[s])
+    return ValueTable(alpha, gamma, v=np.array(v))
 
 
 def tapped_td_run(env: ChainEnv, episodes: int, seed: int,
@@ -203,9 +202,9 @@ def direct_td_run(env: ChainEnv, episodes: int, seed: int,
                   alpha: float = 0.1) -> ValueTable:
     """The same rollouts updated without any tapping machinery."""
     return _td0_run(state_values(env.n_states, alpha, env.gamma), (
-        (int(states[t - 1]), float(rewards[t]), int(states[t]))
+        (int(s), r, int(s_next))
         for states, rewards in rollout_episodes(env, episodes, seed)
-        for t in range(1, len(states))))
+        for s, s_next, r in zip(states.tolist(), states[1:].tolist(), rewards[1:].tolist())))
 
 
 def td0_sweeps(env: ChainEnv, sweeps: int, alpha: float) -> ValueTable:
@@ -219,44 +218,44 @@ def td0_sweeps(env: ChainEnv, sweeps: int, alpha: float) -> ValueTable:
 def _epsilon_greedy(rng, q, s, epsilon) -> int:
     if rng.random() < epsilon:
         return int(rng.integers(0, len(ACTIONS)))
-    return int(np.argmax(q[s]))
+    return RIGHT if q[s][RIGHT] > q[s][LEFT] else LEFT  # a tie goes LEFT, as in np.argmax
 
 
 def q_learning_run(env: ChainEnv, episodes: int, alpha: float, epsilon: float,
                    seed: int) -> ValueTable:
-    """Epsilon-greedy Q-learning, every episode starting at state 0."""
+    """Epsilon-greedy Q-learning from state 0, in ``q_update``'s float order."""
     _check_count("episodes", episodes)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    table = action_values(env.n_states, alpha, env.gamma)
+    q = action_values(env.n_states, alpha, env.gamma).q.tolist()
     for _ in range(episodes):
         s = 0
         for _ in range(MAX_STEPS):
-            a = _epsilon_greedy(rng, table.q, s, epsilon)
+            a = _epsilon_greedy(rng, q, s, epsilon)
             s2, r, done = env.step(s, a)
-            table = q_update(table, s, a, r, s2)
+            q[s][a] += alpha * ((r + env.gamma * max(q[s2])) - q[s][a])
             s = s2
             if done:
                 break
-    return table
+    return ValueTable(alpha, env.gamma, q=np.array(q))
 
 
 def sarsa_run(env: ChainEnv, episodes: int, alpha: float, epsilon: float,
               seed: int) -> ValueTable:
-    """Epsilon-greedy SARSA, every episode starting at state 0."""
+    """Epsilon-greedy SARSA from state 0, in ``sarsa_update``'s float order."""
     _check_count("episodes", episodes)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    table = action_values(env.n_states, alpha, env.gamma)
+    q = action_values(env.n_states, alpha, env.gamma).q.tolist()
     for _ in range(episodes):
         s = 0
-        a = _epsilon_greedy(rng, table.q, s, epsilon)
+        a = _epsilon_greedy(rng, q, s, epsilon)
         for _ in range(MAX_STEPS):
             s2, r, done = env.step(s, a)
-            a2 = _epsilon_greedy(rng, table.q, s2, epsilon)
-            table = sarsa_update(table, s, a, r, s2, a2)
+            a2 = _epsilon_greedy(rng, q, s2, epsilon)
+            q[s][a] += alpha * ((r + env.gamma * q[s2][a2]) - q[s][a])
             s, a = s2, a2
             if done:
                 break
-    return table
+    return ValueTable(alpha, env.gamma, q=np.array(q))
 
 
 # ---------------------------------------------------------------------------

@@ -362,8 +362,6 @@ class _Parser:
         """Report a data-model error raised inside as a ParseError at ``tok``."""
         try:
             yield
-        except ParseError:
-            raise
         except TapkitError as exc:
             self.fail(str(exc), tok)
 

@@ -5,7 +5,7 @@ import pytest
 
 from tapkit import analysis, load_model, smcore, tapdsl
 from tapkit.cli import demo_nao, main, split_seed
-from tapkit.engine import load_dataset_csv
+from tapkit.engine import apply, load_dataset_csv, save_dataset_csv
 from tapkit.smcore import ChannelRef
 
 from oracles import fk_oracle, reference_read_table
@@ -248,6 +248,19 @@ class TestBadInput:
                                "--out", str(tmp_path / "m.txt"))
             assert code == 2
             assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_train_tiny_ridge_on_collinear_inputs(self, tmp_path, capsys):
+        # m[1] = 2 m[0], so ridge 1e-300 leaves the normal equations singular.
+        space = smcore.define_space([("motor", "m", 2), ("extero", "v", 1)], name="s")
+        data = np.array([[1.0, 2, 3, 4], [2, 4, 6, 8], [0, 1, 2, 3]])
+        matrix = smcore.SensorimotorMatrix(space, [smcore.Episode(0, data)])
+        ds_path = tmp_path / "ds.csv"
+        save_dataset_csv(apply(matrix, tapdsl.forward(space, "m", "v")), ds_path)
+        code, _, err = run(capsys, "train", "--data", str(ds_path), "--ridge", "1e-300",
+                           "--out", str(tmp_path / "m.txt"))
+        assert (code, err) == (2, "error: singular normal equations; ridge 1e-300 is too "
+                                  "small to regularise them\n")
         assert not (tmp_path / "m.txt").exists()
 
 

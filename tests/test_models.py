@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,6 +181,9 @@ class TestPredictAndLms:
 
 @pytest.mark.parametrize("call, message", [
     (lambda: fit(linear_plant_dataset(steps=11)[1], ridge=-1.0), "ridge must be >= 0, got -1.0"),
+    (lambda: fit(SimpleNamespace(X=np.array([[1.0, 2], [2, 4], [3, 6]]), Y=np.ones((3, 1))),
+                 ridge=1e-300),
+     "singular normal equations; ridge 1e-300 is too small to regularise them"),
     (lambda: lms_step(zero_model(2, 2), np.ones(2), np.ones(2), rate=-0.5),
      "rate must be >= 0, got -0.5"),
     (lambda: best_of_n(zero_model(2, 2), np.zeros(2), 0, 1, -1.0, 1.0), "n must be >= 1, got 0"),

@@ -290,3 +290,20 @@ class TestAgainstReference:
                                    (sarsa_run, reference_sarsa_run)):
                 got = run(env, count, alpha, epsilon, seed).q.tobytes()
                 assert got == reference(env, count, alpha, epsilon, seed).q.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_states=st.integers(2, 64), count=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+    @example(n_states=64, count=300, seed=1)
+    def test_rollouts_up_to_64_states(self, n_states, count, seed):
+        # One batched start draw must give the per-episode scalar draws, and
+        # episodes from the same start share one walk but not its arrays.
+        env = ChainEnv(n_states, 0.9)
+        rollouts = rollout_episodes(env, count, seed)
+        want = reference_rollout_episodes(env, count, seed)
+        assert [(s.tobytes(), r.tobytes()) for s, r in rollouts] == \
+            [(s.tobytes(), r.tobytes()) for s, r in want]
+        for i, (states, rewards) in enumerate(rollouts):
+            states[:] = i
+            rewards[:] = -i
+        assert all((states == i).all() and (rewards == -i).all()
+                   for i, (states, rewards) in enumerate(rollouts))
