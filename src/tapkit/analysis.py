@@ -75,11 +75,10 @@ def _pooled_pairs(matrix: SensorimotorMatrix, src_row: int, tgt_row: int,
     xs, ys = [], []
     for ep in matrix.episodes:
         T = ep.data.shape[1]
-        if T - (-lag) < 1:
+        if T + lag < 1:
             continue
-        ts = np.arange(-lag, T)
-        xs.append(ep.data[src_row, ts + lag])
-        ys.append(ep.data[tgt_row, ts])
+        xs.append(ep.data[src_row, :T + lag])
+        ys.append(ep.data[tgt_row, -lag:])
     if not xs:
         return np.empty(0), np.empty(0)
     return np.concatenate(xs), np.concatenate(ys)

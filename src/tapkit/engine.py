@@ -6,15 +6,15 @@ yields max(0, T - W + 1) rows for a tapping of span W. Anchors themselves may
 lie outside [0, T-1] when no tap sits at lag 0; only tapped cells are bounded.
 Windows never span episode boundaries.
 
-Each entry point compiles the tapping once into a plan: the column layout
-(X block, then Y block), the matrix row and lag every column reads, and the
-block and block-relative columns of every tap. Batch rows are gathered through
-the plan's row and lag arrays from a strided view of the length-``span``
-windows of the episodes laid end to end, one gather per X/Y block and group of
-episodes; blocking is that gather plus a mask over each blocked tap's columns
-of its block; the stream reads the same cells from a window of the last
-``span`` measurements. Dropout works on a finished dataset and masks each
-copy's drawn cells with one indexed assignment per X/Y block.
+Each entry point compiles the tapping once into a plan: the column layout (X
+block, then Y block), each column's matrix row and window offset, and the
+block and block-relative columns of every tap. Batch rows are gathered by row
+and offset from a strided view of the length-``span`` windows of the episodes
+laid end to end, one gather per X/Y block and group of episodes; blocking is
+that gather plus a mask over each blocked tap's columns of its block; the
+stream reads the same cells from a window of the last ``span`` measurements.
+Dropout works on a finished dataset and masks each copy's drawn cells with one
+indexed assignment per X/Y block.
 
 Randomized operations (dropout augmentation, blocking taps) draw from NumPy's
 PCG64 generator; independent substreams are derived with
@@ -127,7 +127,7 @@ class _Plan(NamedTuple):
 
     layout: tuple[Column, ...]  # X block, then Y block
     rows: np.ndarray  # matrix row each column reads
-    lags: np.ndarray  # lag each column reads
+    offs: np.ndarray  # window offset, lag - min_lag, each column reads
     d_in: int
     taps: tuple[tuple[int, slice], ...]  # each tap's block (0 X, 1 Y) and columns in it
 
@@ -147,7 +147,7 @@ def _compile(tapping: Tapping) -> _Plan:
     return _Plan(
         layout=layout,
         rows=np.array([space.resolve(c.ref.group, c.ref.index) for c in layout], dtype=np.intp),
-        lags=np.array([c.lag for c in layout], dtype=np.intp),
+        offs=np.array([c.lag for c in layout], dtype=np.intp) - tapping.min_lag,
         d_in=len(blocks[0]),
         taps=tuple(taps),
     )
@@ -192,7 +192,7 @@ def _gather(matrix: SensorimotorMatrix, tapping: Tapping):
     windows = sliding_window_view(
         np.concatenate([ep.data for ep in matrix.episodes], axis=1), span, axis=1)
     x_rows, y_rows = np.split(plan.rows, [d_in])
-    x_offs, y_offs = np.split(plan.lags - tapping.min_lag, [d_in])
+    x_offs, y_offs = np.split(plan.offs, [d_in])
     firsts = np.asarray(bounds[:-1])
     edges = firsts[np.diff(firsts // _BLOCK_ROWS, prepend=-1) > 0].tolist() + [n]
     for a, b in zip(edges, edges[1:]):
@@ -234,7 +234,7 @@ class StreamState:
         self.window = np.zeros((tapping.span, n_sm))
         # The row emitted by a push is anchored max_lag steps before the
         # newest time, so its cell at lag l sits in window row l - min_lag.
-        self.flat = (plan.lags - tapping.min_lag) * n_sm + plan.rows
+        self.flat = plan.offs * n_sm + plan.rows
         self.t = 0  # time index of the next push
 
 

@@ -9,7 +9,7 @@ row-major upper-triangle order, after the linear terms.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -152,12 +152,13 @@ def lms_step(model: LinearModel, x, y, rate: float) -> LinearModel:
     """One gradient step on the squared error of a single example."""
     if rate < 0:
         raise TapkitError(f"rate must be >= 0, got {rate}")
-    phi = features(np.asarray(x, dtype=float), model.feature_map)
+    phi = features(x, model.feature_map)
     y = np.asarray(y, dtype=float).reshape(-1)
     if phi.ndim != 1 or phi.shape[0] != model.d_feat or y.shape[0] != model.d_out:
         raise TapkitError("lms_step dimension mismatch")
     err = y - (model.W @ phi + model.b)
-    return replace(model, W=model.W + rate * np.outer(err, phi), b=model.b + rate * err)
+    return LinearModel(model.W + rate * np.outer(err, phi), model.b + rate * err,
+                       model.feature_map, model.ridge)
 
 
 def rmse(model: LinearModel, dataset) -> float:

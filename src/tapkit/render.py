@@ -95,17 +95,12 @@ def to_dot(tapping: Tapping, options: DiagramOptions | None = None) -> str:
         lines.append("    rank=same;")
         lines += members
         lines.append("  }")
-    inputs = [key for key in _cell_order(rows, lo, hi)
-              if ROLE_INPUT in roles.get(key, set())]
-    targets = [key for key in _cell_order(rows, lo, hi)
-               if ROLE_TARGET in roles.get(key, set())]
+    # Edges follow the cells in row order, then ascending lag.
+    cells = [(row, lag) for row in rows for lag in range(lo, hi + 1)]
+    inputs = [cell for cell in cells if ROLE_INPUT in roles.get(cell, ())]
+    targets = [cell for cell in cells if ROLE_TARGET in roles.get(cell, ())]
     for src in inputs:
         for dst in targets:
             lines.append(f"  {node_id(*src)} -> {node_id(*dst)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _cell_order(rows, lo, hi):
-    """Deterministic cell enumeration: row order first, then ascending lag."""
-    return [((row), lag) for row in rows for lag in range(lo, hi + 1)]

@@ -164,22 +164,22 @@ def rollout_episodes(env: ChainEnv, episodes: int, seed: int) -> list[tuple[np.n
 
 
 def trajectory_matrix(rollouts) -> SensorimotorMatrix:
-    """Pack rollouts into a two-channel matrix (intero s, intero r)."""
+    """Pack rollouts into a two-channel matrix (intero s, intero r).
+
+    Each rollout is a pair of equal-length 1-D arrays ``(states, rewards)``,
+    as :func:`rollout_episodes` returns them.
+    """
     space = smcore.define_space([("intero", "s", 1), ("intero", "r", 1)], name="td")
-    eps = [
-        Episode(i, np.vstack([states, rewards]))
-        for i, (states, rewards) in enumerate(rollouts)
-    ]
-    return SensorimotorMatrix(space, eps)
+    return SensorimotorMatrix(space, [Episode(i, np.array([states, rewards]))
+                                      for i, (states, rewards) in enumerate(rollouts)])
 
 
 def _td0_run(table: ValueTable, transitions) -> ValueTable:
-    """TD(0) over ``(s, r, s')`` transitions, updating a private list in place
-    with ``td0_update``'s state checks and float order."""
+    """TD(0) over ``(s, r, s')`` transitions made by ``ChainEnv.step``, which
+    range-checks ``s`` and returns in-range states, so none is checked again;
+    updates a private list in place in ``td0_update``'s float order."""
     v, alpha, gamma = table.v.tolist(), table.alpha, table.gamma
     for s, r, s_next in transitions:
-        _check_state(s, len(v))
-        _check_state(s_next, len(v))
         v[s] += alpha * ((r + gamma * v[s_next]) - v[s])
     return ValueTable(alpha, gamma, v=np.array(v))
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ParseError, TapkitError
-from .smcore import KINDS, SensorimotorSpace, define_space
+from .smcore import _IDENT_RE, KINDS, SensorimotorSpace, define_space
 
 ROLE_INPUT = "input"
 ROLE_TARGET = "target"
@@ -35,8 +35,6 @@ ROLE_TARGET = "target"
 CAUSAL = "causal"
 BUFFERED = "buffered"
 ACAUSAL = "acausal"
-
-_IDENT_RE = re.compile(r"[A-Za-z_]\w*\Z")
 
 
 @dataclass(frozen=True)
@@ -306,29 +304,24 @@ _TOKEN_RE = re.compile(
 class _Token(NamedTuple):
     kind: str
     value: str
-    line: int
-    col: int
+    pos: int  # offset of the token's first character in the text
+
+
+def _position(text: str, pos: int) -> tuple[int, int]:
+    """1-based (line, column) of offset ``pos``; only a newline starts a line."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col, pos = 1, 1, 0
+    tokens, pos = [], 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
+            raise ParseError(f"unexpected character {text[pos]!r}", *_position(text, pos))
+        if m.lastgroup not in ("ws", "comment"):
+            tokens.append(_Token(m.lastgroup, m.group(), pos))
         pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+    tokens.append(_Token("eof", "", pos))
     return tokens
 
 
@@ -339,6 +332,7 @@ class ParsedFile(NamedTuple):
 
 class _Parser:
     def __init__(self, text: str, space: SensorimotorSpace | None):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.space = space
@@ -355,7 +349,7 @@ class _Parser:
 
     def fail(self, message: str, tok: _Token | None = None):
         tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise ParseError(message, *_position(self.text, tok.pos))
 
     @contextmanager
     def located(self, tok: _Token):

@@ -84,6 +84,18 @@ def exact_discrete_mi_bits(x, y) -> float:
     return mi
 
 
+def reference_pooled_pairs(matrix, src_row, tgt_row, lag):
+    """Every in-bounds (source[t + lag], target[t]) pair, episode by episode
+    and t by t, as two lists."""
+    xs, ys = [], []
+    for ep in matrix.episodes:
+        for t in range(ep.data.shape[1]):
+            if t + lag >= 0:
+                xs.append(float(ep.data[src_row, t + lag]))
+                ys.append(float(ep.data[tgt_row, t]))
+    return xs, ys
+
+
 def quadratic_loss(W, b, X, Y, phi, ridge) -> float:
     """The objective fit() claims to minimize, written out longhand."""
     total = ridge * float(np.sum(W * W))
@@ -91,6 +103,33 @@ def quadratic_loss(W, b, X, Y, phi, ridge) -> float:
         r = y - (W @ phi(x) + b)
         total += float(r @ r)
     return total
+
+
+def reference_lms_step(W, b, feature_map, x, y, rate):
+    """One LMS step as per-element loops over ``W`` and ``b``; returns the new
+    ``(W, b)``. The quadratic terms are x_i * x_j for i <= j, row-major. The
+    prediction stays one ``W @ phi + b`` product: BLAS sums it in its own
+    order, and a Python loop differs from that in the last bit."""
+    x = [float(v) for v in x]
+    phi = list(x)
+    if feature_map == "quadratic":
+        phi += [x[i] * x[j] for i in range(len(x)) for j in range(i, len(x))]
+    pred = (W @ np.array(phi) + b).tolist()
+    W_new, b_new = W.copy(), b.copy()
+    for i in range(W.shape[0]):
+        err = float(y[i]) - pred[i]
+        for j in range(W.shape[1]):
+            W_new[i, j] = W[i, j] + rate * (err * phi[j])
+        b_new[i] = b[i] + rate * err
+    return W_new, b_new
+
+
+def reference_position(text, offset):
+    """1-based (line, column) of ``offset`` in ``text``: the line is the number
+    of pieces ``text[:offset]`` splits into on newlines, and the column is one
+    past the length of the last piece."""
+    pieces = text[:offset].split("\n")
+    return len(pieces), len(pieces[-1]) + 1
 
 
 # ---------------------------------------------------------------------------

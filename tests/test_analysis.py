@@ -13,9 +13,9 @@ from tapkit import (
     validate,
 )
 from tapkit import PlantConfig, generate
-from tapkit.analysis import _entropy_bits, default_bins
+from tapkit.analysis import _entropy_bits, _pooled_pairs, default_bins
 
-from oracles import exact_discrete_mi_bits
+from oracles import exact_discrete_mi_bits, random_matrix, random_space, reference_pooled_pairs
 
 
 class TestMutualInformation:
@@ -109,6 +109,23 @@ class TestLagScan:
         m = planted_lag_series(2, 4, seed=1)
         with pytest.raises(TapkitError, match="insufficient"):
             lag_scan(m, ChannelRef("x", 0), ChannelRef("y", 0), 3)
+
+    def test_negative_max_lag(self):
+        m = planted_lag_series(2, 100, seed=1)
+        with pytest.raises(TapkitError) as exc:
+            lag_scan(m, ChannelRef("x", 0), ChannelRef("y", 0), -1)
+        assert str(exc.value) == "max_lag must be >= 0, got -1"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 12))
+    def test_pooled_pairs_match_reference(self, seed, depth):
+        rng = np.random.default_rng(seed)
+        space = random_space(rng)
+        m = random_matrix(rng, space, max_episodes=4, max_T=10)
+        src, tgt = rng.integers(0, space.n_sm, 2).tolist()
+        xs, ys = _pooled_pairs(m, src, tgt, -depth)
+        want_x, want_y = reference_pooled_pairs(m, src, tgt, -depth)
+        assert xs.tolist() == want_x and ys.tolist() == want_y
 
     def test_default_bins_rule(self):
         assert default_bins(10_000) == 10

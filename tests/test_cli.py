@@ -280,6 +280,18 @@ class TestValidate:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("space s {\r\n\tmotor m: 1 $\r\n}\r\n", "line 2, col 13: unexpected character '$'"),
+        ("space s { motor m: 2 }\ntapping t {\n  input m[-1] @ -1\n  target m @ 0\n}\n",
+         "line 3, col 9: negative channel index in (-1,)"),
+        ("space s { motor m: 2 }\ntapping t { }\n", "line 2, col 9: tapping 't' has no taps"),
+    ])
+    def test_refusal_is_one_error_line(self, tmp_path, capsys, text, message):
+        spec = tmp_path / "bad.tap"
+        spec.write_bytes(text.encode())
+        code, out, err = run(capsys, "validate", str(spec))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestTd:
     def test_td0_report(self, capsys):
@@ -342,6 +354,13 @@ class TestAnalyze:
         expected = analysis.effective_tapping(matrix, ChannelRef("y", 0), 4,
                                               threshold_frac=0.3)
         assert out_tap.read_text() == tapdsl.to_text(space, [expected])
+
+    def test_negative_max_lag_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        run(capsys, "gen", "--plant", "arm", "--steps", "50", "--out", str(data))
+        code, out, err = run(capsys, "analyze", "--data", str(data), "--target", "vision[0]",
+                             "--max-lag", "-1")
+        assert (code, out, err) == (2, "", "error: max_lag must be >= 0, got -1\n")
 
     def test_no_dependency_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

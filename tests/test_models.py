@@ -22,7 +22,7 @@ from tapkit import (
 from tapkit import tapdsl
 from tapkit.models import LinearModel, feature_dim, features, input_dim, rmse, zero_model
 
-from oracles import quadratic_loss
+from oracles import quadratic_loss, reference_lms_step
 
 
 def linear_plant_dataset(seed=3, steps=201, inverse=False):
@@ -171,6 +171,23 @@ class TestPredictAndLms:
         for x, y in zip(ds.X[:2000], ds.Y[:2000]):
             model = lms_step(model, x, y, rate=0.05)
         assert np.linalg.norm(model.W - A) < 1e-2
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["identity", "quadratic"]))
+    def test_chained_steps_match_reference(self, seed, fmap):
+        rng = np.random.default_rng(seed)
+        d, d_out = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        rate = float(rng.uniform(0.0, 0.01))
+        model = LinearModel(rng.normal(size=(d_out, feature_dim(d, fmap))),
+                            rng.normal(size=d_out), fmap)
+        W, b = model.W, model.b
+        for _ in range(200):
+            x, y = rng.uniform(-1, 1, d), rng.uniform(-1, 1, d_out)
+            model = lms_step(model, x, y, rate)
+            W, b = reference_lms_step(W, b, fmap, x, y, rate)
+            assert model.W.tobytes() == W.tobytes()
+            assert model.b.tobytes() == b.tobytes()
+        assert model.feature_map == fmap
 
     def test_dimension_mismatch(self):
         with pytest.raises(TapkitError):

@@ -307,3 +307,14 @@ class TestAgainstReference:
             rewards[:] = -i
         assert all((states == i).all() and (rewards == -i).all()
                    for i, (states, rewards) in enumerate(rollouts))
+
+    @settings(max_examples=50, deadline=None)
+    @given(n_states=st.integers(2, 64), count=st.integers(0, 50), seed=st.integers(0, 2**32 - 1))
+    def test_trajectory_matrix_stacks_like_vstack(self, n_states, count, seed):
+        rollouts = rollout_episodes(ChainEnv(n_states, 0.9), count, seed)
+        matrix = trajectory_matrix(rollouts)
+        assert [ep.id for ep in matrix.episodes] == list(range(count))
+        for ep, (states, rewards) in zip(matrix.episodes, rollouts, strict=True):
+            want = np.vstack([states, rewards])
+            assert (ep.data.shape, ep.data.dtype) == (want.shape, want.dtype)
+            assert ep.data.tobytes() == want.tobytes()

@@ -15,7 +15,7 @@ from tapkit.tapdsl import (
     to_text,
 )
 
-from oracles import random_space, random_tapping
+from oracles import random_space, random_tapping, reference_position
 
 
 @pytest.fixture
@@ -73,6 +73,31 @@ class TestTapInvariants:
                 Tapping("t", space, (Tap("vision", -1, ROLE_INPUT, channels=(ch,)),
                                      Tap("vision", 0, ROLE_TARGET)))
             assert str(exc.value) == f"channel index {ch} out of range for group 'vision' (dim 2)"
+
+    # The grammar cannot produce these, so only the data model reaches them.
+    @pytest.mark.parametrize("call, message", [
+        (lambda s: Tap("m", -1, "output"), "tap role must be input or target, got 'output'"),
+        (lambda s: Tap("m", -1, ROLE_INPUT, channels=()), "explicit channel list may not be empty"),
+        (lambda s: Tapping("1x", s, (Tap("m", -1, ROLE_INPUT), Tap("vision", 0, ROLE_TARGET))),
+         "tapping name '1x' is not an identifier"),
+    ])
+    def test_refusal_text(self, space, call, message):
+        with pytest.raises(TapkitError) as exc:
+            call(space)
+        assert str(exc.value) == message
+
+
+def gallery_text(newline="\n", indent="  "):
+    """Three gallery tappings as .tap text with comments, in the given line
+    end and indent."""
+    space = define_space([("motor", "m", 4), ("proprio", "q", 4), ("extero", "vision", 2),
+                          ("intero", "i", 1)], name="nao4")
+    text = "# template gallery\n" + to_text(space, [
+        tapdsl.forward(space, "m", "vision"),
+        tapdsl.multi_step(space, "vision", 3, symmetric=True, name="multi_sym"),
+        tapdsl.td0(space, "i", "q"),
+    ]).replace("target vision @ 0\n", "target vision @ 0  # the effect\n", 1)
+    return text.replace("\n  ", "\n" + indent).replace("\n", newline)
 
 
 class TestParse:
@@ -163,6 +188,36 @@ class TestParse:
             parse(text, space)
         assert (exc.value.line, exc.value.col) == (line, col)
         assert fragment in str(exc.value)
+
+    @pytest.mark.parametrize("text, line, col, message", [
+        ("tapping t {\n  input m @ -1 $\n  target vision @ 0\n}", 2, 16,
+         "unexpected character '$'"),
+        ("space s {\r\n\tmotor m: 1 $\r\n}\r\n", 2, 13, "unexpected character '$'"),
+        ("tapping t {\n  input m[-1] @ -1\n  target vision @ 0\n}", 2, 9,
+         "negative channel index in (-1,)"),
+        ("tapping t { }", 1, 9, "tapping 't' has no taps"),
+    ])
+    def test_refusal_text(self, space, text, line, col, message):
+        with pytest.raises(ParseError) as exc:
+            parse(text, space)
+        assert (exc.value.line, exc.value.col) == (line, col)
+        assert str(exc.value) == f"line {line}, col {col}: {message}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([("\n", "  "), ("\r\n", "  "), ("\n", "\t"), ("\r\n", "\t")]),
+           st.data())
+    def test_unexpected_character_position(self, layout, data):
+        text = gallery_text(*layout)
+        assert parse(text).tappings  # the text itself is valid
+        # Any offset outside a comment, except between a minus sign and its
+        # digits, where the lone '-' would be the offender.
+        offsets = [i for i in range(len(text) + 1)
+                   if "#" not in text[:i].rsplit("\n", 1)[-1] and text[i - 1:i] != "-"]
+        offset = data.draw(st.sampled_from(offsets))
+        with pytest.raises(ParseError) as exc:
+            parse(text[:offset] + "$" + text[offset:])
+        assert str(exc.value).endswith(": unexpected character '$'")
+        assert (exc.value.line, exc.value.col) == reference_position(text, offset)
 
     def test_error_position_points_at_offender(self, space):
         with pytest.raises(ParseError) as exc:
