@@ -14,7 +14,7 @@ laid end to end, one gather per X/Y block and group of episodes; blocking is
 that gather plus a mask over each blocked tap's columns of its block; the
 stream reads the same cells from a window of the last ``span`` measurements.
 Dropout works on a finished dataset and masks each copy's drawn cells with one
-indexed assignment per X/Y block.
+flat-index write per X/Y block.
 
 Randomized operations (dropout augmentation, blocking taps) draw from NumPy's
 PCG64 generator; independent substreams are derived with
@@ -286,13 +286,12 @@ def dropout_augment(dataset: Dataset, config: DropoutConfig) -> Dataset:
     for i in range(config.copies):
         rng = np.random.default_rng(children[i])
         chosen = rng.choice(total, size=k, replace=False) + first
-        base = (i + 1) * n
         in_x = chosen < x_cells
-        for values, mask, cells, d in ((X, x_mask, chosen[in_x], d_in),
-                                       (Y, y_mask, chosen[~in_x] - x_cells, d_out)):
-            r, c = np.divmod(cells, d)
-            values[base + r, c] = config.inactive_value
-            mask[base + r, c] = False
+        # A cell's number within its block is its flat row-major index there.
+        for values, mask, cells in ((X, x_mask, chosen[in_x] + (i + 1) * x_cells),
+                                    (Y, y_mask, chosen[~in_x] + ((i + 1) * n * d_out - x_cells))):
+            np.put(values, cells, config.inactive_value)
+            np.put(mask, cells, False)
     return Dataset(X, Y, x_mask, y_mask, anchors, dataset.x_layout, dataset.y_layout)
 
 

@@ -24,13 +24,13 @@ _triu_indices = functools.lru_cache(maxsize=None)(np.triu_indices)
 
 
 def _quadratic(X: np.ndarray) -> np.ndarray:
-    i, j = _triu_indices(X.shape[1])
-    pairs = X[:, i]
-    pairs *= X[:, j]  # in place: one (N, pairs) temporary fewer at the peak
-    return np.hstack([X, pairs])
+    i, j = _triu_indices(X.shape[-1])
+    pairs = X[..., i]
+    pairs *= X[..., j]  # in place: one (..., pairs) temporary fewer at the peak
+    return np.concatenate([X, pairs], axis=-1)
 
 
-# name -> (feature dimension for d inputs, map of an (N, d) batch)
+# name -> (feature dimension for d inputs, map of the last axis of a (..., d) array)
 _FEATURE_MAPS = {
     "identity": (lambda d: d, lambda X: X),
     "quadratic": (lambda d: d + d * (d + 1) // 2, _quadratic),
@@ -59,12 +59,9 @@ def input_dim(d_feat: int, feature_map: str) -> int:
 
 
 def features(x: np.ndarray, feature_map: str) -> np.ndarray:
-    """Map raw inputs (N, d) or (d,) to the model's feature space."""
-    map_fn = _feature_map(feature_map)[1]
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        return map_fn(arr[None, :])[0]
-    return map_fn(arr)
+    """Map raw inputs of shape (..., d), one input per last-axis vector, to
+    the model's feature space."""
+    return _feature_map(feature_map)[1](np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -107,16 +104,15 @@ def fit(dataset, feature_map: str = "identity", ridge: float = 0.0) -> LinearMod
         raise TapkitError("cannot fit on an empty dataset")
     if ridge < 0:
         raise TapkitError(f"ridge must be >= 0, got {ridge}")
-    phi = features(X, feature_map)
-    n, df = phi.shape
-    G = np.empty((df + 1, df + 1))
-    rhs = np.empty((df + 1, Y.shape[1]))
-    # Any nan or inf in X or Y reaches the diagonal of G or the sums in rhs;
+    # A nan or inf in X or Y, or an overflowing feature, reaches G or rhs;
     # the finiteness check below reports it, so NumPy's warnings are noise.
     with np.errstate(invalid="ignore", over="ignore"):
+        phi = features(X, feature_map)
+        n, df = phi.shape
+        G = np.empty((df + 1, df + 1))
+        rhs = np.empty((df + 1, Y.shape[1]))
         G[:df, :df] = phi.T @ phi + ridge * np.eye(df)
-        G[:df, df] = phi.sum(axis=0)
-        G[df, :df] = phi.sum(axis=0)
+        G[:df, df] = G[df, :df] = phi.sum(axis=0)
         G[df, df] = n
         rhs[:df] = phi.T @ Y
         rhs[df] = Y.sum(axis=0)
@@ -137,28 +133,29 @@ def fit(dataset, feature_map: str = "identity", ridge: float = 0.0) -> LinearMod
 
 
 def predict(model: LinearModel, x) -> np.ndarray:
-    """Evaluate the model on one input vector or a batch (rows)."""
-    phi = features(np.asarray(x, dtype=float), model.feature_map)
-    if phi.shape[-1] != model.d_feat:
-        raise TapkitError(
-            f"input maps to {phi.shape[-1]} features, model expects {model.d_feat}"
-        )
+    """Evaluate the model on one input vector or a batch of shape (..., d)."""
+    W = model.W
+    phi = features(x, model.feature_map)
+    if phi.shape[-1] != W.shape[1]:
+        raise TapkitError(f"input maps to {phi.shape[-1]} features, model expects {W.shape[1]}")
     if phi.ndim == 1:
-        return model.W @ phi + model.b
-    return phi @ model.W.T + model.b
+        return W @ phi + model.b
+    return phi @ W.T + model.b
 
 
 def lms_step(model: LinearModel, x, y, rate: float) -> LinearModel:
     """One gradient step on the squared error of a single example."""
     if rate < 0:
         raise TapkitError(f"rate must be >= 0, got {rate}")
+    W, b = model.W, model.b
     phi = features(x, model.feature_map)
     y = np.asarray(y, dtype=float).reshape(-1)
-    if phi.ndim != 1 or phi.shape[0] != model.d_feat or y.shape[0] != model.d_out:
+    if phi.shape != (W.shape[1],) or y.shape != (W.shape[0],):
         raise TapkitError("lms_step dimension mismatch")
-    err = y - (model.W @ phi + model.b)
-    return LinearModel(model.W + rate * np.outer(err, phi), model.b + rate * err,
-                       model.feature_map, model.ridge)
+    err = y - (W @ phi + b)
+    step = err[:, None] * phi
+    step *= rate  # W + rate * (err_i * phi_j), the float order the README states
+    return LinearModel(W + step, b + rate * err, model.feature_map, model.ridge)
 
 
 def rmse(model: LinearModel, dataset) -> float:

@@ -211,7 +211,9 @@ class SensorimotorMatrix:
 
 def _as_measurement(space: SensorimotorSpace, sm_vector) -> np.ndarray:
     """One measurement as a flat float vector: n_sm values, all finite."""
-    vec = np.asarray(sm_vector, dtype=float).reshape(-1)
+    vec = np.asarray(sm_vector, dtype=float)
+    if vec.ndim != 1:
+        vec = vec.reshape(-1)
     if vec.shape[0] != space.n_sm:
         raise TapkitError(f"measurement has {vec.shape[0]} values, space needs {space.n_sm}")
     if np.count_nonzero(np.isfinite(vec)) != len(vec):  # faster than .all() on short vectors

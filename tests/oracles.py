@@ -124,6 +124,84 @@ def reference_lms_step(W, b, feature_map, x, y, rate):
     return W_new, b_new
 
 
+def _reference_pairwise_sum(values):
+    """NumPy's sum of one contiguous or strided run: plain below 8 values,
+    eight interleaved partial sums up to 128, else split in two halves whose
+    cut is a multiple of 8."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _reference_pairwise_sum(values[:half]) + _reference_pairwise_sum(values[half:])
+    r = values[:8]
+    end = n - n % 8
+    for i in range(8, end, 8):
+        r = [s + v for s, v in zip(r, values[i:i + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in values[end:]:
+        total += v
+    return total
+
+
+def _reference_column_sums(rows):
+    """The sums NumPy gives for axis 0 of a row-major ``(n, k)`` array: from
+    0.0, the rows added in order; a single column is one run, which NumPy
+    sums pairwise."""
+    if len(rows[0]) == 1:
+        return [0.0 + _reference_pairwise_sum([row[0] for row in rows])]
+    sums = [0.0] * len(rows[0])
+    for row in rows:
+        sums = [s + v for s, v in zip(sums, row)]
+    return sums
+
+
+def reference_fit(X, Y, feature_map, ridge):
+    """The ridge normal equations built entry by entry; returns ``(W, b)``.
+
+    ``X`` and ``Y`` are row-major (C order or column slices of it). The
+    features are written out per row, and the bias row and column of the
+    Gram matrix and the bias row of the right-hand side are written-out
+    column sums. The Gram and cross blocks stay the ``phi.T @ phi`` and
+    ``phi.T @ Y`` products: BLAS sums them in its own order, as in
+    :func:`reference_lms_step`, and picks that order from the operands'
+    layout, so the identity map's products take ``X`` itself. Raises
+    TapkitError where ``fit`` must refuse: a non-finite system, or a
+    rank-deficient one at ridge 0.
+    """
+    rows = []
+    for x in X.tolist():
+        if feature_map == "quadratic":
+            x += [x[i] * x[j] for i in range(len(x)) for j in range(i, len(x))]
+        rows.append(x)
+    phi = X if feature_map == "identity" else np.array(rows)
+    n, df = phi.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        gram, cross = phi.T @ phi, phi.T @ Y
+    phi_sum, y_sum = _reference_column_sums(rows), _reference_column_sums(Y.tolist())
+    G = np.empty((df + 1, df + 1))
+    rhs = np.empty((df + 1, Y.shape[1]))
+    for i in range(df):
+        for j in range(df):
+            G[i, j] = gram[i, j] + (ridge if i == j else 0.0)
+        G[i, df] = G[df, i] = phi_sum[i]
+        rhs[i] = cross[i]
+    G[df, df] = n
+    rhs[df] = y_sum
+    if not (np.isfinite(G).all() and np.isfinite(rhs).all()):
+        raise TapkitError("non-finite normal equations")
+    if ridge == 0.0 and np.linalg.matrix_rank(G) < df + 1:
+        raise TapkitError("singular normal equations")
+    try:
+        theta = np.linalg.solve(G, rhs)
+    except np.linalg.LinAlgError:
+        raise TapkitError("singular normal equations") from None
+    return theta[:df].T, theta[df]
+
+
 def reference_position(text, offset):
     """1-based (line, column) of ``offset`` in ``text``: the line is the number
     of pieces ``text[:offset]`` splits into on newlines, and the column is one

@@ -250,6 +250,19 @@ class TestBadInput:
             assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "m.txt").exists()
 
+    @pytest.mark.parametrize("header, message", [
+        ("t,episode,x:m[0]@-1,y:v[0]@0", "expected dataset header starting episode,t"),
+        ("episode,t,x:m[0]@-1,z:v[0]@0", "malformed dataset column 'z:v[0]@0'"),
+        ("episode,t,y:v[0]@0,x:m[0]@-1", "x column 'x:m[0]@-1' after the y block"),
+    ])
+    def test_train_rejects_bad_dataset_header(self, tmp_path, capsys, header, message):
+        ds_path = tmp_path / "ds.csv"
+        ds_path.write_text(header + "\n0,1,1,2\n0,2,2,3\n")
+        code, _, err = run(capsys, "train", "--data", str(ds_path),
+                           "--out", str(tmp_path / "m.txt"))
+        assert (code, err) == (2, f"error: {ds_path}: {message}\n")
+        assert not (tmp_path / "m.txt").exists()
+
     def test_train_tiny_ridge_on_collinear_inputs(self, tmp_path, capsys):
         # m[1] = 2 m[0], so ridge 1e-300 leaves the normal equations singular.
         space = smcore.define_space([("motor", "m", 2), ("extero", "v", 1)], name="s")

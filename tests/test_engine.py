@@ -533,6 +533,19 @@ class TestDatasetCsv:
         limit = csv.field_size_limit()
         assert str(info.value) == f"{path}: line 3: field larger than field limit ({limit})"
 
+    @pytest.mark.parametrize("header, message", [
+        ("", "expected dataset header starting episode,t"),
+        ("t,episode,x:m[0]@-1,y:v[0]@0", "expected dataset header starting episode,t"),
+        ("episode,t,x:m[0]@-1,z:v[0]@0", "malformed dataset column 'z:v[0]@0'"),
+        ("episode,t,x:m[0]@-1,y:v[0]@0,x:m[1]@-1", "x column 'x:m[1]@-1' after the y block"),
+    ])
+    def test_header_refusal_text(self, tmp_path, header, message):
+        path = tmp_path / "ds.csv"
+        path.write_text(header and header + "\n0,1,1,2,3\n")
+        with pytest.raises(TapkitError) as exc:
+            load_dataset_csv(path)
+        assert str(exc.value) == f"{path}: {message}"
+
     def test_header_without_columns(self, tmp_path):
         path = tmp_path / "ds.csv"
         path.write_text("episode,t\n0,1\n0,2\n")

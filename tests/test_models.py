@@ -22,7 +22,7 @@ from tapkit import (
 from tapkit import tapdsl
 from tapkit.models import LinearModel, feature_dim, features, input_dim, rmse, zero_model
 
-from oracles import quadratic_loss, reference_lms_step
+from oracles import edge_values, quadratic_loss, reference_fit, reference_lms_step
 
 
 def linear_plant_dataset(seed=3, steps=201, inverse=False):
@@ -41,6 +41,15 @@ class TestFeatures:
     def test_quadratic_terms(self):
         phi = features(np.array([2.0, 3.0]), "quadratic")
         assert np.array_equal(phi, [2, 3, 4, 6, 9])
+
+    @pytest.mark.parametrize("fmap", ["identity", "quadratic"])
+    def test_maps_the_last_axis(self, fmap):
+        x = edge_values(np.random.default_rng(4), (2, 3, 4))
+        with np.errstate(over="ignore"):  # products of the extremes overflow to inf
+            phi = features(x, fmap)
+            rows = [features(row, fmap) for row in x.reshape(-1, 4)]
+        assert phi.shape == (2, 3, len(rows[0]))
+        assert phi.tobytes() == np.stack(rows).tobytes()
 
     def test_not_a_quadratic_dim(self):
         with pytest.raises(TapkitError):
@@ -97,6 +106,31 @@ class TestFit:
         getattr(ds, block)[7, 1] = bad
         with pytest.raises(TapkitError, match="non-finite"):
             fit(ds, fmap, ridge)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["identity", "quadratic"]),
+           st.sampled_from([0.0, 1e-6]), st.booleans())
+    def test_matches_reference(self, seed, fmap, ridge, sliced):
+        rng = np.random.default_rng(seed)
+        d, d_out = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        n = int(rng.integers(2, 5)) * (feature_dim(d, fmap) + 1)
+        data = edge_values(rng, (n, 1 + d + d_out))
+        big = np.abs(data) > 1e300
+        if rng.random() < 0.75:  # most cases without the extremes, which overflow G
+            data[big] = rng.standard_normal(int(big.sum()))
+        X, Y = data[:, 1:d + 1], data[:, d + 1:]  # column slices: not contiguous
+        if not sliced:
+            X, Y = X.copy(), Y.copy()
+        ds = SimpleNamespace(X=X, Y=Y)
+        try:
+            W, b = reference_fit(X, Y, fmap, ridge)
+        except TapkitError:
+            with pytest.raises(TapkitError):
+                fit(ds, fmap, ridge)
+            return
+        model = fit(ds, fmap, ridge)
+        assert model.W.tobytes() == W.tobytes()
+        assert model.b.tobytes() == b.tobytes()
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["identity", "quadratic"]))
@@ -190,10 +224,30 @@ class TestPredictAndLms:
         assert model.feature_map == fmap
 
     def test_dimension_mismatch(self):
-        with pytest.raises(TapkitError):
+        with pytest.raises(TapkitError) as exc:
             predict(zero_model(3, 2), np.ones(4))
-        with pytest.raises(TapkitError):
+        assert str(exc.value) == "input maps to 4 features, model expects 3"
+        with pytest.raises(TapkitError) as exc:
             lms_step(zero_model(3, 2), np.ones(3), np.ones(3), 0.1)
+        assert str(exc.value) == "lms_step dimension mismatch"
+
+    @pytest.mark.parametrize("model, x, message", [
+        (zero_model(3, 2), np.ones((5, 4)), "input maps to 4 features, model expects 3"),
+        (zero_model(3, 2, "quadratic"), np.ones(4), "input maps to 14 features, model expects 9"),
+    ])
+    def test_predict_dimension_mismatch(self, model, x, message):
+        with pytest.raises(TapkitError) as exc:
+            predict(model, x)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("x, y", [
+        (np.ones(4), np.ones(2)),  # x of the wrong length
+        (np.ones((1, 3)), np.ones(2)),  # x a one-row batch, not a vector
+    ])
+    def test_lms_dimension_mismatch(self, x, y):
+        with pytest.raises(TapkitError) as exc:
+            lms_step(zero_model(3, 2), x, y, 0.1)
+        assert str(exc.value) == "lms_step dimension mismatch"
 
 
 @pytest.mark.parametrize("call, message", [

@@ -104,6 +104,15 @@ class TestAppend:
             m.append_measurement(0, vec)
         assert m.episodes[0].data.shape == (6, 1)
 
+    # load_csv checks the header against the space, so only a matrix built
+    # in memory can hold an episode of the wrong shape.
+    @pytest.mark.parametrize("data, shape", [(np.zeros((3, 5)), "(3, 5)"),
+                                             (np.zeros(6), "(6,)")])
+    def test_episode_shape_checked_on_construction(self, nao_space, data, shape):
+        with pytest.raises(TapkitError) as exc:
+            SensorimotorMatrix(nao_space, [Episode(0, np.zeros((6, 2))), Episode(4, data)])
+        assert str(exc.value) == f"episode 4: expected 6 rows, got shape {shape}"
+
     def test_episode_ids_strictly_increasing_on_construction(self, nao_space):
         eps = [Episode(1, np.zeros((6, 2))), Episode(1, np.zeros((6, 2)))]
         with pytest.raises(TapkitError, match="strictly increasing"):
