@@ -50,6 +50,8 @@ def mutual_information(x, y, bins: int) -> float:
     """Plug-in MI of two equally long sample series, in bits (>= 0).
 
     A constant series carries no information, so zero-range input gives 0.
+    The joint counts equal ``np.histogram2d(x, y, bins)``'s. Samples must be
+    finite, and each series' range (max - min) must be finite in float64.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -59,14 +61,51 @@ def mutual_information(x, y, bins: int) -> float:
         raise TapkitError(f"need at least 2 samples, got {x.shape[0]}")
     if bins < 2:
         raise TapkitError(f"need at least 2 bins, got {bins}")
-    if x.min() == x.max() or y.min() == y.max():
+    x_lo, x_hi = _sample_range(x)
+    y_lo, y_hi = _sample_range(y)
+    if x_lo == x_hi or y_lo == y_hi:
         return 0.0
-    counts, _, _ = np.histogram2d(x, y, bins=bins)
-    p = counts / counts.sum()
+    joint = _bin_index(x, x_lo, x_hi, bins) * bins + _bin_index(y, y_lo, y_hi, bins)
+    p = np.bincount(joint, minlength=bins * bins).reshape(bins, bins) / x.shape[0]
     h_x = _entropy_bits(p.sum(axis=1))
     h_y = _entropy_bits(p.sum(axis=0))
     h_xy = _entropy_bits(p.ravel())
     return max(0.0, h_x + h_y - h_xy)
+
+
+def _sample_range(v: np.ndarray) -> tuple[float, float]:
+    """The smallest and largest sample; refuses a non-finite sample and a
+    range too wide for float64, where equal-width bin edges cannot be
+    computed."""
+    lo, hi = float(v.min()), float(v.max())
+    if not math.isfinite(hi - lo):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise TapkitError("mutual information needs finite samples")
+        raise TapkitError(f"sample range [{lo!r}, {hi!r}] is too wide for float64")
+    return lo, hi
+
+
+def _bin_index(v: np.ndarray, lo: float, hi: float, bins: int) -> np.ndarray:
+    """The bin of each sample among ``bins`` equal-width bins over
+    [lo, hi], lo < hi, as ``np.histogram2d`` assigns it: bin i holds
+    ``edges[i] <= v < edges[i + 1]`` for the edges ``np.linspace(lo, hi,
+    bins + 1)``, and the last bin also holds ``hi``.
+
+    The index is guessed arithmetically and checked against the edges; a
+    sample the guess misses (near an edge, or where rounding makes edges
+    coincide, as over subnormal ranges) is placed by ``np.searchsorted``, as
+    ``histogram2d`` places every sample.
+    """
+    with np.errstate(over="ignore"):  # only the last edge can overflow; linspace sets it to hi
+        edges = np.linspace(lo, hi, bins + 1)
+    # (v - lo) <= (hi - lo), so the quotient is in [0, 1] and cannot overflow.
+    index = ((v - lo) / (hi - lo) * bins).astype(np.intp)
+    np.minimum(index, bins - 1, out=index)
+    upper = np.append(edges[1:-1], np.inf)
+    missed = np.flatnonzero((edges[index] > v) | (v >= upper[index]))
+    if missed.size:
+        index[missed] = np.searchsorted(upper, v[missed], side="right")
+    return index
 
 
 def _pooled_pairs(matrix: SensorimotorMatrix, src_row: int, tgt_row: int,

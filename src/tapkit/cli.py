@@ -14,6 +14,7 @@ reproduce any stage in isolation.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -327,7 +328,6 @@ def build_parser() -> _ArgumentParser:
                    help="command-to-effect delay (default 3 for planted, else 1)")
     p.add_argument("--box", type=_box, default=(-1.0, 1.0),
                    help="command box LO:HI")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("apply", parents=[common],
                        help="turn recorded data into a supervised dataset")
@@ -338,7 +338,6 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--blocking", type=float, default=None,
                    help="blocked tap proportion per episode")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_apply)
 
     p = sub.add_parser("train", parents=[common],
                        help="fit a linear model on a dataset CSV")
@@ -346,7 +345,6 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--features", choices=models.FEATURE_MAPS, default="identity")
     p.add_argument("--ridge", type=float, default=0.0)
     p.add_argument("--out", required=True, help="output model file")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("reach", parents=[common],
                        help="pick the best command for a goal by sampling a model")
@@ -356,7 +354,6 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--box", type=_box, default=(-1.0, 1.0),
                    help="command box LO:HI")
-    p.set_defaults(func=cmd_reach)
 
     p = sub.add_parser("td", parents=[common],
                        help="temporal-difference learning on the chain env")
@@ -367,7 +364,6 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--algo", choices=("td0", "sarsa", "q"), default="td0")
     p.add_argument("--epsilon", type=float, default=0.1)
-    p.set_defaults(func=cmd_td)
 
     p = sub.add_parser("analyze", parents=[common],
                        help="lagged mutual-information scan of recorded data")
@@ -380,7 +376,6 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.5,
                    help="keep taps with MI >= threshold * max MI")
     p.add_argument("--emit-tapping", default=None, help="write the recovered tapping here")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("render", parents=[common],
                        help="emit a tapping diagram as Graphviz DOT text")
@@ -391,12 +386,10 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--lag-max", type=int, default=None)
     p.add_argument("--expand-channels", action="store_true",
                    help="one cell per channel instead of per group")
-    p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("validate", parents=[common],
                        help="parse a .tap file and report causality per tapping")
     p.add_argument("spec", help=".tap file")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("demo", parents=[common],
                        help="end-to-end demonstration pipelines")
@@ -405,22 +398,31 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--goals", type=int, default=100)
     p.add_argument("--n", type=int, default=256, help="candidates per goal")
-    p.set_defaults(func=cmd_demo)
 
     return parser
 
 
+@functools.cache
+def _parser() -> _ArgumentParser:
+    """The parser :func:`main` uses, built once per process. Parsing leaves
+    it unchanged and every default it holds is immutable, so no call sees
+    another's arguments."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if not hasattr(args, "func"):
+    if args.command is None:
         parser.print_usage(sys.stderr)
         print("error: missing subcommand", file=sys.stderr)
         return 1
-    return _exit_status(args.func, args)
+    # Looked up on every call rather than kept in the cached parser, so a
+    # cmd_* rebound after the first call (a tracer's wrapper) is the one run.
+    return _exit_status(globals()[f"cmd_{args.command}"], args)
 
 
 def _exit_status(func, *args):

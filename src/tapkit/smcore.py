@@ -306,17 +306,35 @@ _BITS = frozenset("01")
 def _write_table(path, header: list[str], blocks) -> None:
     """Write ``header``, then one line per row of each ``(keys, cells)`` block:
     the ``(n, k)`` int keys as ``%d``, then the ``(n, d)`` cells, floats as
-    ``%.17g``, which round-trips any float64 exactly, and bools as ``%d``.
-    Lines end in CRLF, as the csv module writes them."""
+    ``%.17g``, which round-trips any float64 exactly, and bools as ``0`` or
+    ``1``. Lines end in CRLF, as the csv module writes them.
+
+    Each chunk of rows is formatted by one ``%`` call over its keys as
+    Python ints and its cells as Python floats, or for bools one string per
+    row from :func:`_mask_tails`.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for keys, cells in blocks:
-            cell = "%d" if cells.dtype == bool else "%.17g"
-            line = ",".join(["%d"] * keys.shape[1] + [cell] * cells.shape[1]) + "\r\n"
+            k, d = keys.shape[1], cells.shape[1]
+            mask = cells.dtype == bool
+            line = ",".join(["%d"] * k) + ("%s" if mask else ",%.17g" * d + "\r\n")
+            rows = np.empty((min(len(keys), _ROWS_PER_WRITE), k + (1 if mask else d)), dtype=object)
             for a in range(0, len(keys), _ROWS_PER_WRITE):
                 b = a + _ROWS_PER_WRITE
-                fh.write("".join(line % tuple(k + c) for k, c in
-                                 zip(keys[a:b].tolist(), cells[a:b].tolist())))
+                chunk = rows[:len(keys[a:b])]
+                chunk[:, :k] = keys[a:b]
+                chunk[:, k:] = _mask_tails(cells[a:b]) if mask else cells[a:b]
+                fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
+def _mask_tails(cells: np.ndarray) -> np.ndarray:
+    """Each row of an ``(n, d)`` bool array as the string ``,0,1,...\\r\\n``,
+    in an ``(n, 1)`` str array built from one uint8 block."""
+    tail = np.full((len(cells), 2 * cells.shape[1] + 2), ord(","), dtype=np.uint8)
+    tail[:, 1:-2:2] = cells.view(np.uint8) + ord("0")
+    tail[:, -2:] = ord("\r"), ord("\n")
+    return tail.view(f"S{tail.shape[1]}").astype(str)
 
 
 def _read_table(path, n_keys: int, check_header, mask: bool = False):

@@ -492,6 +492,51 @@ def _reference_find_row(path, i):
 
 
 # ---------------------------------------------------------------------------
+# Reference table writer: one ``%`` call per row
+# ---------------------------------------------------------------------------
+
+def reference_write_table(path, header, blocks):
+    """The per-row loop ``smcore._write_table`` had before it formatted a
+    chunk of rows per ``%`` call: each row is its keys as ``%d``, then its
+    cells as ``%.17g`` (``%d`` for bools), joined by commas, ending in CRLF.
+    ``_write_table`` must write the same bytes."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for keys, cells in blocks:
+            cell = "%d" if cells.dtype == bool else "%.17g"
+            line = ",".join(["%d"] * keys.shape[1] + [cell] * cells.shape[1]) + "\r\n"
+            for k, c in zip(keys.tolist(), cells.tolist()):
+                fh.write(line % tuple(k + c))
+
+
+# ---------------------------------------------------------------------------
+# Reference mutual information: the joint histogram from np.histogram2d
+# ---------------------------------------------------------------------------
+
+def _reference_entropy_bits(p):
+    q = p[p > 0]
+    terms = q * np.log2(q)
+    terms.sort()
+    return float(-terms.sum())
+
+
+def reference_mutual_information(x, y, bins):
+    """``analysis.mutual_information`` as it was before it counted with
+    ``np.bincount``: the joint counts come from ``np.histogram2d``. For
+    finite samples with finite ranges the two must agree bit for bit."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if x.min() == x.max() or y.min() == y.max():
+        return 0.0
+    counts, _, _ = np.histogram2d(x, y, bins=bins)
+    p = counts / counts.sum()
+    h_x = _reference_entropy_bits(p.sum(axis=1))
+    h_y = _reference_entropy_bits(p.sum(axis=0))
+    h_xy = _reference_entropy_bits(p.ravel())
+    return max(0.0, h_x + h_y - h_xy)
+
+
+# ---------------------------------------------------------------------------
 # Reference TD rules: each update body and runner loop written out in full
 # ---------------------------------------------------------------------------
 

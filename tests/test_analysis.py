@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tapkit import (
@@ -13,9 +15,11 @@ from tapkit import (
     validate,
 )
 from tapkit import PlantConfig, generate
-from tapkit.analysis import _entropy_bits, _pooled_pairs, default_bins
+from tapkit.analysis import (_bin_index, _entropy_bits, _pooled_pairs, _sample_range,
+                             default_bins)
 
-from oracles import exact_discrete_mi_bits, random_matrix, random_space, reference_pooled_pairs
+from oracles import (edge_values, exact_discrete_mi_bits, random_matrix, random_space,
+                     reference_mutual_information, reference_pooled_pairs)
 
 
 class TestMutualInformation:
@@ -72,6 +76,28 @@ class TestMutualInformation:
         with pytest.raises(TapkitError):
             mutual_information([1.0, 2.0], [1.0, 2.0], 1)
 
+    @pytest.mark.parametrize("x, y, message", [
+        ([0.0, np.nan, 1.0], [1.0, 2.0, 3.0], "mutual information needs finite samples"),
+        ([1.0, 2.0, 3.0], [0.0, -np.inf, 1.0], "mutual information needs finite samples"),
+        # a constant series is refused too when it is not finite
+        ([np.inf] * 3, [1.0, 2.0, 3.0], "mutual information needs finite samples"),
+        ([1.0, 1.0, 1.0], [np.nan] * 3, "mutual information needs finite samples"),
+        ([-1e308, 1e308, 0.0], [1.0, 2.0, 3.0],
+         "sample range [-1e+308, 1e+308] is too wide for float64"),
+        ([1.0, 2.0, 3.0], [1.7976931348623157e308, -1.7976931348623157e308, 0.0],
+         "sample range [-1.7976931348623157e+308, 1.7976931348623157e+308] is too wide "
+         "for float64"),
+    ])
+    def test_refusal_text(self, x, y, message):
+        with pytest.raises(TapkitError) as exc:
+            mutual_information(x, y, 4)
+        assert str(exc.value) == message
+
+    def test_subnormal_range(self):
+        x = np.array([0.0, 5e-324, 1e-323])
+        assert mutual_information(x, x, 15) == 1.584962500721156
+        assert mutual_information(x, x, 2) == reference_mutual_information(x, x, 2)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 16))
     def test_never_negative(self, seed, bins):
@@ -79,6 +105,50 @@ class TestMutualInformation:
         x = rng.normal(size=500)
         y = rng.normal(size=500)
         assert mutual_information(x, y, bins) >= 0.0
+
+
+def joint_counts(x, y, bins):
+    """The joint histogram ``mutual_information`` counts."""
+    (x_lo, x_hi), (y_lo, y_hi) = _sample_range(x), _sample_range(y)
+    joint = _bin_index(x, x_lo, x_hi, bins) * bins + _bin_index(y, y_lo, y_hi, bins)
+    return np.bincount(joint, minlength=bins * bins).reshape(bins, bins)
+
+
+def bin_test_series(rng, kind, n, bins):
+    """Samples of one ``kind``: ``edge_values`` with a range float64 can hold,
+    samples on the bin edges or one ulp to either side, or a subnormal
+    spread."""
+    if kind == "edge":
+        v = edge_values(rng, n)
+        if not math.isfinite(float(v.max()) - float(v.min())):
+            v[v == -1.7976931348623157e308] = 0.0
+        return v
+    if kind == "on edges":
+        lo = rng.standard_normal() * 10.0 ** rng.integers(-5, 6)
+        hi = lo + rng.random() * 10.0 ** rng.integers(-12, 6)
+        edges = np.linspace(lo, hi, bins + 1)
+        near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        v = np.clip(rng.choice(near, n), lo, hi)
+        v[:2] = lo, hi
+        return v
+    return rng.integers(0, 3, n) * 5e-324 if kind == "few ulps" else rng.random(n) * 1e-310
+
+
+class TestBinCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), bins=st.integers(2, 32),
+           kinds=st.tuples(*[st.sampled_from(["edge", "on edges", "1e-310", "few ulps"])] * 2),
+           n=st.integers(2, 300))
+    def test_counts_and_mi_equal_histogram2d(self, seed, bins, kinds, n):
+        rng = np.random.default_rng(seed)
+        x = bin_test_series(rng, kinds[0], n, bins)
+        y = bin_test_series(rng, kinds[1], len(x), bins)
+        assume(x.min() < x.max() and y.min() < y.max())
+        got = joint_counts(x, y, bins), mutual_information(x, y, bins)
+        with np.errstate(over="ignore"):  # linspace's last edge before it is set to hi
+            want = np.histogram2d(x, y, bins)[0], reference_mutual_information(x, y, bins)
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
 
 
 class TestLagScan:

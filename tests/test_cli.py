@@ -1,10 +1,11 @@
+import argparse
 import csv
 
 import numpy as np
 import pytest
 
-from tapkit import analysis, load_model, smcore, tapdsl
-from tapkit.cli import demo_nao, main, split_seed
+from tapkit import TapkitError, analysis, cli, load_model, smcore, tapdsl
+from tapkit.cli import _box, _parse_floats, _parser, build_parser, demo_nao, main, split_seed
 from tapkit.engine import apply, load_dataset_csv, save_dataset_csv
 from tapkit.smcore import ChannelRef
 
@@ -488,3 +489,98 @@ class TestPipelineFiles:
             assert got[0] == width
             assert (got[1].dtype, got[1].shape, got[1].tobytes()) == (keys.dtype, keys.shape, keys.tobytes())
             assert (got[2].dtype, got[2].shape, got[2].tobytes()) == (cells.dtype, cells.shape, cells.tobytes())
+
+
+class TestParserReuse:
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_gen_then_td_share_no_arguments(self, tmp_path, capsys):
+        before = run(capsys, "td", "--episodes", "20")
+        code, out, _ = run(capsys, "gen", "--plant", "linear", "--steps", "5", "--seed", "7",
+                           "--box", "0:2", "--quiet", "--out", str(tmp_path / "d.csv"))
+        assert (code, out) == (0, "")
+        assert run(capsys, "td", "--episodes", "20") == before
+        assert before[0] == 0 and before[1]
+        for argv in (["td"], ["gen", "--plant", "arm", "--steps", "3", "--out", "x.csv"],
+                     ["reach", "--model", "m.txt", "--goal", "1"]):
+            assert vars(_parser().parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+    def test_usage_errors_still_exit_one(self, capsys):
+        assert run(capsys, "td", "--episodes", "1")[0] == 0
+        for _ in range(2):
+            code, out, err = run(capsys, "td", "--states", "x")
+            assert (code, out) == (1, "")
+            assert err.endswith("error: argument --states: invalid int value: 'x'\n")
+            code, _, err = run(capsys)
+            assert (code, err.splitlines()[-1]) == (1, "error: missing subcommand")
+
+    def test_a_command_rebound_after_the_first_call_is_run(self, capsys, monkeypatch):
+        assert run(capsys, "td", "--episodes", "1")[0] == 0
+        monkeypatch.setattr(cli, "cmd_td", lambda args: print("stub", args.episodes) or 0)
+        assert run(capsys, "td", "--episodes", "3") == (0, "stub 3\n", "")
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("argv, message", [
+        (("--plant", "arm", "--box", "1:-1"), "command box is empty (high <= low)"),
+        (("--plant", "linear", "--dim", "0"), "linear plant dimension must be >= 1, got 0"),
+        (("--plant", "arm", "--noise", "-1"), "noise_std must be >= 0, got -1.0"),
+        (("--plant", "arm", "--episodes", "-1"), "episodes must be >= 0, got -1"),
+    ])
+    def test_gen_refusal(self, tmp_path, capsys, argv, message):
+        code, out, err = run(capsys, "gen", "--steps", "5", "--out", str(tmp_path / "d.csv"),
+                             *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("command", ["apply", "render", "analyze"])
+    def test_no_space_block(self, tmp_path, capsys, command):
+        spec = tmp_path / "t.tap"
+        spec.write_text("# a file with no space block and no tappings\n")
+        argv = {"apply": ["--space", str(spec), "--tapping", "fwd", "--data", "d.csv",
+                          "--out", "ds.csv"],
+                "render": ["--spec", str(spec), "--tapping", "fwd"],
+                "analyze": ["--space", str(spec), "--data", "d.csv", "--target", "v[0]"]}
+        code, out, err = run(capsys, command, *argv[command])
+        assert (code, out, err) == (2, "", f"error: {spec}: no space block found\n")
+
+    def test_unparsable_goal(self, tmp_path, capsys):
+        data, model = tmp_path / "d.csv", tmp_path / "m.txt"
+        assert run(capsys, "gen", "--plant", "linear", "--steps", "30", "--out", str(data))[0] == 0
+        with open(tmp_path / "d.tap", "a") as fh:
+            fh.write("tapping fwd { input m @ -1 target v @ 0 }\n")
+        assert run(capsys, "apply", "--space", str(tmp_path / "d.tap"), "--tapping", "fwd",
+                   "--data", str(data), "--out", str(tmp_path / "ds.csv"))[0] == 0
+        assert run(capsys, "train", "--data", str(tmp_path / "ds.csv"),
+                   "--out", str(model))[0] == 0
+        code, out, err = run(capsys, "reach", "--model", str(model), "--goal", "1,x")
+        message = "cannot parse goal '1,x'; expected comma-separated numbers"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        with pytest.raises(TapkitError) as exc:
+            _parse_floats("1,x", "goal")
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("command, box, message", [
+        ("gen", "1", "expected LO:HI, got '1'"),
+        ("gen", "0:1:2", "expected LO:HI, got '0:1:2'"),
+        ("reach", "a:1", "expected LO:HI numbers, got 'a:1'"),
+    ])
+    def test_malformed_box_is_a_usage_error(self, capsys, command, box, message):
+        argv = {"gen": ["--plant", "arm", "--steps", "5", "--out", "d.csv"],
+                "reach": ["--model", "m.txt", "--goal", "1,2"]}[command]
+        code, out, err = run(capsys, command, *argv, "--box", box)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == f"error: argument --box: {message}"
+        with pytest.raises(argparse.ArgumentTypeError) as exc:
+            _box(box)
+        assert str(exc.value) == message
+
+    def test_mi_refuses_a_range_float64_cannot_hold(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        rows = [f"0,{x!r},{i % 3}" for i, x in enumerate([-1e308, 1e308, 0.0, 1.0] * 5)]
+        data.write_text("\n".join(["episode,motor:x[0],extero:y[0]"] + rows) + "\n")
+        code, out, err = run(capsys, "analyze", "--data", str(data), "--target", "y[0]",
+                             "--max-lag", "1")
+        message = "sample range [-1e+308, 1e+308] is too wide for float64"
+        assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -152,3 +152,33 @@ class TestDeterminism:
             PlantConfig(kind="linear", delay=0)
         with pytest.raises(TapkitError):
             generate(PlantConfig(), 1, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PlantConfig(kind="warp"),
+     "unknown plant kind 'warp'; expected ('linear', 'arm', 'planted_lag')"),
+    (lambda: PlantConfig(command_low=1.0, command_high=-1.0), "command box is empty (high <= low)"),
+    (lambda: PlantConfig(command_low=0.5, command_high=0.5), "command box is empty (high <= low)"),
+    (lambda: PlantConfig(kind="linear", dim=0), "linear plant dimension must be >= 1, got 0"),
+    (lambda: PlantConfig(noise_std=-0.5), "noise_std must be >= 0, got -0.5"),
+    (lambda: PlantConfig(delay=0), "delay must be >= 1, got 0"),
+    (lambda: PlantConfig(kind="arm", link_lengths=(1.0, 0.0)), "arm link lengths must be positive"),
+    (lambda: plant_matrix(PlantConfig(kind="arm")), "plant kind 'arm' has no plant matrix"),
+    (lambda: plant_matrix(PlantConfig(kind="linear", dim=2, matrix=((1.0, 0.0, 0.0),
+                                                                    (0.0, 1.0, 0.0)))),
+     "explicit plant matrix has shape (2, 3), expected (2, 2)"),
+    (lambda: plant_matrix(PlantConfig(kind="linear", dim=2, matrix=((1.0, 0.0), (0.0, 1e-7)))),
+     "explicit plant matrix is near-singular (cond >= 1e6)"),
+    # generate reaches the matrix checks through plant_matrix
+    (lambda: generate(PlantConfig(kind="linear", dim=1, matrix=((1.0, 2.0),)), 1, 5),
+     "explicit plant matrix has shape (1, 2), expected (1, 1)"),
+    (lambda: generate(PlantConfig(), 1, 0), "steps_per_episode must be >= 1, got 0"),
+    (lambda: generate(PlantConfig(), -1, 5), "episodes must be >= 0, got -1"),
+    (lambda: planted_lag_series(0, 10), "lag must be >= 1, got 0"),
+    (lambda: planted_lag_series(3, 3), "need T > lag, got T=3, lag=3"),
+    (lambda: planted_lag_series(3, 2), "need T > lag, got T=2, lag=3"),
+])
+def test_refusal_text(call, message):
+    with pytest.raises(TapkitError) as exc:
+        call()
+    assert str(exc.value) == message

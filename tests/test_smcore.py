@@ -16,9 +16,9 @@ from tapkit import (
     load_csv,
     save_csv,
 )
-from tapkit.smcore import ChannelRef, Episode, _read_table, parse_channel_ref
+from tapkit.smcore import ChannelRef, Episode, _read_table, _write_table, parse_channel_ref
 
-from oracles import edge_values, reference_append, reference_read_table
+from oracles import edge_values, reference_append, reference_read_table, reference_write_table
 
 # What csv.reader says of a field longer than its limit, which stays at the default.
 FIELD_LIMIT_ERROR = f"field larger than field limit ({csv.field_size_limit()})"
@@ -526,3 +526,27 @@ class TestReadTableAgainstReference:
                 reference_read_table(path, n_keys, lambda header: header, mask)
             lineno, name, text = big
             assert got == ("TapkitError", f"{path}: line {lineno}: {name} out of range {text!r}")
+
+
+class TestWriteTableAgainstReference:
+    # Around the chunk size (4 096 rows): empty, one row, one chunk +-1, two chunks + 1.
+    ROWS = (0, 1, 2, 4095, 4096, 4097, 8193)
+    KEYS = (-2**63, -2**63 + 1, -7, -1, 0, 1, 2**31, 2**63 - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_keys=st.sampled_from([1, 2]), d=st.integers(1, 4),
+           blocks=st.lists(st.tuples(st.sampled_from(ROWS), st.booleans()), max_size=3))
+    def test_same_bytes(self, tmp_path_factory, seed, n_keys, d, blocks):
+        """Float and mask blocks of ``edge_values`` cells under int64 keys."""
+        rng = np.random.default_rng(seed)
+        header = ["episode", "t"][:n_keys] + [f"c{j}" for j in range(d)]
+        arrays = []
+        for n, mask in blocks:
+            keys = np.where(rng.random((n, n_keys)) < 0.5, rng.choice(self.KEYS, (n, n_keys)),
+                            rng.integers(-2**63, 2**63 - 1, (n, n_keys), dtype=np.int64))
+            cells = rng.random((n, d)) < 0.5 if mask else edge_values(rng, (n, d))
+            arrays.append((keys, cells))
+        out = tmp_path_factory.mktemp("table")
+        _write_table(out / "got.csv", header, arrays)
+        reference_write_table(out / "want.csv", header, arrays)
+        assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
