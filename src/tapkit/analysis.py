@@ -11,6 +11,7 @@ test suite with shuffled surrogates rather than corrected here.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,10 @@ def mutual_information(x, y, bins: int) -> float:
         raise TapkitError(f"sample counts differ: {x.shape[0]} vs {y.shape[0]}")
     if x.shape[0] < 2:
         raise TapkitError(f"need at least 2 samples, got {x.shape[0]}")
+    try:
+        bins = operator.index(bins)
+    except TypeError:
+        raise TapkitError(f"bins must be an integer, got {bins!r}") from None
     if bins < 2:
         raise TapkitError(f"need at least 2 bins, got {bins}")
     x_lo, x_hi = _sample_range(x)

@@ -134,8 +134,13 @@ def cmd_reach(args) -> int:
 def cmd_td(args) -> int:
     env = rlbridge.ChainEnv(args.states, args.gamma)
     if args.algo == "td0":
-        table = rlbridge.tapped_td_run(env, args.episodes, args.seed, args.alpha)
-        direct = rlbridge.direct_td_run(env, args.episodes, args.seed, args.alpha)
+        # One set of rollouts feeds both paths (the public runners would each
+        # make it), freed once packed so it is gone before the tapped rows exist.
+        rollouts = rlbridge.rollout_episodes(env, args.episodes, args.seed)
+        direct = rlbridge._direct_td0(env, rollouts, args.alpha)
+        matrix = rlbridge.trajectory_matrix(rollouts)
+        del rollouts
+        table = rlbridge._tapped_td0(env, matrix, args.alpha)
         oracle = rlbridge.bellman_v(env)
         _say(args, "state values (tapping-mediated TD(0)):")
         _say(args, "  " + " ".join(f"{v:.6f}" for v in table.v))

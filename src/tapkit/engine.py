@@ -12,7 +12,7 @@ block and block-relative columns of every tap. Batch rows are gathered by row
 and offset from a strided view of the length-``span`` windows of the episodes
 laid end to end, one gather per X/Y block and group of episodes; blocking is
 that gather plus a mask over each blocked tap's columns of its block; the
-stream reads the same cells from a window of the last ``span`` measurements.
+stream reads the same cells from a ring of the last ``span`` measurements.
 Dropout works on a finished dataset and masks each copy's drawn cells with one
 flat-index write per X/Y block.
 
@@ -220,21 +220,25 @@ def apply(matrix: SensorimotorMatrix, tapping: Tapping) -> Dataset:
 class StreamState:
     """Incremental counterpart of :func:`apply` for a single episode stream.
 
-    Holds the last ``span`` measurements as a window whose last row is the
-    newest; single-threaded use only.
+    The last ``span`` measurements live in a ring: time t is row
+    ``t % span`` of ``window``, so a push stores one row and moves none.
+    The row a push emits reads times ``t - span + 1 .. t``, whose rows
+    depend only on the phase ``(t + 1) % span``; the X and Y flat indices of
+    every phase are compiled once here, and an emission is one ``take`` per
+    block. Emitted arrays are fresh copies. Single-threaded use only.
     """
 
     def __init__(self, tapping: Tapping, episode_id: int = 0):
         self.tapping = tapping
         self.episode_id = episode_id
         plan = _compile(tapping)
-        n_sm = tapping.space.n_sm
-        self.d_in = plan.d_in
+        span, n_sm = tapping.span, tapping.space.n_sm
         self.max_lag = tapping.max_lag
-        self.window = np.zeros((tapping.span, n_sm))
-        # The row emitted by a push is anchored max_lag steps before the
-        # newest time, so its cell at lag l sits in window row l - min_lag.
-        self.flat = plan.offs * n_sm + plan.rows
+        self.window = np.zeros((span, n_sm))
+        # At phase p the window offset o (lag - min_lag) sits in ring row
+        # (p + o) % span; the row is anchored max_lag steps before the newest time.
+        flat = [(p + plan.offs) % span * n_sm + plan.rows for p in range(span)]
+        self._gathers = [(f[:plan.d_in], f[plan.d_in:]) for f in flat]
         self.t = 0  # time index of the next push
 
 
@@ -251,14 +255,14 @@ def stream_push(state: StreamState, sm_vector) -> list[tuple[np.ndarray, np.ndar
     """
     vec = _as_measurement(state.tapping.space, sm_vector)
     window = state.window
-    window[:-1] = window[1:]
-    window[-1] = vec
+    span = len(window)
     s = state.t
-    state.t += 1
-    if s < len(window) - 1:  # the first span - 1 pushes only fill the window
+    window[s % span] = vec
+    state.t = s + 1
+    if s < span - 1:  # the first span - 1 pushes only fill the window
         return []
-    row = window.take(state.flat)
-    return [(row[:state.d_in], row[state.d_in:], (state.episode_id, s - state.max_lag))]
+    x_flat, y_flat = state._gathers[state.t % span]
+    return [(window.take(x_flat), window.take(y_flat), (state.episode_id, s - state.max_lag))]
 
 
 def dropout_augment(dataset: Dataset, config: DropoutConfig) -> Dataset:

@@ -138,8 +138,8 @@ def predict(model: LinearModel, x) -> np.ndarray:
     phi = features(x, model.feature_map)
     if phi.shape[-1] != W.shape[1]:
         raise TapkitError(f"input maps to {phi.shape[-1]} features, model expects {W.shape[1]}")
-    if phi.ndim == 1:
-        return W @ phi + model.b
+    if phi.ndim == 1:  # dot skips matmul's gufunc dispatch; same bytes for C/F-ordered W
+        return W.dot(phi) + model.b
     return phi @ W.T + model.b
 
 
@@ -149,13 +149,20 @@ def lms_step(model: LinearModel, x, y, rate: float) -> LinearModel:
         raise TapkitError(f"rate must be >= 0, got {rate}")
     W, b = model.W, model.b
     phi = features(x, model.feature_map)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        y = y.reshape(-1)
     if phi.shape != (W.shape[1],) or y.shape != (W.shape[0],):
         raise TapkitError("lms_step dimension mismatch")
-    err = y - (W @ phi + b)
+    err = y - (W.dot(phi) + b)
+    # W + rate * (err_i * phi_j) and b + rate * err, the float order the
+    # README states, built in place: IEEE + and * commute bit for bit.
     step = err[:, None] * phi
-    step *= rate  # W + rate * (err_i * phi_j), the float order the README states
-    return LinearModel(W + step, b + rate * err, model.feature_map, model.ridge)
+    step *= rate
+    step += W
+    err *= rate
+    err += b
+    return LinearModel(step, err, model.feature_map, model.ridge)
 
 
 def rmse(model: LinearModel, dataset) -> float:

@@ -192,18 +192,27 @@ def tapped_td_run(env: ChainEnv, episodes: int, seed: int,
     it into (s@-1, s@0, r@0) rows, and each row drives one update. The result
     is bit-identical to running td0_update directly on the transitions.
     """
-    matrix = trajectory_matrix(rollout_episodes(env, episodes, seed))
-    rows = engine.apply(matrix, tapdsl.td0(matrix.space, "s", "r")).X.tolist()
-    return _td0_run(state_values(env.n_states, alpha, env.gamma),
-                    ((int(s), r, int(s_next)) for s, s_next, r in rows))
+    return _tapped_td0(env, trajectory_matrix(rollout_episodes(env, episodes, seed)), alpha)
 
 
 def direct_td_run(env: ChainEnv, episodes: int, seed: int,
                   alpha: float = 0.1) -> ValueTable:
     """The same rollouts updated without any tapping machinery."""
+    return _direct_td0(env, rollout_episodes(env, episodes, seed), alpha)
+
+
+def _tapped_td0(env: ChainEnv, matrix: SensorimotorMatrix, alpha: float) -> ValueTable:
+    """:func:`tapped_td_run`'s body, over the rollouts' trajectory matrix."""
+    rows = engine.apply(matrix, tapdsl.td0(matrix.space, "s", "r")).X.tolist()
+    return _td0_run(state_values(env.n_states, alpha, env.gamma),
+                    ((int(s), r, int(s_next)) for s, s_next, r in rows))
+
+
+def _direct_td0(env: ChainEnv, rollouts, alpha: float) -> ValueTable:
+    """:func:`direct_td_run`'s body, over rollouts already made."""
     return _td0_run(state_values(env.n_states, alpha, env.gamma), (
         (int(s), r, int(s_next))
-        for states, rewards in rollout_episodes(env, episodes, seed)
+        for states, rewards in rollouts
         for s, s_next, r in zip(states.tolist(), states[1:].tolist(), rewards[1:].tolist())))
 
 

@@ -93,6 +93,20 @@ class TestMutualInformation:
             mutual_information(x, y, 4)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("bins, message", [
+        (2.5, "bins must be an integer, got 2.5"),
+        (3.0, "bins must be an integer, got 3.0"),
+    ])
+    def test_non_integer_bins_refused(self, bins, message):
+        with pytest.raises(TapkitError) as exc:
+            mutual_information([0, 1, 2, 3], [1, 0, 3, 2], bins)
+        assert str(exc.value) == message
+
+    def test_numpy_integer_bins(self):
+        x, y = np.random.default_rng(5).normal(size=(2, 500))
+        got = mutual_information(x, y, np.int64(4))
+        assert np.float64(got).tobytes() == np.float64(mutual_information(x, y, 4)).tobytes()
+
     def test_subnormal_range(self):
         x = np.array([0.0, 5e-324, 1e-323])
         assert mutual_information(x, x, 15) == 1.584962500721156

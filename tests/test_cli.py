@@ -4,7 +4,7 @@ import csv
 import numpy as np
 import pytest
 
-from tapkit import TapkitError, analysis, cli, load_model, smcore, tapdsl
+from tapkit import TapkitError, analysis, cli, load_model, rlbridge, smcore, tapdsl
 from tapkit.cli import _box, _parse_floats, _parser, build_parser, demo_nao, main, split_seed
 from tapkit.engine import apply, load_dataset_csv, save_dataset_csv
 from tapkit.smcore import ChannelRef
@@ -325,6 +325,21 @@ class TestTd:
                            "--seed", "5")
         assert code == 0
         assert "policies match: True" in out
+
+    def test_td0_rolls_out_once(self, capsys, monkeypatch):
+        calls = []
+        real = rlbridge.rollout_episodes
+        monkeypatch.setattr(rlbridge, "rollout_episodes",
+                            lambda *a: calls.append(a[1:]) or real(*a))
+        code, out, _ = run(capsys, "td", "--episodes", "300", "--seed", "3")
+        assert code == 0
+        assert calls == [(300, 3)]
+        monkeypatch.undo()
+        env = rlbridge.ChainEnv(5, 0.9)
+        values = out.splitlines()[1]
+        for runner in (rlbridge.tapped_td_run, rlbridge.direct_td_run):
+            assert values == "  " + " ".join(f"{v:.6f}" for v in runner(env, 300, 3).v)
+        assert "dual path check (tapped == direct): True" in out
 
     @pytest.mark.parametrize("algo", ["td0", "q", "sarsa"])
     def test_negative_episodes_is_data_error(self, capsys, algo):

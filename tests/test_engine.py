@@ -264,6 +264,74 @@ class TestStream:
             assert np.array_equal(y, ds.Y[i])
 
 
+def stream_episode(tapping, ep, scribble=False):
+    """Push every measurement of ``ep`` through a fresh stream; return each
+    emission as ``(x bytes, y bytes, x shape, y shape, anchor)`` taken when it
+    is emitted. With ``scribble``, each emitted array is then overwritten."""
+    state = stream_open(tapping, episode_id=ep.id)
+    out = []
+    for t in range(ep.data.shape[1]):
+        for x, y, anchor in stream_push(state, ep.data[:, t]):
+            assert not (np.shares_memory(x, state.window) or np.shares_memory(y, state.window))
+            out.append((x.tobytes(), y.tobytes(), x.shape, y.shape, anchor))
+            if scribble:
+                x.fill(np.nan)
+                y.fill(np.nan)
+    return out
+
+
+def oracle_emissions(tapping, ep, space):
+    anchors, xs, ys = brute_force_apply(SensorimotorMatrix(space, [ep]), tapping)
+    return [(np.array(x, dtype=float).tobytes(), np.array(y, dtype=float).tobytes(),
+             (len(x),), (len(y),), anchor) for x, y, anchor in zip(xs, ys, anchors)]
+
+
+STREAM_SPACE = define_space([("motor", "m", 2), ("extero", "v", 3)], name="mv")
+STREAM_TAPPINGS = {
+    "future target": (Tap("m", -2, "input"), Tap("v", 0, "input", (1,)), Tap("v", 3, "target")),
+    "all negative lags": (Tap("m", -4, "input"), Tap("v", -3, "input"),
+                          Tap("v", -1, "target", (0, 2))),
+    "span 1": (Tap("m", 0, "input"), Tap("v", 0, "target")),
+    "span 1 in the past": (Tap("v", -2, "input", (2,)), Tap("v", -2, "target", (0, 2))),
+}
+
+
+class TestStreamAgainstOracle:
+    """Every emission equals brute_force_apply's row. Episodes are at least
+    three spans long, so the ring wraps at every phase."""
+
+    @pytest.mark.parametrize("name", STREAM_TAPPINGS)
+    def test_named_tappings(self, name):
+        tapping = Tapping(name.replace(" ", "_"), STREAM_SPACE, STREAM_TAPPINGS[name])
+        rng = np.random.default_rng(len(name))
+        for T in range(3 * tapping.span, 3 * tapping.span + tapping.span + 2):
+            ep = Episode(7, edge_values(rng, (STREAM_SPACE.n_sm, T)))
+            assert stream_episode(tapping, ep) == oracle_emissions(tapping, ep, STREAM_SPACE)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_tappings(self, seed):
+        rng = np.random.default_rng(seed)
+        space = random_space(rng)
+        tapping = random_tapping(rng, space)
+        T = 3 * tapping.span + int(rng.integers(0, 2 * tapping.span + 1))
+        ep = Episode(int(rng.integers(0, 5)), edge_values(rng, (space.n_sm, T)))
+        assert stream_episode(tapping, ep) == oracle_emissions(tapping, ep, space)
+
+    @pytest.mark.parametrize("name", STREAM_TAPPINGS)
+    def test_emissions_do_not_alias(self, name):
+        """An emitted array keeps its bytes after later pushes, and writing
+        into it changes no later emission."""
+        tapping = Tapping(name.replace(" ", "_"), STREAM_SPACE, STREAM_TAPPINGS[name])
+        ep = Episode(0, edge_values(np.random.default_rng(3), (STREAM_SPACE.n_sm,
+                                                               4 * tapping.span + 1)))
+        want = oracle_emissions(tapping, ep, STREAM_SPACE)
+        state = stream_open(tapping)
+        kept = [row for t in range(ep.data.shape[1]) for row in stream_push(state, ep.data[:, t])]
+        assert [(x.tobytes(), y.tobytes(), x.shape, y.shape, a) for x, y, a in kept] == want
+        assert stream_episode(tapping, ep, scribble=True) == want
+
+
 class TestDropout:
     def make(self, nao_space, n=10):
         return apply(line_matrix(nao_space, n + 1), tapdsl.forward(nao_space, "m", "vision"))

@@ -223,6 +223,27 @@ class TestPredictAndLms:
             assert model.b.tobytes() == b.tobytes()
         assert model.feature_map == fmap
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["identity", "quadratic"]),
+           st.sampled_from(["C", "F"]))
+    def test_single_vector_product_layouts(self, seed, fmap, order):
+        """The single-vector product is ``W.dot(phi)``: for a C- or F-ordered
+        ``W`` it gives the bytes of ``W @ phi``. (A strided ``W`` such as
+        ``A[:, ::2]`` may differ in the last bit; tapkit makes none.)"""
+        rng = np.random.default_rng(seed)
+        d, d_out = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        W = np.asarray(rng.normal(size=(d_out, feature_dim(d, fmap))), order=order)
+        b = rng.normal(size=d_out)
+        assert W.flags[f"{order}_CONTIGUOUS"]
+        model = LinearModel(W, b, fmap)
+        x, y = rng.uniform(-2, 2, d), rng.uniform(-2, 2, d_out)
+        assert predict(model, x).tobytes() == (W @ features(x, fmap) + b).tobytes()
+        rate = float(rng.uniform(0.0, 0.1))
+        stepped = lms_step(model, x, y, rate)
+        W_ref, b_ref = reference_lms_step(W, b, fmap, x, y, rate)
+        assert stepped.W.tobytes() == W_ref.tobytes()
+        assert stepped.b.tobytes() == b_ref.tobytes()
+
     def test_dimension_mismatch(self):
         with pytest.raises(TapkitError) as exc:
             predict(zero_model(3, 2), np.ones(4))
