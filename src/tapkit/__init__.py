@@ -29,10 +29,7 @@ from .rlbridge import (
     ChainEnv,
     ValueTable,
     bellman_v,
-    q_update,
-    sarsa_update,
     tapped_td_run,
-    td0_update,
     value_iteration,
 )
 from .sim import PlantConfig, arm_hand_position, generate, planted_lag_series, plant_matrix

@@ -174,6 +174,10 @@ def cmd_analyze(args) -> int:
     refs = space.channel_refs()
     table = {ref: analysis.lag_scan(matrix, ref, target, args.max_lag, args.bins)
              for ref in refs}
+    if args.emit_tapping:  # made and written first, so a refusal leaves stdout empty
+        tapping = analysis.tapping_from_scans(space, target, list(table.values()), args.threshold)
+        with open(args.emit_tapping, "w", encoding="utf-8") as fh:
+            fh.write(tapdsl.to_text(space, [tapping]))
     bins = table[refs[0]][0].bins
     _say(args, f"mutual information with {target} (bits, {bins} bins):")
     header = "lag    " + "".join(f"{str(r):>14}" for r in refs)
@@ -187,10 +191,6 @@ def cmd_analyze(args) -> int:
     _say(args, f"strongest dependency: {best.source}@{best.lag} "
                f"({best.mi_bits:.4f} bits)")
     if args.emit_tapping:
-        tapping = analysis.tapping_from_scans(
-            space, target, list(table.values()), args.threshold)
-        with open(args.emit_tapping, "w", encoding="utf-8") as fh:
-            fh.write(tapdsl.to_text(space, [tapping]))
         _say(args, f"wrote {args.emit_tapping} ({len(tapping.taps) - 1} input taps)")
     return 0
 

@@ -104,6 +104,8 @@ def fit(dataset, feature_map: str = "identity", ridge: float = 0.0) -> LinearMod
         raise TapkitError("cannot fit on an empty dataset")
     if ridge < 0:
         raise TapkitError(f"ridge must be >= 0, got {ridge}")
+    if not np.isfinite(ridge):
+        raise TapkitError(f"ridge must be finite, got {ridge}")
     # A nan or inf in X or Y, or an overflowing feature, reaches G or rhs;
     # the finiteness check below reports it, so NumPy's warnings are noise.
     with np.errstate(invalid="ignore", over="ignore"):
@@ -185,6 +187,8 @@ def best_of_n(model: LinearModel, goal, n: int, seed: int, low, high) -> ReachRe
     goal = np.asarray(goal, dtype=float).reshape(-1)
     if goal.size != model.d_out:
         raise TapkitError(f"goal must have {model.d_out} values, got {goal.size}")
+    if not np.isfinite(goal).all():
+        raise TapkitError("goal values must be finite")
     d = model.d_in
     try:
         lo = np.broadcast_to(np.asarray(low, dtype=float), (d,))
@@ -193,6 +197,9 @@ def best_of_n(model: LinearModel, goal, n: int, seed: int, low, high) -> ReachRe
         raise TapkitError(f"command box bounds must broadcast to {d} channels") from None
     if np.any(hi <= lo):
         raise TapkitError("command box is empty (high <= low)")
+    with np.errstate(over="ignore", invalid="ignore"):  # nan or inf bound, or overflow
+        if not np.isfinite(hi - lo).all():
+            raise TapkitError("command box needs finite bounds and a width float64 can hold")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     candidates = rng.uniform(lo, hi, (n, d))
     preds = predict(model, candidates)

@@ -49,7 +49,8 @@ class ChainEnv:
 
     def step(self, s: int, a: int) -> tuple[int, float, bool]:
         """(next state, reward, done); stepping from the terminal is a no-op."""
-        _check_state(s, self.n_states)
+        if not 0 <= s < self.n_states:
+            raise TapkitError(f"state {s} out of range [0, {self.n_states})")
         if a not in ACTIONS:
             raise TapkitError(f"unknown action {a}")
         if s == self.terminal:
@@ -57,11 +58,6 @@ class ChainEnv:
         s2 = min(s + 1, self.terminal) if a == RIGHT else max(s - 1, 0)
         r = 1.0 if s2 == self.terminal else 0.0
         return s2, r, s2 == self.terminal
-
-
-def _check_state(s: int, n_states: int) -> None:
-    if not 0 <= s < n_states:
-        raise TapkitError(f"state {s} out of range [0, {n_states})")
 
 
 @dataclass(frozen=True)
@@ -79,51 +75,6 @@ class ValueTable:
             raise TapkitError(f"alpha must be in (0, 1], got {self.alpha}")
         if (self.v is None) == (self.q is None):
             raise TapkitError("exactly one of v and q must be set")
-
-
-def state_values(n_states: int, alpha: float, gamma: float) -> ValueTable:
-    return ValueTable(alpha, gamma, v=np.zeros(n_states))
-
-
-def action_values(n_states: int, alpha: float, gamma: float) -> ValueTable:
-    return ValueTable(alpha, gamma, q=np.zeros((n_states, len(ACTIONS))))
-
-
-def _checked(table: ValueTable, field: str, update: str, s: int, s_next: int) -> np.ndarray:
-    """The ``v`` or ``q`` array ``update`` reads, once both states index it."""
-    values = getattr(table, field)
-    if values is None:
-        raise TapkitError(f"{update} needs {'a state' if field == 'v' else 'an action'}-value table")
-    _check_state(s, len(values))
-    _check_state(s_next, len(values))
-    return values
-
-
-def _moved(table: ValueTable, field: str, cell, target) -> ValueTable:
-    """A new table whose ``cell`` moved ``alpha`` of the way to ``target``, in
-    the float order ``cell += alpha * (target - cell)``."""
-    values = getattr(table, field).copy()
-    values[cell] += table.alpha * (target - values[cell])
-    return ValueTable(table.alpha, table.gamma, **{field: values})
-
-
-def td0_update(table: ValueTable, s: int, r: float, s_next: int) -> ValueTable:
-    """v(s) += alpha * (r + gamma * v(s') - v(s)); only v(s) changes."""
-    v = _checked(table, "v", "td0_update", s, s_next)
-    return _moved(table, "v", s, r + table.gamma * v[s_next])
-
-
-def sarsa_update(table: ValueTable, s: int, a: int, r: float,
-                 s_next: int, a_next: int) -> ValueTable:
-    """On-policy update: bootstrap from the action actually taken next."""
-    q = _checked(table, "q", "sarsa_update", s, s_next)
-    return _moved(table, "q", (s, a), r + table.gamma * q[s_next, a_next])
-
-
-def q_update(table: ValueTable, s: int, a: int, r: float, s_next: int) -> ValueTable:
-    """Off-policy update: bootstrap from the best next action."""
-    q = _checked(table, "q", "q_update", s, s_next)
-    return _moved(table, "q", (s, a), r + table.gamma * np.max(q[s_next]))
 
 
 def greedy_policy(q: np.ndarray) -> np.ndarray:
@@ -174,11 +125,11 @@ def trajectory_matrix(rollouts) -> SensorimotorMatrix:
                                       for i, (states, rewards) in enumerate(rollouts)])
 
 
-def _td0_run(table: ValueTable, transitions) -> ValueTable:
-    """TD(0) over ``(s, r, s')`` transitions made by ``ChainEnv.step``, which
-    range-checks ``s`` and returns in-range states, so none is checked again;
-    updates a private list in place in ``td0_update``'s float order."""
-    v, alpha, gamma = table.v.tolist(), table.alpha, table.gamma
+def _td0_run(env: ChainEnv, alpha: float, transitions) -> ValueTable:
+    """TD(0), ``v(s) += alpha * ((r + gamma * v(s')) - v(s))`` in that float
+    order on a private list, over ``(s, r, s')`` transitions made by ``ChainEnv.step``,
+    which range-checks ``s`` and returns in-range states, so none is checked again."""
+    v, gamma = ValueTable(alpha, env.gamma, v=np.zeros(env.n_states)).v.tolist(), env.gamma
     for s, r, s_next in transitions:
         v[s] += alpha * ((r + gamma * v[s_next]) - v[s])
     return ValueTable(alpha, gamma, v=np.array(v))
@@ -189,9 +140,8 @@ def tapped_td_run(env: ChainEnv, episodes: int, seed: int,
     """TD(0) fed exclusively through the td0 tapping.
 
     Rollouts are recorded into a sensorimotor matrix, the td0 template turns
-    it into (s@-1, s@0, r@0) rows, and each row drives one update. The result
-    is bit-identical to running td0_update directly on the transitions.
-    """
+    it into (s@-1, s@0, r@0) rows, and each row drives one update, bit-identical
+    to :func:`direct_td_run`'s TD(0) on the same transitions."""
     return _tapped_td0(env, trajectory_matrix(rollout_episodes(env, episodes, seed)), alpha)
 
 
@@ -204,13 +154,12 @@ def direct_td_run(env: ChainEnv, episodes: int, seed: int,
 def _tapped_td0(env: ChainEnv, matrix: SensorimotorMatrix, alpha: float) -> ValueTable:
     """:func:`tapped_td_run`'s body, over the rollouts' trajectory matrix."""
     rows = engine.apply(matrix, tapdsl.td0(matrix.space, "s", "r")).X.tolist()
-    return _td0_run(state_values(env.n_states, alpha, env.gamma),
-                    ((int(s), r, int(s_next)) for s, s_next, r in rows))
+    return _td0_run(env, alpha, ((int(s), r, int(s_next)) for s, s_next, r in rows))
 
 
 def _direct_td0(env: ChainEnv, rollouts, alpha: float) -> ValueTable:
     """:func:`direct_td_run`'s body, over rollouts already made."""
-    return _td0_run(state_values(env.n_states, alpha, env.gamma), (
+    return _td0_run(env, alpha, (
         (int(s), r, int(s_next))
         for states, rewards in rollouts
         for s, s_next, r in zip(states.tolist(), states[1:].tolist(), rewards[1:].tolist())))
@@ -220,8 +169,7 @@ def td0_sweeps(env: ChainEnv, sweeps: int, alpha: float) -> ValueTable:
     """Policy evaluation of the always-right policy: one episode from state 0
     per sweep."""
     _check_count("sweeps", sweeps)
-    return _td0_run(state_values(env.n_states, alpha, env.gamma),
-                    (step for _ in range(sweeps) for step in _walk_right(env, 0)))
+    return _td0_run(env, alpha, (step for _ in range(sweeps) for step in _walk_right(env, 0)))
 
 
 def _epsilon_greedy(rng, q, s, epsilon) -> int:
@@ -230,12 +178,20 @@ def _epsilon_greedy(rng, q, s, epsilon) -> int:
     return RIGHT if q[s][RIGHT] > q[s][LEFT] else LEFT  # a tie goes LEFT, as in np.argmax
 
 
+def _control_start(env: ChainEnv, episodes: int, alpha: float, epsilon: float, seed: int):
+    """The control runners' checks, then their generator and zero q table as lists."""
+    _check_count("episodes", episodes)
+    if not 0.0 <= epsilon <= 1.0:
+        raise TapkitError(f"epsilon must be in [0, 1], got {epsilon}")
+    q = ValueTable(alpha, env.gamma, q=np.zeros((env.n_states, len(ACTIONS)))).q.tolist()
+    return np.random.default_rng(np.random.SeedSequence(seed)), q
+
+
 def q_learning_run(env: ChainEnv, episodes: int, alpha: float, epsilon: float,
                    seed: int) -> ValueTable:
-    """Epsilon-greedy Q-learning from state 0, in ``q_update``'s float order."""
-    _check_count("episodes", episodes)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    q = action_values(env.n_states, alpha, env.gamma).q.tolist()
+    """Epsilon-greedy Q-learning from state 0, in the float order
+    ``q(s, a) += alpha * ((r + gamma * max(q(s', .))) - q(s, a))``."""
+    rng, q = _control_start(env, episodes, alpha, epsilon, seed)
     for _ in range(episodes):
         s = 0
         for _ in range(MAX_STEPS):
@@ -250,10 +206,9 @@ def q_learning_run(env: ChainEnv, episodes: int, alpha: float, epsilon: float,
 
 def sarsa_run(env: ChainEnv, episodes: int, alpha: float, epsilon: float,
               seed: int) -> ValueTable:
-    """Epsilon-greedy SARSA from state 0, in ``sarsa_update``'s float order."""
-    _check_count("episodes", episodes)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    q = action_values(env.n_states, alpha, env.gamma).q.tolist()
+    """Epsilon-greedy SARSA from state 0, a' the next action taken, in the
+    float order ``q(s, a) += alpha * ((r + gamma * q(s', a')) - q(s, a))``."""
+    rng, q = _control_start(env, episodes, alpha, epsilon, seed)
     for _ in range(episodes):
         s = 0
         a = _epsilon_greedy(rng, q, s, epsilon)

@@ -43,13 +43,17 @@ class PlantConfig:
             raise TapkitError(f"unknown plant kind {self.kind!r}; expected {PLANT_KINDS}")
         if self.command_high <= self.command_low:
             raise TapkitError("command box is empty (high <= low)")
+        if not np.isfinite(float(self.command_high) - float(self.command_low)):
+            raise TapkitError("command box needs finite bounds and a width float64 can hold")
         if self.dim < 1:
             raise TapkitError(f"linear plant dimension must be >= 1, got {self.dim}")
         if self.noise_std < 0:
             raise TapkitError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not np.isfinite(self.noise_std):
+            raise TapkitError(f"noise_std must be finite, got {self.noise_std}")
         if self.delay < 1:
             raise TapkitError(f"delay must be >= 1, got {self.delay}")
-        if any(l <= 0 for l in self.link_lengths):
+        if not all(l > 0 for l in self.link_lengths):  # a nan length is not > 0 either
             raise TapkitError("arm link lengths must be positive")
 
 

@@ -16,7 +16,7 @@ from itertools import islice
 import numpy as np
 
 from tapkit.errors import TapkitError
-from tapkit.rlbridge import ACTIONS, RIGHT, action_values, state_values
+from tapkit.rlbridge import ACTIONS, RIGHT, ValueTable
 from tapkit.sim import plant_matrix, space_for
 from tapkit.smcore import Episode, SensorimotorMatrix, define_space
 from tapkit.tapdsl import ROLE_INPUT, ROLE_TARGET, Tap, Tapping, tap_channels
@@ -550,10 +550,8 @@ def _reference_check_index(table, s):
 
 
 def reference_td0_update(table, s, r, s_next):
-    """The TD(0) update ``rlbridge`` had before its three update rules
-    shared one body; ``td0_update`` must give the same table bytes."""
-    if table.v is None:
-        raise TapkitError("td0_update needs a state-value table")
+    """One TD(0) update, v(s) += alpha * (r + gamma * v(s') - v(s)), on a
+    copy of the table. The runners' private loops must give the same bytes."""
     _reference_check_index(table, s)
     _reference_check_index(table, s_next)
     v = table.v.copy()
@@ -562,8 +560,7 @@ def reference_td0_update(table, s, r, s_next):
 
 
 def reference_sarsa_update(table, s, a, r, s_next, a_next):
-    if table.q is None:
-        raise TapkitError("sarsa_update needs an action-value table")
+    """q(s, a) += alpha * (r + gamma * q(s', a') - q(s, a)), on a copy."""
     _reference_check_index(table, s)
     _reference_check_index(table, s_next)
     q = table.q.copy()
@@ -572,8 +569,7 @@ def reference_sarsa_update(table, s, a, r, s_next, a_next):
 
 
 def reference_q_update(table, s, a, r, s_next):
-    if table.q is None:
-        raise TapkitError("q_update needs an action-value table")
+    """q(s, a) += alpha * (r + gamma * max(q(s')) - q(s, a)), on a copy."""
     _reference_check_index(table, s)
     _reference_check_index(table, s_next)
     q = table.q.copy()
@@ -607,7 +603,7 @@ def reference_rollout_episodes(env, episodes, seed):
 def reference_direct_td_run(env, episodes, seed, alpha=0.1):
     """TD(0) over the rollouts, no tapping: what ``tapped_td_run`` and
     ``direct_td_run`` must both equal."""
-    table = state_values(env.n_states, alpha, env.gamma)
+    table = ValueTable(alpha, env.gamma, v=np.zeros(env.n_states))
     for states, rewards in reference_rollout_episodes(env, episodes, seed):
         for t in range(1, len(states)):
             table = reference_td0_update(table, int(states[t - 1]), float(rewards[t]),
@@ -617,7 +613,7 @@ def reference_direct_td_run(env, episodes, seed, alpha=0.1):
 
 def reference_td0_sweeps(env, sweeps, alpha):
     _reference_check_count("sweeps", sweeps)
-    table = state_values(env.n_states, alpha, env.gamma)
+    table = ValueTable(alpha, env.gamma, v=np.zeros(env.n_states))
     for _ in range(sweeps):
         s, done = 0, False
         while not done:
@@ -636,7 +632,7 @@ def _reference_epsilon_greedy(rng, q, s, epsilon):
 def reference_q_learning_run(env, episodes, alpha, epsilon, seed):
     _reference_check_count("episodes", episodes)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    table = action_values(env.n_states, alpha, env.gamma)
+    table = ValueTable(alpha, env.gamma, q=np.zeros((env.n_states, len(ACTIONS))))
     for _ in range(episodes):
         s = 0
         for _ in range(REFERENCE_MAX_STEPS):
@@ -652,7 +648,7 @@ def reference_q_learning_run(env, episodes, alpha, epsilon, seed):
 def reference_sarsa_run(env, episodes, alpha, epsilon, seed):
     _reference_check_count("episodes", episodes)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    table = action_values(env.n_states, alpha, env.gamma)
+    table = ValueTable(alpha, env.gamma, q=np.zeros((env.n_states, len(ACTIONS))))
     for _ in range(episodes):
         s = 0
         a = _reference_epsilon_greedy(rng, table.q, s, epsilon)

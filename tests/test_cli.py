@@ -4,9 +4,10 @@ import csv
 import numpy as np
 import pytest
 
-from tapkit import TapkitError, analysis, cli, load_model, rlbridge, smcore, tapdsl
+from tapkit import TapkitError, analysis, cli, load_model, rlbridge, save_model, smcore, tapdsl
 from tapkit.cli import _box, _parse_floats, _parser, build_parser, demo_nao, main, split_seed
 from tapkit.engine import apply, load_dataset_csv, save_dataset_csv
+from tapkit.models import LinearModel
 from tapkit.smcore import ChannelRef
 
 from oracles import fk_oracle, reference_read_table
@@ -396,10 +397,10 @@ class TestAnalyze:
         header = "episode,motor:x[0],extero:y[0]\n"
         rows = "".join(f"0,0,0\n" for _ in range(50))
         data.write_text(header + rows)
-        code, _, err = run(capsys, "analyze", "--data", str(data),
-                           "--target", "y[0]", "--max-lag", "2",
-                           "--emit-tapping", str(tmp_path / "x.tap"))
-        assert code == 2
+        code, out, err = run(capsys, "analyze", "--data", str(data),
+                             "--target", "y[0]", "--max-lag", "2",
+                             "--emit-tapping", str(tmp_path / "x.tap"))
+        assert (code, out) == (2, "")
         assert "no dependency" in err
 
 
@@ -536,18 +537,61 @@ class TestParserReuse:
         assert run(capsys, "td", "--episodes", "3") == (0, "stub 3\n", "")
 
 
+BOX = "command box needs finite bounds and a width float64 can hold"
+
+
 class TestRefusals:
     @pytest.mark.parametrize("argv, message", [
         (("--plant", "arm", "--box", "1:-1"), "command box is empty (high <= low)"),
         (("--plant", "linear", "--dim", "0"), "linear plant dimension must be >= 1, got 0"),
         (("--plant", "arm", "--noise", "-1"), "noise_std must be >= 0, got -1.0"),
         (("--plant", "arm", "--episodes", "-1"), "episodes must be >= 0, got -1"),
+        (("--plant", "arm", "--box", "nan:1"), BOX),
+        (("--plant", "arm", "--box=-1e308:1e308"), BOX),
+        (("--plant", "arm", "--noise", "nan"), "noise_std must be finite, got nan"),
+        (("--plant", "arm", "--noise", "inf"), "noise_std must be finite, got inf"),
     ])
     def test_gen_refusal(self, tmp_path, capsys, argv, message):
         code, out, err = run(capsys, "gen", "--steps", "5", "--out", str(tmp_path / "d.csv"),
                              *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--goal", "nan,0"), "goal values must be finite"),
+        (("--goal", "1,2", "--box", "nan:1"), BOX),
+        (("--goal", "1,2", "--box=-1e308:1e308"), BOX),
+    ])
+    def test_reach_refusal(self, tmp_path, capsys, argv, message):
+        model = tmp_path / "m.txt"
+        save_model(LinearModel(np.eye(2), np.zeros(2)), model)
+        code, out, err = run(capsys, "reach", "--model", str(model), *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("algo, epsilon", [("q", "5"), ("sarsa", "nan"), ("sarsa", "-0.5")])
+    def test_td_epsilon_refusal(self, capsys, algo, epsilon):
+        code, out, err = run(capsys, "td", "--algo", algo, "--epsilon", epsilon)
+        assert (code, out) == (2, "")
+        assert err == f"error: epsilon must be in [0, 1], got {float(epsilon)}\n"
+
+    @pytest.mark.parametrize("ridge", ["nan", "inf"])
+    def test_train_ridge_refusal(self, tmp_path, capsys, ridge):
+        ds_path = tmp_path / "ds.csv"
+        ds_path.write_text("episode,t,x:m[0]@-1,y:v[0]@0\n0,1,1,2\n0,2,2,3\n")
+        code, out, err = run(capsys, "train", "--data", str(ds_path), "--ridge", ridge,
+                             "--out", str(tmp_path / "m.txt"))
+        assert (code, out, err) == (2, "", f"error: ridge must be finite, got {float(ridge)}\n")
+        assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("threshold", ["0", "1.5", "nan"])
+    def test_analyze_threshold_refused_before_any_output(self, tmp_path, capsys, threshold):
+        data, out_tap = tmp_path / "d.csv", tmp_path / "eff.tap"
+        run(capsys, "gen", "--plant", "planted", "--steps", "200", "--out", str(data))
+        code, out, err = run(capsys, "analyze", "--data", str(data), "--target", "y[0]",
+                             "--threshold", threshold, "--emit-tapping", str(out_tap))
+        message = f"threshold_frac must be in (0, 1], got {float(threshold)}"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_tap.exists()
 
     @pytest.mark.parametrize("command", ["apply", "render", "analyze"])
     def test_no_space_block(self, tmp_path, capsys, command):

@@ -271,6 +271,9 @@ class TestPredictAndLms:
         assert str(exc.value) == "lms_step dimension mismatch"
 
 
+BOX = "command box needs finite bounds and a width float64 can hold"
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: fit(linear_plant_dataset(steps=11)[1], ridge=-1.0), "ridge must be >= 0, got -1.0"),
     (lambda: fit(SimpleNamespace(X=np.array([[1.0, 2], [2, 4], [3, 6]]), Y=np.ones((3, 1))),
@@ -279,6 +282,15 @@ class TestPredictAndLms:
     (lambda: lms_step(zero_model(2, 2), np.ones(2), np.ones(2), rate=-0.5),
      "rate must be >= 0, got -0.5"),
     (lambda: best_of_n(zero_model(2, 2), np.zeros(2), 0, 1, -1.0, 1.0), "n must be >= 1, got 0"),
+    (lambda: fit(linear_plant_dataset(steps=11)[1], ridge=np.nan), "ridge must be finite, got nan"),
+    (lambda: fit(linear_plant_dataset(steps=11)[1], ridge=np.inf), "ridge must be finite, got inf"),
+    (lambda: best_of_n(zero_model(2, 2), [np.nan, 0.0], 8, 1, -1.0, 1.0),
+     "goal values must be finite"),
+    (lambda: best_of_n(zero_model(2, 2), [0.0, np.inf], 8, 1, -1.0, 1.0),
+     "goal values must be finite"),
+    (lambda: best_of_n(zero_model(2, 2), np.zeros(2), 8, 1, np.nan, 1.0), BOX),
+    (lambda: best_of_n(zero_model(2, 2), np.zeros(2), 8, 1, [-1.0, -np.inf], 1.0), BOX),
+    (lambda: best_of_n(zero_model(2, 2), np.zeros(2), 8, 1, -1e308, 1e308), BOX),  # width overflows
 ])
 def test_refusal_text(call, message):
     with pytest.raises(TapkitError) as exc:

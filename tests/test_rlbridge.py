@@ -5,18 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tapkit import ChainEnv, TapkitError, bellman_v, q_update, sarsa_update, td0_update, value_iteration
+from tapkit import ChainEnv, TapkitError, bellman_v, value_iteration
 from tapkit import rlbridge
 from tapkit.rlbridge import (
     LEFT,
     RIGHT,
-    action_values,
     direct_td_run,
     greedy_policy,
     q_learning_run,
     rollout_episodes,
     sarsa_run,
-    state_values,
     tapped_td_run,
     td0_sweeps,
     trajectory_matrix,
@@ -27,15 +25,11 @@ from tapkit.smcore import Episode, SensorimotorMatrix, define_space
 
 import oracles
 from oracles import (
-    edge_values,
     reference_direct_td_run,
     reference_q_learning_run,
-    reference_q_update,
     reference_rollout_episodes,
     reference_sarsa_run,
-    reference_sarsa_update,
     reference_td0_sweeps,
-    reference_td0_update,
 )
 
 
@@ -57,32 +51,6 @@ class TestEnv:
             ChainEnv(5, 0.0)
 
 
-class TestUpdates:
-    def test_td0_single_step_algebra(self, env):
-        table = state_values(5, alpha=1.0, gamma=0.9)
-        out = td0_update(table, 2, 1.0, 3)
-        assert out.v[2] == 1.0
-        assert (np.delete(out.v, 2) == 0).all()
-
-    def test_alpha_damps(self, env):
-        table = state_values(5, alpha=0.1, gamma=0.9)
-        assert td0_update(table, 2, 1.0, 3).v[2] == pytest.approx(0.1)
-
-    def test_q_single_step(self):
-        table = action_values(5, alpha=1.0, gamma=0.9)
-        assert q_update(table, 2, RIGHT, 1.0, 3).q[2, RIGHT] == 1.0
-
-    def test_index_errors(self):
-        table = state_values(5, 0.1, 0.9)
-        with pytest.raises(TapkitError):
-            td0_update(table, 9, 0.0, 0)
-
-    def test_tables_are_values(self):
-        table = state_values(5, 0.5, 0.9)
-        td0_update(table, 0, 1.0, 1)
-        assert (table.v == 0).all()
-
-
 @pytest.mark.parametrize("call, message", [
     (lambda: ChainEnv(5, 0.9).step(0, 2), "unknown action 2"),
     (lambda: ChainEnv(5, 0.9).step(5, RIGHT), "state 5 out of range [0, 5)"),
@@ -92,19 +60,21 @@ class TestUpdates:
     (lambda: rlbridge.ValueTable(0.1, 0.9), "exactly one of v and q must be set"),
     (lambda: rlbridge.ValueTable(0.1, 0.9, v=np.zeros(3), q=np.zeros((3, 2))),
      "exactly one of v and q must be set"),
-    (lambda: td0_update(action_values(5, 0.1, 0.9), 0, 0.0, 1),
-     "td0_update needs a state-value table"),
-    (lambda: sarsa_update(state_values(5, 0.1, 0.9), 0, RIGHT, 0.0, 1, RIGHT),
-     "sarsa_update needs an action-value table"),
-    (lambda: q_update(state_values(5, 0.1, 0.9), 0, RIGHT, 0.0, 1),
-     "q_update needs an action-value table"),
-    # the table kind is checked before the states
-    (lambda: q_update(state_values(5, 0.1, 0.9), 7, RIGHT, 0.0, 1),
-     "q_update needs an action-value table"),
-    (lambda: td0_update(state_values(5, 0.1, 0.9), 0, 0.0, 5), "state 5 out of range [0, 5)"),
-    (lambda: sarsa_update(action_values(4, 0.1, 0.9), -1, RIGHT, 0.0, 9, RIGHT),
-     "state -1 out of range [0, 4)"),
-    (lambda: q_update(action_values(4, 0.1, 0.9), 0, RIGHT, 0.0, 4), "state 4 out of range [0, 4)"),
+    # the state is checked before the action
+    (lambda: ChainEnv(5, 0.9).step(5, 2), "state 5 out of range [0, 5)"),
+    (lambda: ChainEnv(4, 0.9).step(-1, RIGHT), "state -1 out of range [0, 4)"),
+    (lambda: ChainEnv(4, 0.9).step(4, LEFT), "state 4 out of range [0, 4)"),
+    (lambda: q_learning_run(ChainEnv(5, 0.9), 1, 0.1, 5.0, seed=0),
+     "epsilon must be in [0, 1], got 5.0"),
+    (lambda: sarsa_run(ChainEnv(5, 0.9), 1, 0.1, -0.1, seed=0),
+     "epsilon must be in [0, 1], got -0.1"),
+    (lambda: q_learning_run(ChainEnv(5, 0.9), 1, 0.1, float("nan"), seed=0),
+     "epsilon must be in [0, 1], got nan"),
+    # the zero table is made, and alpha checked, before the first step
+    (lambda: q_learning_run(ChainEnv(5, 0.9), 1, -0.5, 0.1, seed=0),
+     "alpha must be in (0, 1], got -0.5"),
+    (lambda: sarsa_run(ChainEnv(5, 0.9), 1, 2.0, 0.1, seed=0),
+     "alpha must be in (0, 1], got 2.0"),
 ])
 def test_refusal_text(call, message):
     with pytest.raises(TapkitError) as exc:
@@ -126,37 +96,10 @@ class TestConvergence:
         q_star, policy_star = value_iteration(env)
         assert np.array_equal(greedy_policy(table.q), policy_star)
         assert np.max(np.abs(table.q - q_star)) <= 1e-2
-
-    def test_greedy_sarsa_equals_q_learning_and_bellman(self, env):
-        # epsilon=0 comparison needs exploring starts plus a rightward tie
-        # break, otherwise the all-zero table parks the walker at state 0.
-        def greedy_right(q, s):
-            return 1 - int(np.argmax(q[s][::-1]))
-
-        def run(kind, episodes, seed):
-            rng = np.random.default_rng(seed)
-            table = action_values(env.n_states, 0.1, env.gamma)
-            for _ in range(episodes):
-                s = int(rng.integers(0, env.terminal))
-                a = int(rng.integers(0, 2))
-                done = False
-                while not done:
-                    s2, r, done = env.step(s, a)
-                    a2 = greedy_right(table.q, s2)
-                    if kind == "sarsa":
-                        table = sarsa_update(table, s, a, r, s2, a2)
-                    else:
-                        table = q_update(table, s, a, r, s2)
-                    s, a = s2, a2
-            return table
-
-        q_star, _ = value_iteration(env)
-        sarsa = run("sarsa", 2000, seed=77)
-        qlearn = run("q", 2000, seed=77)
-        assert np.max(np.abs(sarsa.q - qlearn.q)) <= 1e-3
-        assert np.max(np.abs(sarsa.q - q_star)) <= 1e-3
-        assert np.max(np.abs(qlearn.q - q_star)) <= 1e-3
-
+        # SARSA learns the values of its epsilon-greedy policy, not q*, so
+        # only its greedy policy is compared (its q sits ~0.056 from q* here).
+        sarsa = sarsa_run(env, 5000, alpha=0.1, epsilon=0.1, seed=9)
+        assert np.array_equal(greedy_policy(sarsa.q), policy_star)
 
 class TestTappedRun:
     def test_dual_path_identical(self, env):
@@ -237,27 +180,6 @@ UNIT = st.floats(0.0, 1.0, exclude_min=True)  # alpha and gamma: (0, 1]
 class TestAgainstReference:
     """Every TD rule gives the table bytes of its written-out reference in
     ``tests/oracles.py``."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(n_states=st.integers(2, 6), alpha=UNIT, gamma=UNIT, seed=st.integers(0, 2**32 - 1))
-    def test_single_updates(self, n_states, alpha, gamma, seed):
-        # Edge values (subnormals, +-max float) make any reordering of the
-        # float expression show; overflow to inf and inf - inf are expected.
-        rng = np.random.default_rng(seed)
-        v = rlbridge.ValueTable(alpha, gamma, v=edge_values(rng, n_states))
-        q = rlbridge.ValueTable(alpha, gamma, q=edge_values(rng, (n_states, 2)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(10):
-                s, s2 = rng.integers(0, n_states, 2).tolist()
-                a, a2 = rng.integers(0, 2, 2).tolist()
-                r = float(edge_values(rng, 1)[0])
-                v_next = td0_update(v, s, r, s2)
-                assert v_next.v.tobytes() == reference_td0_update(v, s, r, s2).v.tobytes()
-                want = reference_sarsa_update(q, s, a, r, s2, a2).q.tobytes()
-                assert sarsa_update(q, s, a, r, s2, a2).q.tobytes() == want
-                q_next = q_update(q, s, a, r, s2)
-                assert q_next.q.tobytes() == reference_q_update(q, s, a, r, s2).q.tobytes()
-                v, q = v_next, q_next
 
     @settings(max_examples=100, deadline=None)
     @given(n_states=st.integers(2, 6), alpha=UNIT, gamma=UNIT, count=st.integers(0, 20),

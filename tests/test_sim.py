@@ -154,6 +154,9 @@ class TestDeterminism:
             generate(PlantConfig(), 1, 0)
 
 
+BOX = "command box needs finite bounds and a width float64 can hold"
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: PlantConfig(kind="warp"),
      "unknown plant kind 'warp'; expected ('linear', 'arm', 'planted_lag')"),
@@ -163,6 +166,13 @@ class TestDeterminism:
     (lambda: PlantConfig(noise_std=-0.5), "noise_std must be >= 0, got -0.5"),
     (lambda: PlantConfig(delay=0), "delay must be >= 1, got 0"),
     (lambda: PlantConfig(kind="arm", link_lengths=(1.0, 0.0)), "arm link lengths must be positive"),
+    pytest.param(lambda: PlantConfig(kind="arm", link_lengths=(np.nan, 1.0)),
+                 "arm link lengths must be positive", id="nan-link-length"),
+    (lambda: PlantConfig(command_low=np.nan), BOX),
+    (lambda: PlantConfig(command_high=np.inf), BOX),
+    (lambda: PlantConfig(command_low=-1e308, command_high=1e308), BOX),  # width overflows
+    (lambda: PlantConfig(noise_std=np.nan), "noise_std must be finite, got nan"),
+    (lambda: PlantConfig(noise_std=np.inf), "noise_std must be finite, got inf"),
     (lambda: plant_matrix(PlantConfig(kind="arm")), "plant kind 'arm' has no plant matrix"),
     (lambda: plant_matrix(PlantConfig(kind="linear", dim=2, matrix=((1.0, 0.0, 0.0),
                                                                     (0.0, 1.0, 0.0)))),
