@@ -187,12 +187,7 @@ def tapping_from_scans(space: SensorimotorSpace, target: ChannelRef,
     ``threshold_frac`` of the maximum found, in scan order.
     """
     _check_threshold(threshold_frac)
-    candidates = [res for scan in scans for res in scan
-                  if not (res.source == target and res.lag == 0)]
-    if not candidates:
-        raise TapkitError(
-            "nothing to scan: the target's own lag-0 cell is the only candidate"
-        )
+    candidates = scan_candidates(target, scans)
     max_mi = max(res.mi_bits for res in candidates)
     if max_mi == 0.0:
         raise TapkitError("no dependency detected: all scanned MI estimates are 0")
@@ -203,6 +198,19 @@ def tapping_from_scans(space: SensorimotorSpace, target: ChannelRef,
     ]
     taps.append(Tap(target.group, 0, ROLE_TARGET, channels=(target.index,)))
     return Tapping("effective", space, tuple(taps))
+
+
+def scan_candidates(target: ChannelRef, scans) -> list[MIResult]:
+    """The cells of lag scans against ``target`` that may feed it, in scan
+    order: every cell but the target's own lag-0 cell, of which there must
+    be at least one."""
+    candidates = [res for scan in scans for res in scan
+                  if not (res.source == target and res.lag == 0)]
+    if not candidates:
+        raise TapkitError(
+            "nothing to scan: the target's own lag-0 cell is the only candidate"
+        )
+    return candidates
 
 
 def _check_threshold(threshold_frac: float) -> None:

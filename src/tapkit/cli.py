@@ -174,10 +174,12 @@ def cmd_analyze(args) -> int:
     refs = space.channel_refs()
     table = {ref: analysis.lag_scan(matrix, ref, target, args.max_lag, args.bins)
              for ref in refs}
-    if args.emit_tapping:  # made and written first, so a refusal leaves stdout empty
+    # The tapping and the strongest cell come first, so a refusal leaves stdout empty.
+    if args.emit_tapping:
         tapping = analysis.tapping_from_scans(space, target, list(table.values()), args.threshold)
         with open(args.emit_tapping, "w", encoding="utf-8") as fh:
             fh.write(tapdsl.to_text(space, [tapping]))
+    best = max(analysis.scan_candidates(target, table.values()), key=lambda r: r.mi_bits)
     bins = table[refs[0]][0].bins
     _say(args, f"mutual information with {target} (bits, {bins} bins):")
     header = "lag    " + "".join(f"{str(r):>14}" for r in refs)
@@ -185,9 +187,6 @@ def cmd_analyze(args) -> int:
     for i, lag in enumerate(range(0, -args.max_lag - 1, -1)):
         cells = "".join(f"{table[r][i].mi_bits:>14.4f}" for r in refs)
         _say(args, f"{lag:>4}   {cells}")
-    best = max((res for results in table.values() for res in results
-                if not (res.source == target and res.lag == 0)),
-               key=lambda r: r.mi_bits)
     _say(args, f"strongest dependency: {best.source}@{best.lag} "
                f"({best.mi_bits:.4f} bits)")
     if args.emit_tapping:

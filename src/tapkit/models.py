@@ -9,6 +9,7 @@ row-major upper-triangle order, after the linear terms.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -191,19 +192,29 @@ def best_of_n(model: LinearModel, goal, n: int, seed: int, low, high) -> ReachRe
         raise TapkitError("goal values must be finite")
     d = model.d_in
     try:
-        lo = np.broadcast_to(np.asarray(low, dtype=float), (d,))
-        hi = np.broadcast_to(np.asarray(high, dtype=float), (d,))
+        lo, hi = np.asarray(low, dtype=float), np.asarray(high, dtype=float)
+        if lo.ndim or hi.ndim:
+            lo, hi = np.broadcast_to(lo, (d,)), np.broadcast_to(hi, (d,))
     except ValueError:
         raise TapkitError(f"command box bounds must broadcast to {d} channels") from None
-    if np.any(hi <= lo):
+    if lo.ndim:
+        with np.errstate(over="ignore", invalid="ignore"):  # nan or inf bound, or overflow
+            empty, finite = np.any(hi <= lo), np.isfinite(hi - lo).all()
+    else:
+        # Scalar bounds stay scalar, checked with float math: uniform draws the
+        # same low + (high - low) * U from them as from per-channel arrays.
+        lo, hi = float(lo), float(hi)
+        empty, finite = hi <= lo, math.isfinite(hi - lo)
+    if empty:
         raise TapkitError("command box is empty (high <= low)")
-    with np.errstate(over="ignore", invalid="ignore"):  # nan or inf bound, or overflow
-        if not np.isfinite(hi - lo).all():
-            raise TapkitError("command box needs finite bounds and a width float64 can hold")
+    if not finite:
+        raise TapkitError("command box needs finite bounds and a width float64 can hold")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     candidates = rng.uniform(lo, hi, (n, d))
     preds = predict(model, candidates)
-    dists = np.linalg.norm(preds - goal, axis=1)
+    diff = preds - goal
+    diff *= diff
+    dists = np.sqrt(np.add.reduce(diff, axis=1))  # what np.linalg.norm(axis=1) computes
     i = int(np.argmin(dists))
     return ReachResult(candidates[i].copy(), preds[i].copy(), float(dists[i]))
 
@@ -250,4 +261,6 @@ def load_model(path) -> LinearModel:
         raise TapkitError(f"{path}: non-numeric model entry") from None
     if W.shape != (d_out, d_feat) or b.shape != (d_out,):
         raise TapkitError(f"{path}: model shape does not match header")
+    if not (math.isfinite(ridge) and np.isfinite(W).all() and np.isfinite(b).all()):
+        raise TapkitError(f"{path}: non-finite model value (nan or inf)")
     return LinearModel(W, b, feature_map, ridge)

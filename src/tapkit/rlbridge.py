@@ -153,16 +153,22 @@ def direct_td_run(env: ChainEnv, episodes: int, seed: int,
 
 def _tapped_td0(env: ChainEnv, matrix: SensorimotorMatrix, alpha: float) -> ValueTable:
     """:func:`tapped_td_run`'s body, over the rollouts' trajectory matrix."""
-    rows = engine.apply(matrix, tapdsl.td0(matrix.space, "s", "r")).X.tolist()
-    return _td0_run(env, alpha, ((int(s), r, int(s_next)) for s, s_next, r in rows))
+    X = engine.apply(matrix, tapdsl.td0(matrix.space, "s", "r")).X  # (s@-1, s@0, r@0) rows
+    s, s_next = X[:, :2].astype(np.intp).T.tolist()
+    return _td0_run(env, alpha, zip(s, X[:, 2].tolist(), s_next))
 
 
 def _direct_td0(env: ChainEnv, rollouts, alpha: float) -> ValueTable:
-    """:func:`direct_td_run`'s body, over rollouts already made."""
-    return _td0_run(env, alpha, (
-        (int(s), r, int(s_next))
-        for states, rewards in rollouts
-        for s, s_next, r in zip(states.tolist(), states[1:].tolist(), rewards[1:].tolist())))
+    """:func:`direct_td_run`'s body, over rollouts already made: the
+    episodes end to end, each step but an episode's first arriving from the
+    step before it."""
+    if not rollouts:
+        return _td0_run(env, alpha, ())
+    lengths = np.array([len(states) for states, _ in rollouts])
+    states, rewards = (np.concatenate(column) for column in zip(*rollouts))
+    t = np.delete(np.arange(states.size), np.cumsum(lengths) - lengths)
+    s = states.astype(np.intp)
+    return _td0_run(env, alpha, zip(s[t - 1].tolist(), rewards[t].tolist(), s[t].tolist()))
 
 
 def td0_sweeps(env: ChainEnv, sweeps: int, alpha: float) -> ValueTable:

@@ -9,6 +9,7 @@ same config and seed always produce bit-identical matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,8 @@ class PlantConfig:
             raise TapkitError(f"delay must be >= 1, got {self.delay}")
         if not all(l > 0 for l in self.link_lengths):  # a nan length is not > 0 either
             raise TapkitError("arm link lengths must be positive")
+        if not all(math.isfinite(l) for l in self.link_lengths):
+            raise TapkitError("arm link lengths must be finite")
 
 
 def space_for(config: PlantConfig) -> SensorimotorSpace:
@@ -82,6 +85,8 @@ def plant_matrix(config: PlantConfig) -> np.ndarray:
                 f"explicit plant matrix has shape {A.shape}, expected "
                 f"({config.dim}, {config.dim})"
             )
+        if not np.isfinite(A).all():
+            raise TapkitError("explicit plant matrix must be finite")
         if np.linalg.cond(A) >= 1e6:
             raise TapkitError("explicit plant matrix is near-singular (cond >= 1e6)")
         return A

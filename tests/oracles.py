@@ -202,6 +202,36 @@ def reference_fit(X, Y, feature_map, ridge):
     return theta[:df].T, theta[df]
 
 
+def reference_best_of_n(model, goal, n, seed, low, high):
+    """best_of_n written out; returns ``(command, predicted, distance)``.
+
+    The candidates are the documented draws ``low + (high - low) * U``, one
+    ``U`` per cell from ``Generator.random`` in row-major order, for scalar
+    and per-channel bounds alike. The features are written out per row and
+    the distances are per-row Euclidean norms, summed as NumPy sums a row.
+    The lowest index wins a tie. The predictions stay one ``phi @ W.T + b``
+    product: BLAS sums it in its own order, and a product per row differs
+    from that in the last bit.
+    """
+    d = model.d_in
+    lo = np.broadcast_to(np.asarray(low, dtype=float), (d,)).tolist()
+    hi = np.broadcast_to(np.asarray(high, dtype=float), (d,)).tolist()
+    U = np.random.default_rng(np.random.SeedSequence(seed)).random((n, d)).tolist()
+    candidates = [[lo[j] + (hi[j] - lo[j]) * u[j] for j in range(d)] for u in U]
+    rows = []
+    for x in candidates:
+        if model.feature_map == "quadratic":
+            x = x + [x[i] * x[j] for i in range(d) for j in range(i, d)]
+        rows.append(x)
+    preds = (np.array(rows) @ model.W.T + model.b).tolist()
+    best, best_dist = 0, math.inf
+    for i, p in enumerate(preds):
+        dist = math.sqrt(_reference_pairwise_sum([(v - g) * (v - g) for v, g in zip(p, goal)]))
+        if dist < best_dist:
+            best, best_dist = i, dist
+    return np.array(candidates[best]), np.array(preds[best]), best_dist
+
+
 def reference_position(text, offset):
     """1-based (line, column) of ``offset`` in ``text``: the line is the number
     of pieces ``text[:offset]`` splits into on newlines, and the column is one

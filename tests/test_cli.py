@@ -392,6 +392,17 @@ class TestAnalyze:
                              "--max-lag", "-1")
         assert (code, out, err) == (2, "", "error: max_lag must be >= 0, got -1\n")
 
+    @pytest.mark.parametrize("emit", [False, True])
+    def test_target_only_data_is_data_error(self, tmp_path, capsys, emit):
+        data, out_tap = tmp_path / "d.csv", tmp_path / "eff.tap"
+        data.write_text("episode,extero:y[0]\n0,0.5\n0,1.5\n0,0.25\n0,2\n")
+        argv = ["--emit-tapping", str(out_tap)] if emit else []
+        code, out, err = run(capsys, "analyze", "--data", str(data), "--target", "y[0]",
+                             "--max-lag", "0", *argv)
+        message = "nothing to scan: the target's own lag-0 cell is the only candidate"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_tap.exists()
+
     def test_no_dependency_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         header = "episode,motor:x[0],extero:y[0]\n"
@@ -567,6 +578,13 @@ class TestRefusals:
         save_model(LinearModel(np.eye(2), np.zeros(2)), model)
         code, out, err = run(capsys, "reach", "--model", str(model), *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("weights", ["nan 0\n0 1", "1 0\n0 inf"])
+    def test_reach_non_finite_model_refusal(self, tmp_path, capsys, weights):
+        model = tmp_path / "m.txt"
+        model.write_text(f"2 2 0 identity\n{weights}\n0 0\n")
+        code, out, err = run(capsys, "reach", "--model", str(model), "--goal", "0,0")
+        assert (code, out, err) == (2, "", f"error: {model}: non-finite model value (nan or inf)\n")
 
     @pytest.mark.parametrize("algo, epsilon", [("q", "5"), ("sarsa", "nan"), ("sarsa", "-0.5")])
     def test_td_epsilon_refusal(self, capsys, algo, epsilon):

@@ -22,7 +22,13 @@ from tapkit import (
 from tapkit import tapdsl
 from tapkit.models import LinearModel, feature_dim, features, input_dim, rmse, zero_model
 
-from oracles import edge_values, quadratic_loss, reference_fit, reference_lms_step
+from oracles import (
+    edge_values,
+    quadratic_loss,
+    reference_best_of_n,
+    reference_fit,
+    reference_lms_step,
+)
 
 
 def linear_plant_dataset(seed=3, steps=201, inverse=False):
@@ -331,6 +337,30 @@ class TestBestOfN:
         res = best_of_n(model, [0.0], 16, 2, low, high)
         assert np.array_equal(res.command, uniform_draws(2, low, high, 16, 3)[0])
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["identity", "quadratic"]),
+           st.sampled_from(["scalar", "per-channel", "mixed"]), st.sampled_from([1, 2, 64, 256]),
+           st.booleans())
+    def test_matches_reference(self, seed, fmap, box, n, constant):
+        rng = np.random.default_rng(seed)
+        d, d_out = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        W = rng.normal(size=(d_out, feature_dim(d, fmap)))
+        if constant:  # every candidate lands on b: all distances tie
+            W[:] = 0.0
+        model = LinearModel(W, rng.normal(size=d_out), fmap)
+        goal = rng.normal(size=d_out).tolist()
+        low = float(rng.uniform(-3, 1))
+        high = low + float(rng.uniform(0.1, 3))
+        if box != "scalar":
+            high = (high + rng.uniform(0.0, 2.0, d)).tolist()
+        if box == "per-channel":
+            low = (low - rng.uniform(0.0, 2.0, d)).tolist()
+        res = best_of_n(model, goal, n, seed, low, high)
+        command, predicted, distance = reference_best_of_n(model, goal, n, seed, low, high)
+        assert res.command.tobytes() == command.tobytes()
+        assert res.predicted.tobytes() == predicted.tobytes()
+        assert res.distance == distance
+
     @pytest.mark.parametrize("low, high", [(1, 1), (1, -1), ([-1, 1], [1, 1])])
     def test_empty_box_rejected(self, low, high):
         model = LinearModel(np.eye(2), np.zeros(2))
@@ -409,6 +439,10 @@ class TestSerialization:
         ("1 1 0 cubic\n1\n0\n", "unknown feature map 'cubic'"),
         ("1 1 0 identity\nx\n0\n", "non-numeric model entry"),
         ("1 2 0 identity\n1\n0\n", "model shape does not match header"),
+        ("1 1 nan identity\n1\n0\n", "non-finite model value (nan or inf)"),
+        ("2 2 0 identity\n1 0\n0 -inf\n0 0\n", "non-finite model value (nan or inf)"),
+        ("1 2 0 identity\nnan 0\n0\n", "non-finite model value (nan or inf)"),
+        ("2 1 0 identity\n1\n1\n0 inf\n", "non-finite model value (nan or inf)"),
     ])
     def test_load_refusal_text(self, tmp_path, text, message):
         path = tmp_path / "m.txt"

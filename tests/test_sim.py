@@ -168,6 +168,7 @@ BOX = "command box needs finite bounds and a width float64 can hold"
     (lambda: PlantConfig(kind="arm", link_lengths=(1.0, 0.0)), "arm link lengths must be positive"),
     pytest.param(lambda: PlantConfig(kind="arm", link_lengths=(np.nan, 1.0)),
                  "arm link lengths must be positive", id="nan-link-length"),
+    (lambda: PlantConfig(kind="arm", link_lengths=(1.0, np.inf)), "arm link lengths must be finite"),
     (lambda: PlantConfig(command_low=np.nan), BOX),
     (lambda: PlantConfig(command_high=np.inf), BOX),
     (lambda: PlantConfig(command_low=-1e308, command_high=1e308), BOX),  # width overflows
@@ -182,6 +183,10 @@ BOX = "command box needs finite bounds and a width float64 can hold"
     # generate reaches the matrix checks through plant_matrix
     (lambda: generate(PlantConfig(kind="linear", dim=1, matrix=((1.0, 2.0),)), 1, 5),
      "explicit plant matrix has shape (1, 2), expected (1, 1)"),
+    (lambda: generate(PlantConfig(kind="linear", dim=2, matrix=((1.0, 0.0), (np.nan, 1.0))), 1, 5),
+     "explicit plant matrix must be finite"),
+    (lambda: plant_matrix(PlantConfig(kind="linear", dim=1, matrix=((np.inf,),))),
+     "explicit plant matrix must be finite"),
     (lambda: generate(PlantConfig(), 1, 0), "steps_per_episode must be >= 1, got 0"),
     (lambda: generate(PlantConfig(), -1, 5), "episodes must be >= 0, got -1"),
     (lambda: planted_lag_series(0, 10), "lag must be >= 1, got 0"),
