@@ -21,11 +21,12 @@ import sys
 import numpy as np
 
 from . import analysis, engine, models, render, rlbridge, sim, smcore, tapdsl
-from .errors import TapkitError
+from .errors import TapkitError, check_seed
 
 
 def split_seed(seed: int, n: int) -> list[int]:
     """Named 64-bit sub-seeds derived from one root seed."""
+    check_seed(seed)
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)]
 
 
@@ -238,6 +239,8 @@ def demo_nao(seed: int = 0, steps: int = 500, goals: int = 100,
     by ``seed`` (sub-seeds: data, goals, reaching, baseline; see module
     docstring).
     """
+    if goals < 1:
+        raise TapkitError(f"goals must be >= 1, got {goals}")
     data_seed, goal_seed, reach_seed, baseline_seed = split_seed(seed, 4)
     config = sim.PlantConfig(kind="arm", seed=data_seed)
     matrix = sim.generate(config, 1, steps)
@@ -251,14 +254,13 @@ def demo_nao(seed: int = 0, steps: int = 500, goals: int = 100,
     goal_cmds = goal_rng.uniform(config.command_low, config.command_high, (goals, d_m))
     goal_points = sim.arm_hand_position(config.link_lengths, goal_cmds)
 
+    # Goal i is reached as best_of_n(..., sub_seeds[i], ...) would reach it.
     reach_rng = np.random.default_rng(np.random.SeedSequence(reach_seed))
-    model_dists = []
-    for goal in goal_points:
-        sub_seed = int(reach_rng.integers(0, 2**63))
-        result = models.best_of_n(model, goal, candidates, sub_seed,
-                                  config.command_low, config.command_high)
-        executed = sim.arm_hand_position(config.link_lengths, result.command)
-        model_dists.append(float(np.linalg.norm(executed - goal)))
+    sub_seeds = reach_rng.integers(0, 2**63, size=goals).tolist()
+    commands, _, _ = models._reach(model, goal_points, candidates, sub_seeds,
+                                   config.command_low, config.command_high)
+    executed = sim.arm_hand_position(config.link_lengths, commands)
+    model_dists = [float(np.linalg.norm(d)) for d in executed - goal_points]
 
     base_rng = np.random.default_rng(np.random.SeedSequence(baseline_seed))
     base_cmds = base_rng.uniform(config.command_low, config.command_high, (goals, d_m))

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import TapkitError
+from .errors import TapkitError, check_seed
 from .smcore import (ChannelRef, SensorimotorMatrix, _as_measurement, _find_row, _read_table,
                      _write_table)
 from .tapdsl import ROLE_INPUT, ROLE_TARGET, Tapping, tap_channels
@@ -120,6 +120,7 @@ class DropoutConfig:
             raise TapkitError(f"proportion must be in [0, 1], got {self.proportion}")
         if self.scope not in SCOPES:
             raise TapkitError(f"scope must be one of {SCOPES}, got {self.scope!r}")
+        check_seed(self.seed)
 
 
 class _Plan(NamedTuple):
@@ -309,6 +310,7 @@ def apply_blocking(matrix: SensorimotorMatrix, tapping: Tapping,
     """
     if not 0.0 <= proportion <= 1.0:
         raise TapkitError(f"proportion must be in [0, 1], got {proportion}")
+    check_seed(seed)
     plan, dataset, bounds = _gather(matrix, tapping)
     values, masks = (dataset.X, dataset.Y), (dataset.x_mask, dataset.y_mask)
     k = int(np.floor(proportion * len(plan.taps)))

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types and checks."""
 
 
 class TapkitError(Exception):
@@ -12,3 +12,10 @@ class ParseError(TapkitError):
         super().__init__(f"line {line}, col {col}: {message}")
         self.line = line
         self.col = col
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a negative seed where one enters the library: ``SeedSequence``
+    accepts only non-negative entropy."""
+    if seed < 0:
+        raise TapkitError(f"seed must be >= 0, got {seed}")

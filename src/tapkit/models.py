@@ -15,12 +15,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import TapkitError
+from .errors import TapkitError, check_seed
 from .smcore import _fmt
 
 
 # The (i, j) pairs depend only on d, and np.triu_indices takes ~20 us a call:
-# twice the products of a 256 x 2 batch, which best_of_n maps once per goal.
+# twice the products of a 256 x 2 batch, which best_of_n maps for one goal.
 _triu_indices = functools.lru_cache(maxsize=None)(np.triu_indices)
 
 
@@ -183,12 +183,29 @@ def best_of_n(model: LinearModel, goal, n: int, seed: int, low, high) -> ReachRe
     """Sample n candidate commands uniformly from the box [low, high) (scalar
     or per-channel bounds) and keep the one whose prediction lands closest
     (Euclidean) to the goal; ties go to the lowest sample index."""
-    if n < 1:
-        raise TapkitError(f"n must be >= 1, got {n}")
     goal = np.asarray(goal, dtype=float).reshape(-1)
     if goal.size != model.d_out:
         raise TapkitError(f"goal must have {model.d_out} values, got {goal.size}")
-    if not np.isfinite(goal).all():
+    commands, predicted, distances = _reach(model, goal[None], n, [seed], low, high)
+    return ReachResult(commands[0], predicted[0], float(distances[0]))
+
+
+# Candidate rows per _reach block: large enough that NumPy's per-call costs
+# are shared by many goals, small enough that memory stays flat for any count.
+_REACH_BLOCK_ROWS = 4096
+
+
+def _reach(model: LinearModel, goals: np.ndarray, n: int, seeds, low, high):
+    """:func:`best_of_n` for each row of the ``(k, d_out)`` goals, goal i
+    with its own ``seeds[i]``, as ``(commands, predicted, distances)`` arrays
+    with one row per goal. Goals are reached in blocks of whole goals: each
+    block's candidates are one ``(goals, n, d)`` array, so its predictions
+    make the same per-goal BLAS calls as one goal's ``(n, d)`` batch."""
+    if n < 1:
+        raise TapkitError(f"n must be >= 1, got {n}")
+    for seed in seeds:
+        check_seed(seed)
+    if not np.isfinite(goals).all():
         raise TapkitError("goal values must be finite")
     d = model.d_in
     try:
@@ -209,14 +226,24 @@ def best_of_n(model: LinearModel, goal, n: int, seed: int, low, high) -> ReachRe
         raise TapkitError("command box is empty (high <= low)")
     if not finite:
         raise TapkitError("command box needs finite bounds and a width float64 can hold")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    candidates = rng.uniform(lo, hi, (n, d))
-    preds = predict(model, candidates)
-    diff = preds - goal
-    diff *= diff
-    dists = np.sqrt(np.add.reduce(diff, axis=1))  # what np.linalg.norm(axis=1) computes
-    i = int(np.argmin(dists))
-    return ReachResult(candidates[i].copy(), preds[i].copy(), float(dists[i]))
+    k = len(goals)
+    commands, predicted, distances = np.empty((k, d)), np.empty((k, model.d_out)), np.empty(k)
+    per_block = max(1, _REACH_BLOCK_ROWS // n)
+    for a in range(0, k, per_block):
+        b = min(a + per_block, k)
+        candidates = np.empty((b - a, n, d))
+        for goal_candidates, seed in zip(candidates, seeds[a:b]):
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            goal_candidates[...] = rng.uniform(lo, hi, (n, d))
+        preds = predict(model, candidates)
+        diff = preds - goals[a:b, None]
+        diff *= diff
+        dists = np.sqrt(np.add.reduce(diff, axis=2))  # what np.linalg.norm(axis=2) computes
+        rows, best = np.arange(b - a), np.argmin(dists, axis=1)
+        commands[a:b] = candidates[rows, best]
+        predicted[a:b] = preds[rows, best]
+        distances[a:b] = dists[rows, best]
+    return commands, predicted, distances
 
 
 def invert_direct(inverse_model: LinearModel, goal) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, smcore, tapdsl
-from .errors import TapkitError
+from .errors import TapkitError, check_seed
 from .smcore import Episode, SensorimotorMatrix
 
 LEFT, RIGHT = 0, 1
@@ -99,30 +99,33 @@ def _walk_right(env: ChainEnv, s: int):
         s = s_next
 
 
-def rollout_episodes(env: ChainEnv, episodes: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def rollout_episodes(env: ChainEnv, episodes: int, seed: int) -> list[np.ndarray]:
     """Right-policy episodes from uniformly random start states.
 
-    Each episode is (states, rewards) with states[t] the state occupied at
-    step t and rewards[t] the reward received on arriving there (rewards[0]
+    Each episode is its own C-contiguous ``(2, T)`` float array, so
+    ``states, rewards = episode`` unpacks it: states[t] is the state occupied
+    at step t and rewards[t] the reward received on arriving there (rewards[0]
     is 0). A terminal start yields a single-step episode with no transition.
     """
     _check_count("episodes", episodes)
+    check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     starts = rng.integers(0, env.n_states, size=episodes).tolist()
-    steps = {s: [(s, 0.0)] + [(s2, r) for _, r, s2 in _walk_right(env, s)] for s in set(starts)}
-    walks = {s: tuple(np.array(steps[s]).T.copy()) for s in steps}
-    return [(states.copy(), rewards.copy()) for states, rewards in map(walks.get, starts)]
+    walks = {s: np.array([(s, 0.0)] + [(s2, r) for _, r, s2 in _walk_right(env, s)]).T.copy()
+             for s in set(starts)}
+    return [walks[s].copy() for s in starts]
 
 
 def trajectory_matrix(rollouts) -> SensorimotorMatrix:
     """Pack rollouts into a two-channel matrix (intero s, intero r).
 
-    Each rollout is a pair of equal-length 1-D arrays ``(states, rewards)``,
-    as :func:`rollout_episodes` returns them.
+    Each rollout is a ``(2, T)`` array of states over rewards, as
+    :func:`rollout_episodes` returns them, or a pair of equal-length 1-D
+    arrays ``(states, rewards)``; the matrix holds a copy of each.
     """
     space = smcore.define_space([("intero", "s", 1), ("intero", "r", 1)], name="td")
-    return SensorimotorMatrix(space, [Episode(i, np.array([states, rewards]))
-                                      for i, (states, rewards) in enumerate(rollouts)])
+    return SensorimotorMatrix(space, [Episode(i, np.array(ep, dtype=float))
+                                      for i, ep in enumerate(rollouts)])
 
 
 def _td0_run(env: ChainEnv, alpha: float, transitions) -> ValueTable:
@@ -159,13 +162,13 @@ def _tapped_td0(env: ChainEnv, matrix: SensorimotorMatrix, alpha: float) -> Valu
 
 
 def _direct_td0(env: ChainEnv, rollouts, alpha: float) -> ValueTable:
-    """:func:`direct_td_run`'s body, over rollouts already made: the
-    episodes end to end, each step but an episode's first arriving from the
-    step before it."""
+    """:func:`direct_td_run`'s body, over the ``(2, T)`` rollouts of
+    :func:`rollout_episodes`: the episodes end to end, each step but an
+    episode's first arriving from the step before it."""
     if not rollouts:
         return _td0_run(env, alpha, ())
-    lengths = np.array([len(states) for states, _ in rollouts])
-    states, rewards = (np.concatenate(column) for column in zip(*rollouts))
+    lengths = np.array([ep.shape[1] for ep in rollouts])
+    states, rewards = np.concatenate(rollouts, axis=1)
     t = np.delete(np.arange(states.size), np.cumsum(lengths) - lengths)
     s = states.astype(np.intp)
     return _td0_run(env, alpha, zip(s[t - 1].tolist(), rewards[t].tolist(), s[t].tolist()))
@@ -189,6 +192,7 @@ def _control_start(env: ChainEnv, episodes: int, alpha: float, epsilon: float, s
     _check_count("episodes", episodes)
     if not 0.0 <= epsilon <= 1.0:
         raise TapkitError(f"epsilon must be in [0, 1], got {epsilon}")
+    check_seed(seed)
     q = ValueTable(alpha, env.gamma, q=np.zeros((env.n_states, len(ACTIONS)))).q.tolist()
     return np.random.default_rng(np.random.SeedSequence(seed)), q
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TapkitError
+from .errors import TapkitError, check_seed
 from .smcore import Episode, SensorimotorMatrix, SensorimotorSpace, define_space
 
 PLANT_KINDS = ("linear", "arm", "planted_lag")
@@ -58,6 +58,7 @@ class PlantConfig:
             raise TapkitError("arm link lengths must be positive")
         if not all(math.isfinite(l) for l in self.link_lengths):
             raise TapkitError("arm link lengths must be finite")
+        check_seed(self.seed)
 
 
 def space_for(config: PlantConfig) -> SensorimotorSpace:

@@ -15,11 +15,13 @@ from itertools import islice
 
 import numpy as np
 
+from tapkit.engine import apply
 from tapkit.errors import TapkitError
+from tapkit.models import fit, rmse
 from tapkit.rlbridge import ACTIONS, RIGHT, ValueTable
-from tapkit.sim import plant_matrix, space_for
+from tapkit.sim import PlantConfig, arm_hand_position, generate, plant_matrix, space_for
 from tapkit.smcore import Episode, SensorimotorMatrix, define_space
-from tapkit.tapdsl import ROLE_INPUT, ROLE_TARGET, Tap, Tapping, tap_channels
+from tapkit.tapdsl import ROLE_INPUT, ROLE_TARGET, Tap, Tapping, forward, tap_channels
 
 
 def brute_force_apply(matrix, tapping):
@@ -230,6 +232,44 @@ def reference_best_of_n(model, goal, n, seed, low, high):
         if dist < best_dist:
             best, best_dist = i, dist
     return np.array(candidates[best]), np.array(preds[best]), best_dist
+
+
+def reference_demo_nao(seed=0, steps=500, goals=100, candidates=256):
+    """``demo nao``'s report with the reaching written as a per-goal loop:
+    for each goal in turn, one scalar sub-seed draw, one
+    :func:`reference_best_of_n`, one hand position of the chosen command and
+    one norm. Exploration, fit and baseline are the library's, as the demo
+    documents them."""
+    data_seed, goal_seed, reach_seed, baseline_seed = (
+        np.random.SeedSequence(seed).generate_state(4, dtype=np.uint64).tolist())
+    config = PlantConfig(kind="arm", seed=data_seed)
+    matrix = generate(config, 1, steps)
+    dataset = apply(matrix, forward(matrix.space, "m", "vision"))
+    model = fit(dataset, "quadratic", ridge=1e-6)
+    low, high, links = config.command_low, config.command_high, config.link_lengths
+    goal_rng = np.random.default_rng(np.random.SeedSequence(goal_seed))
+    goal_points = arm_hand_position(links, goal_rng.uniform(low, high, (goals, len(links))))
+    reach_rng = np.random.default_rng(np.random.SeedSequence(reach_seed))
+    model_dists = []
+    for goal in goal_points:
+        sub_seed = int(reach_rng.integers(0, 2**63))
+        command, _, _ = reference_best_of_n(model, goal.tolist(), candidates, sub_seed, low, high)
+        model_dists.append(float(np.linalg.norm(arm_hand_position(links, command) - goal)))
+    base_rng = np.random.default_rng(np.random.SeedSequence(baseline_seed))
+    base_hands = arm_hand_position(links, base_rng.uniform(low, high, (goals, len(links))))
+    base_dists = [float(np.linalg.norm(d)) for d in base_hands - goal_points]
+    med_model, med_base = float(np.median(model_dists)), float(np.median(base_dists))
+    return "\n".join([
+        f"nao reaching demo (seed={seed})",
+        f"plant: planar arm, links {links}, 1 episode x {steps} steps",
+        f"forward model trained on {dataset.n} training rows "
+        f"(quadratic features, ridge {model.ridge:g})",
+        f"fit rmse: {rmse(model, dataset):.6f}",
+        f"goals: {goals}, candidates per goal: {candidates}",
+        f"model median goal distance:    {med_model:.6f}",
+        f"baseline median goal distance: {med_base:.6f}",
+        f"ratio (model / baseline): {med_model / med_base:.4f}",
+    ])
 
 
 def reference_position(text, offset):

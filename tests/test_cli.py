@@ -10,7 +10,7 @@ from tapkit.engine import apply, load_dataset_csv, save_dataset_csv
 from tapkit.models import LinearModel
 from tapkit.smcore import ChannelRef
 
-from oracles import fk_oracle, reference_read_table
+from oracles import fk_oracle, reference_demo_nao, reference_read_table
 
 
 def run(capsys, *argv):
@@ -454,6 +454,13 @@ class TestDemo:
         b = demo_nao(seed=3, steps=40, goals=8, candidates=32)
         assert a == b
 
+    @pytest.mark.parametrize("seed, goals, candidates", [
+        (0, 13, 24), (1, 7, 1), (2, 20, 300), (3, 5, 256)])
+    def test_report_matches_per_goal_reference(self, seed, goals, candidates):
+        # 20 goals of 300 candidates are two blocks of 13 and 7 goals.
+        kwargs = dict(seed=seed, steps=60, goals=goals, candidates=candidates)
+        assert demo_nao(**kwargs) == reference_demo_nao(**kwargs)
+
     def test_seed_split_is_stable(self):
         assert split_seed(0, 2) == split_seed(0, 2)
         assert split_seed(0, 2) != split_seed(1, 2)
@@ -549,6 +556,7 @@ class TestParserReuse:
 
 
 BOX = "command box needs finite bounds and a width float64 can hold"
+SEED = "seed must be >= 0, got -1"
 
 
 class TestRefusals:
@@ -561,6 +569,7 @@ class TestRefusals:
         (("--plant", "arm", "--box=-1e308:1e308"), BOX),
         (("--plant", "arm", "--noise", "nan"), "noise_std must be finite, got nan"),
         (("--plant", "arm", "--noise", "inf"), "noise_std must be finite, got inf"),
+        (("--plant", "arm", "--seed", "-1"), SEED),
     ])
     def test_gen_refusal(self, tmp_path, capsys, argv, message):
         code, out, err = run(capsys, "gen", "--steps", "5", "--out", str(tmp_path / "d.csv"),
@@ -572,6 +581,7 @@ class TestRefusals:
         (("--goal", "nan,0"), "goal values must be finite"),
         (("--goal", "1,2", "--box", "nan:1"), BOX),
         (("--goal", "1,2", "--box=-1e308:1e308"), BOX),
+        (("--goal", "1,2", "--seed", "-1"), SEED),
     ])
     def test_reach_refusal(self, tmp_path, capsys, argv, message):
         model = tmp_path / "m.txt"
@@ -591,6 +601,31 @@ class TestRefusals:
         code, out, err = run(capsys, "td", "--algo", algo, "--epsilon", epsilon)
         assert (code, out) == (2, "")
         assert err == f"error: epsilon must be in [0, 1], got {float(epsilon)}\n"
+
+    @pytest.mark.parametrize("algo", ["td0", "q", "sarsa"])
+    def test_td_seed_refusal(self, capsys, algo):
+        assert run(capsys, "td", "--algo", algo, "--seed", "-1") == (2, "", f"error: {SEED}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--seed", "-1"), SEED),
+        (("--goals", "0"), "goals must be >= 1, got 0"),
+        (("--goals", "-1"), "goals must be >= 1, got -1"),
+    ])
+    def test_demo_refusal(self, capsys, monkeypatch, argv, message):
+        # Refused before any work: nothing is generated.
+        monkeypatch.setattr(cli.sim, "generate", None)
+        assert run(capsys, "demo", "nao", *argv) == (2, "", f"error: {message}\n")
+
+    def test_blocking_seed_refusal(self, tmp_path, capsys):
+        data, spec = tmp_path / "d.csv", tmp_path / "d.tap"
+        run(capsys, "gen", "--plant", "linear", "--steps", "10", "--out", str(data))
+        with open(spec, "a") as fh:
+            fh.write("tapping fwd { input m @ -1 target v @ 0 }\n")
+        code, out, err = run(capsys, "apply", "--space", str(spec), "--tapping", "fwd",
+                             "--data", str(data), "--out", str(tmp_path / "ds.csv"),
+                             "--blocking", "0.5", "--seed", "-1")
+        assert (code, out, err) == (2, "", f"error: {SEED}\n")
+        assert not (tmp_path / "ds.csv").exists()
 
     @pytest.mark.parametrize("ridge", ["nan", "inf"])
     def test_train_ridge_refusal(self, tmp_path, capsys, ridge):

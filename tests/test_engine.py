@@ -390,6 +390,7 @@ class TestDropout:
         (dict(copies=1, proportion=-0.1), "proportion must be in [0, 1], got -0.1"),
         (dict(copies=1, proportion=0.1, scope="cells"),
          "scope must be one of ('inputs', 'targets', 'both'), got 'cells'"),
+        (dict(copies=1, proportion=0.1, seed=-3), "seed must be >= 0, got -3"),
     ])
     def test_config_refusal_text(self, kwargs, message):
         with pytest.raises(TapkitError) as exc:
@@ -443,6 +444,12 @@ class TestBlocking:
         with pytest.raises(TapkitError) as exc:
             apply_blocking(m, tapdsl.multi_step(vspace, "v", 2), proportion)
         assert str(exc.value) == f"proportion must be in [0, 1], got {proportion}"
+
+    def test_seed_refusal_text(self, vspace):
+        m = SensorimotorMatrix(vspace, [Episode(0, np.arange(1.0, 7.0)[None, :])])
+        with pytest.raises(TapkitError) as exc:
+            apply_blocking(m, tapdsl.multi_step(vspace, "v", 2), 0.5, seed=-1)
+        assert str(exc.value) == "seed must be >= 0, got -1"
 
 
 class TestAnchors:

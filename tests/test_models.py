@@ -1,4 +1,5 @@
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from tapkit import (
     predict,
     save_model,
 )
-from tapkit import tapdsl
+from tapkit import models, tapdsl
 from tapkit.models import LinearModel, feature_dim, features, input_dim, rmse, zero_model
 
 from oracles import (
@@ -297,6 +298,10 @@ BOX = "command box needs finite bounds and a width float64 can hold"
     (lambda: best_of_n(zero_model(2, 2), np.zeros(2), 8, 1, np.nan, 1.0), BOX),
     (lambda: best_of_n(zero_model(2, 2), np.zeros(2), 8, 1, [-1.0, -np.inf], 1.0), BOX),
     (lambda: best_of_n(zero_model(2, 2), np.zeros(2), 8, 1, -1e308, 1e308), BOX),  # width overflows
+    (lambda: best_of_n(zero_model(2, 2), np.zeros(2), 8, -1, -1.0, 1.0),
+     "seed must be >= 0, got -1"),
+    (lambda: models._reach(zero_model(2, 2), np.zeros((3, 2)), 8, [0, -5, 1], -1.0, 1.0),
+     "seed must be >= 0, got -5"),
 ])
 def test_refusal_text(call, message):
     with pytest.raises(TapkitError) as exc:
@@ -360,6 +365,38 @@ class TestBestOfN:
         assert res.command.tobytes() == command.tobytes()
         assert res.predicted.tobytes() == predicted.tobytes()
         assert res.distance == distance
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["identity", "quadratic"]),
+           st.sampled_from([1, 2, 17, 100]), st.sampled_from([1, 2, 256]),
+           st.sampled_from([None, 1, 3, 600]), st.booleans(), st.booleans())
+    def test_blocked_reach_matches_reference_goal_by_goal(self, seed, fmap, k, n, block_rows,
+                                                          per_channel, constant):
+        # With the default 4096 rows a block holds 16 goals of n=256, so 17
+        # and 100 goals end in a partial block; the smaller block sizes cut
+        # every goal count into several blocks, one goal each when n > rows.
+        rng = np.random.default_rng(seed)
+        d, d_out = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        W = rng.normal(size=(d_out, feature_dim(d, fmap)))
+        if constant:  # every candidate lands on b: all distances tie
+            W[:] = 0.0
+        model = LinearModel(W, rng.normal(size=d_out), fmap)
+        goals = rng.normal(size=(k, d_out))
+        seeds = rng.integers(0, 2**63, size=k).tolist()
+        low, high = -1.5, 0.5
+        if per_channel:
+            low = (low - rng.uniform(0.0, 2.0, d)).tolist()
+            high = (high + rng.uniform(0.0, 2.0, d)).tolist()
+        rows = block_rows or models._REACH_BLOCK_ROWS
+        with mock.patch.object(models, "_REACH_BLOCK_ROWS", rows):
+            commands, predicted, distances = models._reach(model, goals, n, seeds, low, high)
+        assert (commands.shape, predicted.shape, distances.shape) == ((k, d), (k, d_out), (k,))
+        for i in range(k):
+            command, pred, distance = reference_best_of_n(model, goals[i].tolist(), n, seeds[i],
+                                                          low, high)
+            assert commands[i].tobytes() == command.tobytes()
+            assert predicted[i].tobytes() == pred.tobytes()
+            assert distances[i] == distance
 
     @pytest.mark.parametrize("low, high", [(1, 1), (1, -1), ([-1, 1], [1, 1])])
     def test_empty_box_rejected(self, low, high):

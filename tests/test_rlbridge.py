@@ -75,6 +75,11 @@ class TestEnv:
      "alpha must be in (0, 1], got -0.5"),
     (lambda: sarsa_run(ChainEnv(5, 0.9), 1, 2.0, 0.1, seed=0),
      "alpha must be in (0, 1], got 2.0"),
+    (lambda: q_learning_run(ChainEnv(5, 0.9), 1, 0.1, 0.1, seed=-1), "seed must be >= 0, got -1"),
+    (lambda: sarsa_run(ChainEnv(5, 0.9), 1, 0.1, 0.1, seed=-2), "seed must be >= 0, got -2"),
+    (lambda: rollout_episodes(ChainEnv(5, 0.9), 1, seed=-1), "seed must be >= 0, got -1"),
+    (lambda: tapped_td_run(ChainEnv(5, 0.9), 1, seed=-1), "seed must be >= 0, got -1"),
+    (lambda: direct_td_run(ChainEnv(5, 0.9), 1, seed=-1), "seed must be >= 0, got -1"),
 ])
 def test_refusal_text(call, message):
     with pytest.raises(TapkitError) as exc:
@@ -224,6 +229,9 @@ class TestAgainstReference:
         want = reference_rollout_episodes(env, count, seed)
         assert [(s.tobytes(), r.tobytes()) for s, r in rollouts] == \
             [(s.tobytes(), r.tobytes()) for s, r in want]
+        # Each episode is one C-contiguous (2, T) float array, states over rewards.
+        assert all(isinstance(ep, np.ndarray) and ep.dtype == float and ep.flags.c_contiguous
+                   and ep.shape == (2, len(states)) for ep, (states, _) in zip(rollouts, want))
         for i, (states, rewards) in enumerate(rollouts):
             states[:] = i
             rewards[:] = -i

@@ -174,6 +174,7 @@ BOX = "command box needs finite bounds and a width float64 can hold"
     (lambda: PlantConfig(command_low=-1e308, command_high=1e308), BOX),  # width overflows
     (lambda: PlantConfig(noise_std=np.nan), "noise_std must be finite, got nan"),
     (lambda: PlantConfig(noise_std=np.inf), "noise_std must be finite, got inf"),
+    (lambda: PlantConfig(seed=-1), "seed must be >= 0, got -1"),
     (lambda: plant_matrix(PlantConfig(kind="arm")), "plant kind 'arm' has no plant matrix"),
     (lambda: plant_matrix(PlantConfig(kind="linear", dim=2, matrix=((1.0, 0.0, 0.0),
                                                                     (0.0, 1.0, 0.0)))),
