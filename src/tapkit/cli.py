@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import re
 import sys
 
 import numpy as np
 
 from . import analysis, engine, models, render, rlbridge, sim, smcore, tapdsl
-from .errors import TapkitError, check_seed
+from .errors import TapkitError, check_positive, check_seed
 
 
 def split_seed(seed: int, n: int) -> list[int]:
@@ -239,8 +240,8 @@ def demo_nao(seed: int = 0, steps: int = 500, goals: int = 100,
     by ``seed`` (sub-seeds: data, goals, reaching, baseline; see module
     docstring).
     """
-    if goals < 1:
-        raise TapkitError(f"goals must be >= 1, got {goals}")
+    check_positive("goals", goals)
+    check_positive("n", candidates)  # models._reach's check, made before any work
     data_seed, goal_seed, reach_seed, baseline_seed = split_seed(seed, 4)
     config = sim.PlantConfig(kind="arm", seed=data_seed)
     matrix = sim.generate(config, 1, steps)
@@ -260,12 +261,13 @@ def demo_nao(seed: int = 0, steps: int = 500, goals: int = 100,
     commands, _, _ = models._reach(model, goal_points, candidates, sub_seeds,
                                    config.command_low, config.command_high)
     executed = sim.arm_hand_position(config.link_lengths, commands)
-    model_dists = [float(np.linalg.norm(d)) for d in executed - goal_points]
+    # np.linalg.norm of a 1-D float vector is sqrt(v.dot(v)), made here without its checks.
+    model_dists = [math.sqrt(d.dot(d)) for d in executed - goal_points]
 
     base_rng = np.random.default_rng(np.random.SeedSequence(baseline_seed))
     base_cmds = base_rng.uniform(config.command_low, config.command_high, (goals, d_m))
     base_hands = sim.arm_hand_position(config.link_lengths, base_cmds)
-    base_dists = [float(np.linalg.norm(d)) for d in base_hands - goal_points]
+    base_dists = [math.sqrt(d.dot(d)) for d in base_hands - goal_points]
 
     med_model = float(np.median(model_dists))
     med_base = float(np.median(base_dists))

@@ -27,7 +27,6 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -173,15 +172,19 @@ def _gather(matrix: SensorimotorMatrix, tapping: Tapping):
         )
     plan = _compile(tapping)
     d_in, span = plan.d_in, tapping.span
-    widths = [ep.data.shape[1] for ep in matrix.episodes]
-    lengths = [max(0, w - span + 1) for w in widths]
-    bounds = list(accumulate(lengths, initial=0))
-    n = bounds[-1]
+    # Each episode's data and id are read once; every later step works on arrays.
+    datas = [ep.data for ep in matrix.episodes]
+    ids = np.fromiter([ep.id for ep in matrix.episodes], np.int64, len(datas))
+    widths = np.fromiter([data.shape[1] for data in datas], np.intp, len(datas))
+    counts = np.maximum(widths - (span - 1), 0)  # rows per episode
+    bounds = np.zeros(len(datas) + 1, dtype=np.intp)
+    np.cumsum(counts, out=bounds[1:])
+    firsts, n = bounds[:-1], int(bounds[-1])
     X = np.empty((n, d_in))
     Y = np.empty((n, len(plan.layout) - d_in))
-    local = np.arange(n) - np.repeat(bounds[:-1], lengths)  # row index within its episode
+    local = np.arange(n) - np.repeat(firsts, counts)  # row index within its episode
     anchors = np.empty((n, 2), dtype=np.int64)
-    anchors[:, 0] = np.repeat([ep.id for ep in matrix.episodes], lengths)
+    anchors[:, 0] = np.repeat(ids, counts)
     anchors[:, 1] = local - tapping.min_lag
     dataset = Dataset(X, Y, np.ones(X.shape, dtype=bool), np.ones(Y.shape, dtype=bool),
                       anchors, plan.layout[:d_in], plan.layout[d_in:])
@@ -189,12 +192,10 @@ def _gather(matrix: SensorimotorMatrix, tapping: Tapping):
         return plan, dataset, bounds
     # With the episodes laid end to end, row i reads the length-span window
     # that starts at column starts[i]; its cell at lag l is offset l - min_lag.
-    starts = local + np.repeat(list(accumulate(widths, initial=0))[:-1], lengths)
-    windows = sliding_window_view(
-        np.concatenate([ep.data for ep in matrix.episodes], axis=1), span, axis=1)
+    starts = local + np.repeat(np.cumsum(widths) - widths, counts)
+    windows = sliding_window_view(np.concatenate(datas, axis=1), span, axis=1)
     x_rows, y_rows = np.split(plan.rows, [d_in])
     x_offs, y_offs = np.split(plan.offs, [d_in])
-    firsts = np.asarray(bounds[:-1])
     edges = firsts[np.diff(firsts // _BLOCK_ROWS, prepend=-1) > 0].tolist() + [n]
     for a, b in zip(edges, edges[1:]):
         if a == b:

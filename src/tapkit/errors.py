@@ -19,3 +19,9 @@ def check_seed(seed: int) -> None:
     accepts only non-negative entropy."""
     if seed < 0:
         raise TapkitError(f"seed must be >= 0, got {seed}")
+
+
+def check_positive(what: str, count: int) -> None:
+    """Refuse a count below 1 where at least one is needed."""
+    if count < 1:
+        raise TapkitError(f"{what} must be >= 1, got {count}")

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import TapkitError, check_seed
+from .errors import TapkitError, check_positive, check_seed
 from .smcore import _fmt
 
 
@@ -190,6 +190,19 @@ def best_of_n(model: LinearModel, goal, n: int, seed: int, low, high) -> ReachRe
     return ReachResult(commands[0], predicted[0], float(distances[0]))
 
 
+def _row_sums(values: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(values, axis=-1)``, bit for bit. NumPy (as of 2.4)
+    adds fewer than 8 values in order, which column adds repeat without its
+    slow reduce over a short axis; longer rows keep its pairwise sum. The
+    blocked-reach oracle test pins the bytes on both sides of 8."""
+    if values.shape[-1] >= 8:
+        return np.add.reduce(values, axis=-1)
+    total = values[..., 0].copy()
+    for c in range(1, values.shape[-1]):
+        total += values[..., c]
+    return total
+
+
 # Candidate rows per _reach block: large enough that NumPy's per-call costs
 # are shared by many goals, small enough that memory stays flat for any count.
 _REACH_BLOCK_ROWS = 4096
@@ -201,8 +214,7 @@ def _reach(model: LinearModel, goals: np.ndarray, n: int, seeds, low, high):
     with one row per goal. Goals are reached in blocks of whole goals: each
     block's candidates are one ``(goals, n, d)`` array, so its predictions
     make the same per-goal BLAS calls as one goal's ``(n, d)`` batch."""
-    if n < 1:
-        raise TapkitError(f"n must be >= 1, got {n}")
+    check_positive("n", n)
     for seed in seeds:
         check_seed(seed)
     if not np.isfinite(goals).all():
@@ -226,19 +238,22 @@ def _reach(model: LinearModel, goals: np.ndarray, n: int, seeds, low, high):
         raise TapkitError("command box is empty (high <= low)")
     if not finite:
         raise TapkitError("command box needs finite bounds and a width float64 can hold")
-    k = len(goals)
+    k, width = len(goals), hi - lo
     commands, predicted, distances = np.empty((k, d)), np.empty((k, model.d_out)), np.empty(k)
     per_block = max(1, _REACH_BLOCK_ROWS // n)
     for a in range(0, k, per_block):
         b = min(a + per_block, k)
         candidates = np.empty((b - a, n, d))
         for goal_candidates, seed in zip(candidates, seeds[a:b]):
-            rng = np.random.default_rng(np.random.SeedSequence(seed))
-            goal_candidates[...] = rng.uniform(lo, hi, (n, d))
+            np.random.default_rng(np.random.SeedSequence(seed)).random(out=goal_candidates)
+        # Generator.uniform's low + (high - low) * U, once for the block; IEEE
+        # + and * commute bit for bit.
+        candidates *= width
+        candidates += lo
         preds = predict(model, candidates)
         diff = preds - goals[a:b, None]
         diff *= diff
-        dists = np.sqrt(np.add.reduce(diff, axis=2))  # what np.linalg.norm(axis=2) computes
+        dists = np.sqrt(_row_sums(diff))  # what np.linalg.norm(axis=2) computes
         rows, best = np.arange(b - a), np.argmin(dists, axis=1)
         commands[a:b] = candidates[rows, best]
         predicted[a:b] = preds[rows, best]

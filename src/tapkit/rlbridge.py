@@ -121,11 +121,21 @@ def trajectory_matrix(rollouts) -> SensorimotorMatrix:
 
     Each rollout is a ``(2, T)`` array of states over rewards, as
     :func:`rollout_episodes` returns them, or a pair of equal-length 1-D
-    arrays ``(states, rewards)``; the matrix holds a copy of each.
+    arrays ``(states, rewards)``; episode i holds a copy of rollout i.
     """
     space = smcore.define_space([("intero", "s", 1), ("intero", "r", 1)], name="td")
-    return SensorimotorMatrix(space, [Episode(i, np.array(ep, dtype=float))
-                                      for i, ep in enumerate(rollouts)])
+    episodes = []
+    for i, rollout in enumerate(rollouts):
+        try:
+            data = np.array(rollout, dtype=float)
+        except ValueError:  # NumPy words a ragged pair as an inhomogeneous shape
+            if len(rollout) != 2 or any(np.ndim(part) != 1 for part in rollout) \
+                    or len(rollout[0]) == len(rollout[1]):
+                raise
+            raise TapkitError(f"episode {i}: states and rewards differ in length "
+                              f"({len(rollout[0])} vs {len(rollout[1])})") from None
+        episodes.append(Episode(i, data))
+    return SensorimotorMatrix(space, episodes)
 
 
 def _td0_run(env: ChainEnv, alpha: float, transitions) -> ValueTable:

@@ -166,14 +166,11 @@ class SensorimotorMatrix:
     episodes: list[Episode] = field(default_factory=list)
 
     def __post_init__(self):
-        last = None
+        n_sm, last = self.space.n_sm, None
         for ep in self.episodes:
-            ep.data = np.asarray(ep.data, dtype=float)
-            if ep.data.ndim != 2 or ep.data.shape[0] != self.space.n_sm:
-                raise TapkitError(
-                    f"episode {ep.id}: expected {self.space.n_sm} rows, "
-                    f"got shape {ep.data.shape}"
-                )
+            data = ep.data = np.asarray(ep.data, dtype=float)
+            if data.ndim != 2 or len(data) != n_sm:
+                raise TapkitError(f"episode {ep.id}: expected {n_sm} rows, got shape {data.shape}")
             if last is not None and ep.id <= last:
                 raise TapkitError(
                     f"episode ids must be strictly increasing ({ep.id} after {last})"

@@ -610,6 +610,8 @@ class TestRefusals:
         (("--seed", "-1"), SEED),
         (("--goals", "0"), "goals must be >= 1, got 0"),
         (("--goals", "-1"), "goals must be >= 1, got -1"),
+        (("--n", "0"), "n must be >= 1, got 0"),
+        (("--n", "-3", "--steps", "200000"), "n must be >= 1, got -3"),
     ])
     def test_demo_refusal(self, capsys, monkeypatch, argv, message):
         # Refused before any work: nothing is generated.

@@ -155,6 +155,61 @@ class TestAgainstBruteForce:
         assert np.array_equal(ds.X, np.array(xs)) and np.array_equal(ds.Y, np.array(ys))
 
 
+def short_episodes(rng, space, lengths):
+    """One episode per length, with ids that rise by gaps of 1 to 3."""
+    ids = np.cumsum(rng.integers(1, 4, size=len(lengths))).tolist()
+    return SensorimotorMatrix(space, [Episode(i, rng.uniform(-1, 1, (space.n_sm, T)))
+                                      for i, T in zip(ids, lengths)])
+
+
+def exact_row_lengths(rng, span, rows):
+    """Episode lengths of 0 to span + 2 steps whose row counts add up to rows:
+    episodes of 3 rows, one of the rest, and 150 too short for any row, shuffled."""
+    lengths = [span + 2] * (rows // 3) + [span - 1 + rows % 3] * (rows % 3 > 0)
+    lengths += rng.integers(0, span, size=150).tolist()
+    return rng.permutation(lengths).tolist()
+
+
+class TestManyShortEpisodes:
+    """Up to 3 000 episodes of 0 to span + 2 steps, so the episode bookkeeping
+    of the batch gather runs at scale, with row totals on both sides of its
+    4 096-row groups; apply and apply_blocking against the oracles."""
+
+    @staticmethod
+    def case(seed):
+        rng = np.random.default_rng(seed)
+        space = random_space(rng)
+        return rng, space, random_tapping(rng, space)
+
+    @staticmethod
+    def check(matrix, tapping, seed):
+        ds = apply(matrix, tapping)
+        anchors, xs, ys = brute_force_apply(matrix, tapping)
+        assert ds.n == row_count_law(matrix, tapping) == len(anchors)
+        assert ds.anchors == anchors
+        assert ds.X.tobytes() == np.array(xs, dtype=float).tobytes()
+        assert ds.Y.tobytes() == np.array(ys, dtype=float).tobytes()
+        assert_bit_identical(apply_blocking(matrix, tapping, 0.5, seed),
+                             reference_blocking(matrix, tapping, 0.5, seed))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 3000), st.floats(0.0, 1.0))
+    def test_random_counts(self, seed, count, full):
+        # An episode is span + 2 steps long (3 rows) with probability full,
+        # else 0 to span + 2 steps, so totals run from 0 to 9 000 rows.
+        rng, space, tapping = self.case(seed)
+        lengths = rng.integers(0, tapping.span + 3, size=count)
+        lengths[rng.random(count) < full] = tapping.span + 2
+        self.check(short_episodes(rng, space, lengths.tolist()), tapping, seed)
+
+    @pytest.mark.parametrize("rows", [4095, 4096, 4097, 8191, 8192, 8193])
+    def test_row_totals_at_group_edges(self, rows):
+        rng, space, tapping = self.case(rows)
+        matrix = short_episodes(rng, space, exact_row_lengths(rng, tapping.span, rows))
+        assert row_count_law(matrix, tapping) == rows
+        self.check(matrix, tapping, rows)
+
+
 def assert_bit_identical(dataset, reference):
     """Dataset fields equal (X, Y, x_mask, y_mask, anchors) byte for byte."""
     arrays = (dataset.X, dataset.Y, dataset.x_mask, dataset.y_mask)

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tapkit import (
@@ -51,12 +51,23 @@ class TestFeatures:
 
     @pytest.mark.parametrize("fmap", ["identity", "quadratic"])
     def test_maps_the_last_axis(self, fmap):
-        x = edge_values(np.random.default_rng(4), (2, 3, 4))
-        with np.errstate(over="ignore"):  # products of the extremes overflow to inf
-            phi = features(x, fmap)
-            rows = [features(row, fmap) for row in x.reshape(-1, 4)]
-        assert phi.shape == (2, 3, len(rows[0]))
-        assert phi.tobytes() == np.stack(rows).tobytes()
+        rng = np.random.default_rng(4)
+        wide = edge_values(rng, (6, 11))
+        batches = [
+            edge_values(rng, (2, 3, 4)),
+            edge_values(rng, (16, 256, 4)),  # one block of the demo's reaching
+            edge_values(rng, (5, 1, 3)),  # (goals, 1 candidate, d)
+            np.asfortranarray(edge_values(rng, (7, 4))),
+            np.asfortranarray(edge_values(rng, (3, 2, 4))),
+            wide[:, 2:6],  # column slice: rows strided past the unused columns
+            wide[::2, ::3],
+        ]
+        for x in batches:
+            with np.errstate(over="ignore"):  # products of the extremes overflow to inf
+                phi = features(x, fmap)
+                rows = [features(row, fmap) for row in x.reshape(-1, x.shape[-1])]
+            assert phi.shape == x.shape[:-1] + (len(rows[0]),)
+            assert phi.tobytes() == np.stack(rows).tobytes()
 
     def test_not_a_quadratic_dim(self):
         with pytest.raises(TapkitError):
@@ -370,13 +381,16 @@ class TestBestOfN:
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["identity", "quadratic"]),
            st.sampled_from([1, 2, 17, 100]), st.sampled_from([1, 2, 256]),
            st.sampled_from([None, 1, 3, 600]), st.booleans(), st.booleans())
+    @example(4, "quadratic", 17, 256, None, True, False)  # d_out 9: a pairwise sum
+    @example(5, "identity", 100, 2, 3, False, False)  # d_out 8
     def test_blocked_reach_matches_reference_goal_by_goal(self, seed, fmap, k, n, block_rows,
                                                           per_channel, constant):
         # With the default 4096 rows a block holds 16 goals of n=256, so 17
         # and 100 goals end in a partial block; the smaller block sizes cut
         # every goal count into several blocks, one goal each when n > rows.
         rng = np.random.default_rng(seed)
-        d, d_out = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        # Fewer than 8 outputs are summed in order, 8 or more pairwise.
+        d, d_out = int(rng.integers(1, 5)), int(rng.integers(1, 10))
         W = rng.normal(size=(d_out, feature_dim(d, fmap)))
         if constant:  # every candidate lands on b: all distances tie
             W[:] = 0.0

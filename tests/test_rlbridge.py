@@ -80,6 +80,17 @@ class TestEnv:
     (lambda: rollout_episodes(ChainEnv(5, 0.9), 1, seed=-1), "seed must be >= 0, got -1"),
     (lambda: tapped_td_run(ChainEnv(5, 0.9), 1, seed=-1), "seed must be >= 0, got -1"),
     (lambda: direct_td_run(ChainEnv(5, 0.9), 1, seed=-1), "seed must be >= 0, got -1"),
+    # a ragged (states, rewards) pair, named by its episode and both lengths
+    (lambda: trajectory_matrix([np.zeros((2, 3)), (np.arange(3.0), np.arange(2.0))]),
+     "episode 1: states and rewards differ in length (3 vs 2)"),
+    (lambda: trajectory_matrix([([0.0], [0.0, 1.0])]),
+     "episode 0: states and rewards differ in length (1 vs 2)"),
+    # a rollout that is not two rows: the matrix constructor's words
+    (lambda: trajectory_matrix([np.zeros((2, 2)), np.zeros((3, 4))]),
+     "episode 1: expected 2 rows, got shape (3, 4)"),
+    (lambda: trajectory_matrix([np.zeros(4)]), "episode 0: expected 2 rows, got shape (4,)"),
+    (lambda: trajectory_matrix([np.zeros((2, 3, 1))]),
+     "episode 0: expected 2 rows, got shape (2, 3, 1)"),
 ])
 def test_refusal_text(call, message):
     with pytest.raises(TapkitError) as exc:
@@ -145,6 +156,30 @@ class TestTappedRun:
             assert np.array_equal(ep.data[1], rewards)
             assert rewards[0] == 0.0
             assert states[-1] == env.terminal
+
+    @pytest.mark.parametrize("rollouts", [
+        [(["a", "b"], [0.0, 1.0])],  # equal lengths: NumPy's own conversion error
+        [([0.0, 1.0], [0.0], [1.0])],  # not a pair
+        [(1.0, [0.0, 1.0])],  # a scalar part has no length to name
+        [([0.0, 1.0], 1.0)],
+    ])
+    def test_other_conversion_errors_pass_through(self, rollouts):
+        with pytest.raises(ValueError) as exc:
+            trajectory_matrix(rollouts)
+        assert not isinstance(exc.value, TapkitError)
+
+    def test_matrix_holds_a_copy(self, env):
+        rollouts = rollout_episodes(env, 40, seed=2)
+        pairs = [(states.copy(), rewards.copy()) for states, rewards in rollouts]
+        want = [ep.copy() for ep in rollouts]
+        packed = [trajectory_matrix(rollouts), trajectory_matrix(pairs)]
+        for ep in rollouts:
+            ep[:] = -7.0
+        for states, rewards in pairs:
+            states[:] = -7.0
+            rewards[:] = -7.0
+        for matrix in packed:
+            assert [ep.data.tobytes() for ep in matrix.episodes] == [w.tobytes() for w in want]
 
     def test_td_fixed_point_along_trajectory(self, env):
         table = td0_sweeps(env, 5000, alpha=0.1)

@@ -48,6 +48,7 @@ def test_script_exits_zero(tmp_path, script, args):
          "error: threshold_frac must be in (0, 1], got 2.0"),
         ("make_gallery.py", ["--out-dir", "{tmp}/file/sub"], "error: [Errno 20] Not a directory"),
         ("nao_reaching.py", ["--goals", "0"], "error: goals must be >= 1, got 0"),
+        ("nao_reaching.py", ["--candidates", "0"], "error: n must be >= 1, got 0"),
     ],
 )
 def test_script_error_is_one_line(tmp_path, script, args, message):

@@ -115,8 +115,39 @@ class TestAppend:
 
     def test_episode_ids_strictly_increasing_on_construction(self, nao_space):
         eps = [Episode(1, np.zeros((6, 2))), Episode(1, np.zeros((6, 2)))]
-        with pytest.raises(TapkitError, match="strictly increasing"):
+        with pytest.raises(TapkitError) as exc:
             SensorimotorMatrix(nao_space, eps)
+        assert str(exc.value) == "episode ids must be strictly increasing (1 after 1)"
+
+    # The first offender deep in a long list is named; a later one, of either
+    # kind, is not reached, and at one episode the shape is checked first.
+    @pytest.mark.parametrize("breaks, message", [
+        ({1500: "rows"}, "episode 3000: expected 6 rows, got shape (5, 3)"),
+        ({1500: "id"}, "episode ids must be strictly increasing (2997 after 2998)"),
+        ({1500: "rows", 1700: "id"}, "episode 3000: expected 6 rows, got shape (5, 3)"),
+        ({1500: "id", 1700: "rows"}, "episode ids must be strictly increasing (2997 after 2998)"),
+        ({1500: "both"}, "episode 2997: expected 6 rows, got shape (5, 3)"),
+    ])
+    def test_first_offender_of_2000_episodes(self, nao_space, breaks, message):
+        eps = [Episode(2 * i, np.zeros((6, 3))) for i in range(2000)]  # gapped ids
+        for i, kind in breaks.items():
+            if kind in ("rows", "both"):
+                eps[i].data = np.zeros((5, 3))
+            if kind in ("id", "both"):
+                eps[i].id = 2 * i - 3
+        with pytest.raises(TapkitError) as exc:
+            SensorimotorMatrix(nao_space, eps)
+        assert str(exc.value) == message
+
+    def test_only_data_that_is_not_float64_is_converted(self, nao_space):
+        kept = np.zeros((6, 2))
+        eps = [Episode(0, kept), Episode(1, [[1, 2]] * 6), Episode(2, np.ones((6, 3), dtype=np.int32)),
+               Episode(3, np.zeros((6, 1), dtype=">f8"))]
+        m = SensorimotorMatrix(nao_space, eps)
+        assert m.episodes[0].data is kept
+        for ep, want in zip(m.episodes[1:], ([[1.0, 2.0]] * 6, np.ones((6, 3)), np.zeros((6, 1)))):
+            assert type(ep.data) is np.ndarray and ep.data.dtype == np.dtype(float)
+            assert ep.data.dtype.isnative and np.array_equal(ep.data, want)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
