@@ -136,13 +136,11 @@ def cmd_reach(args) -> int:
 def cmd_td(args) -> int:
     env = rlbridge.ChainEnv(args.states, args.gamma)
     if args.algo == "td0":
-        # One set of rollouts feeds both paths (the public runners would each
-        # make it), freed once packed so it is gone before the tapped rows exist.
-        rollouts = rlbridge.rollout_episodes(env, args.episodes, args.seed)
-        direct = rlbridge._direct_td0(env, rollouts, args.alpha)
-        matrix = rlbridge.trajectory_matrix(rollouts)
-        del rollouts
-        table = rlbridge._tapped_td0(env, matrix, args.alpha)
+        # One packed set of rollouts feeds both paths (the public runners would
+        # each make it); the matrix's episodes are views of it.
+        packed, bounds = rlbridge._packed_rollouts(env, args.episodes, args.seed)
+        direct = rlbridge._direct_td0(env, packed, bounds, args.alpha)
+        table = rlbridge._tapped_td0(env, rlbridge._packed_matrix(packed, bounds), args.alpha)
         oracle = rlbridge.bellman_v(env)
         _say(args, "state values (tapping-mediated TD(0)):")
         _say(args, "  " + " ".join(f"{v:.6f}" for v in table.v))
@@ -167,6 +165,7 @@ def cmd_td(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    analysis._check_threshold(args.threshold)  # refused even where no tapping is emitted
     if args.space:
         space = _load_space_and_tappings(args.space).space
     else:

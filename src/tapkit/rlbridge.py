@@ -99,6 +99,24 @@ def _walk_right(env: ChainEnv, s: int):
         s = s_next
 
 
+def _packed_rollouts(env: ChainEnv, episodes: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`rollout_episodes`' episodes laid end to end: one C-contiguous
+    ``(2, N)`` float array, states over rewards, and the episode bounds, the
+    first column of each episode followed by N."""
+    _check_count("episodes", episodes)
+    check_seed(seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    # Episode e walks from distinct[slot[e]]; each distinct walk is built once.
+    distinct, slot = np.unique(rng.integers(0, env.n_states, size=episodes), return_inverse=True)
+    walks = [np.array([(s, 0.0)] + [(s2, r) for _, r, s2 in _walk_right(env, s)]).T
+             for s in distinct.tolist()]
+    bounds = np.zeros(episodes + 1, dtype=np.intp)
+    np.cumsum(np.array([walk.shape[1] for walk in walks], dtype=np.intp)[slot], out=bounds[1:])
+    if not episodes:
+        return np.empty((2, 0)), bounds
+    return np.concatenate([walks[i] for i in slot.tolist()], axis=1), bounds
+
+
 def rollout_episodes(env: ChainEnv, episodes: int, seed: int) -> list[np.ndarray]:
     """Right-policy episodes from uniformly random start states.
 
@@ -107,13 +125,8 @@ def rollout_episodes(env: ChainEnv, episodes: int, seed: int) -> list[np.ndarray
     at step t and rewards[t] the reward received on arriving there (rewards[0]
     is 0). A terminal start yields a single-step episode with no transition.
     """
-    _check_count("episodes", episodes)
-    check_seed(seed)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    starts = rng.integers(0, env.n_states, size=episodes).tolist()
-    walks = {s: np.array([(s, 0.0)] + [(s2, r) for _, r, s2 in _walk_right(env, s)]).T.copy()
-             for s in set(starts)}
-    return [walks[s].copy() for s in starts]
+    packed, bounds = _packed_rollouts(env, episodes, seed)
+    return [packed[:, a:b].copy() for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
 def trajectory_matrix(rollouts) -> SensorimotorMatrix:
@@ -123,19 +136,29 @@ def trajectory_matrix(rollouts) -> SensorimotorMatrix:
     :func:`rollout_episodes` returns them, or a pair of equal-length 1-D
     arrays ``(states, rewards)``; episode i holds a copy of rollout i.
     """
-    space = smcore.define_space([("intero", "s", 1), ("intero", "r", 1)], name="td")
-    episodes = []
+    datas = []
     for i, rollout in enumerate(rollouts):
         try:
-            data = np.array(rollout, dtype=float)
+            datas.append(np.array(rollout, dtype=float))
         except ValueError:  # NumPy words a ragged pair as an inhomogeneous shape
             if len(rollout) != 2 or any(np.ndim(part) != 1 for part in rollout) \
                     or len(rollout[0]) == len(rollout[1]):
                 raise
             raise TapkitError(f"episode {i}: states and rewards differ in length "
                               f"({len(rollout[0])} vs {len(rollout[1])})") from None
-        episodes.append(Episode(i, data))
-    return SensorimotorMatrix(space, episodes)
+    return _td_matrix(datas)
+
+
+def _packed_matrix(packed: np.ndarray, bounds: np.ndarray) -> SensorimotorMatrix:
+    """The trajectory matrix whose episode i is the column view
+    ``packed[:, bounds[i]:bounds[i + 1]]``; an append to an episode copies it
+    first, as :class:`Episode` does for any data it did not allocate."""
+    return _td_matrix(packed[:, a:b] for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+
+
+def _td_matrix(datas) -> SensorimotorMatrix:
+    space = smcore.define_space([("intero", "s", 1), ("intero", "r", 1)], name="td")
+    return SensorimotorMatrix(space, [Episode(i, data) for i, data in enumerate(datas)])
 
 
 def _td0_run(env: ChainEnv, alpha: float, transitions) -> ValueTable:
@@ -155,13 +178,13 @@ def tapped_td_run(env: ChainEnv, episodes: int, seed: int,
     Rollouts are recorded into a sensorimotor matrix, the td0 template turns
     it into (s@-1, s@0, r@0) rows, and each row drives one update, bit-identical
     to :func:`direct_td_run`'s TD(0) on the same transitions."""
-    return _tapped_td0(env, trajectory_matrix(rollout_episodes(env, episodes, seed)), alpha)
+    return _tapped_td0(env, _packed_matrix(*_packed_rollouts(env, episodes, seed)), alpha)
 
 
 def direct_td_run(env: ChainEnv, episodes: int, seed: int,
                   alpha: float = 0.1) -> ValueTable:
     """The same rollouts updated without any tapping machinery."""
-    return _direct_td0(env, rollout_episodes(env, episodes, seed), alpha)
+    return _direct_td0(env, *_packed_rollouts(env, episodes, seed), alpha)
 
 
 def _tapped_td0(env: ChainEnv, matrix: SensorimotorMatrix, alpha: float) -> ValueTable:
@@ -171,15 +194,13 @@ def _tapped_td0(env: ChainEnv, matrix: SensorimotorMatrix, alpha: float) -> Valu
     return _td0_run(env, alpha, zip(s, X[:, 2].tolist(), s_next))
 
 
-def _direct_td0(env: ChainEnv, rollouts, alpha: float) -> ValueTable:
-    """:func:`direct_td_run`'s body, over the ``(2, T)`` rollouts of
-    :func:`rollout_episodes`: the episodes end to end, each step but an
-    episode's first arriving from the step before it."""
-    if not rollouts:
-        return _td0_run(env, alpha, ())
-    lengths = np.array([ep.shape[1] for ep in rollouts])
-    states, rewards = np.concatenate(rollouts, axis=1)
-    t = np.delete(np.arange(states.size), np.cumsum(lengths) - lengths)
+def _direct_td0(env: ChainEnv, packed: np.ndarray, bounds: np.ndarray,
+                alpha: float) -> ValueTable:
+    """:func:`direct_td_run`'s body, over the packed rollouts of
+    :func:`_packed_rollouts`: each step but an episode's first arrives from
+    the step before it."""
+    states, rewards = packed
+    t = np.delete(np.arange(states.size), bounds[:-1])
     s = states.astype(np.intp)
     return _td0_run(env, alpha, zip(s[t - 1].tolist(), rewards[t].tolist(), s[t].tolist()))
 

@@ -329,8 +329,8 @@ class TestTd:
 
     def test_td0_rolls_out_once(self, capsys, monkeypatch):
         calls = []
-        real = rlbridge.rollout_episodes
-        monkeypatch.setattr(rlbridge, "rollout_episodes",
+        real = rlbridge._packed_rollouts
+        monkeypatch.setattr(rlbridge, "_packed_rollouts",
                             lambda *a: calls.append(a[1:]) or real(*a))
         code, out, _ = run(capsys, "td", "--episodes", "300", "--seed", "3")
         assert code == 0
@@ -647,6 +647,17 @@ class TestRefusals:
         message = f"threshold_frac must be in (0, 1], got {float(threshold)}"
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not out_tap.exists()
+
+    @pytest.mark.parametrize("threshold", ["0", "2", "nan", "inf"])
+    def test_analyze_threshold_refused_without_emit_tapping(self, tmp_path, capsys, threshold):
+        # --threshold acts only on the emitted tapping, but a bad one is still
+        # refused before the table is printed.
+        data = tmp_path / "d.csv"
+        run(capsys, "gen", "--plant", "planted", "--steps", "200", "--out", str(data))
+        code, out, err = run(capsys, "analyze", "--data", str(data), "--target", "y[0]",
+                             "--threshold", threshold)
+        message = f"threshold_frac must be in (0, 1], got {float(threshold)}"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("command", ["apply", "render", "analyze"])
     def test_no_space_block(self, tmp_path, capsys, command):

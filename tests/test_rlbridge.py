@@ -181,6 +181,24 @@ class TestTappedRun:
         for matrix in packed:
             assert [ep.data.tobytes() for ep in matrix.episodes] == [w.tobytes() for w in want]
 
+    @pytest.mark.parametrize("count", [2, 8])
+    def test_append_leaves_the_packed_buffer_alone(self, env, count):
+        # The td path's episodes are column views of one packed array. Written
+        # in place, an append to the last one (T columns) would land in column
+        # T of that array, inside an earlier episode; it must copy the episode.
+        packed, bounds = rlbridge._packed_rollouts(env, count, seed=5)
+        matrix = rlbridge._packed_matrix(packed, bounds)
+        assert all(ep.data.base is packed for ep in matrix.episodes)
+        frozen, want = packed.copy(), [ep.data.copy() for ep in matrix.episodes]
+        last = matrix.episodes[-1]
+        for step in range(3):
+            matrix.append_measurement(last.id, [9.0, float(step)])
+        assert packed.tobytes() == frozen.tobytes()
+        assert not np.shares_memory(last.data, packed)
+        assert last.data.tobytes() == np.hstack([want[-1], [[9.0] * 3, [0.0, 1.0, 2.0]]]).tobytes()
+        for ep, data in zip(matrix.episodes[:-1], want):
+            assert ep.data.tobytes() == data.tobytes()
+
     def test_td_fixed_point_along_trajectory(self, env):
         table = td0_sweeps(env, 5000, alpha=0.1)
         s = 0
