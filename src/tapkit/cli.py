@@ -137,10 +137,10 @@ def cmd_td(args) -> int:
     env = rlbridge.ChainEnv(args.states, args.gamma)
     if args.algo == "td0":
         # One packed set of rollouts feeds both paths (the public runners would
-        # each make it); the matrix's episodes are views of it.
+        # each make it); the tapped path reads its td0 rows straight from it.
         packed, bounds = rlbridge._packed_rollouts(env, args.episodes, args.seed)
         direct = rlbridge._direct_td0(env, packed, bounds, args.alpha)
-        table = rlbridge._tapped_td0(env, rlbridge._packed_matrix(packed, bounds), args.alpha)
+        table = rlbridge._tapped_td0(env, packed, bounds, args.alpha)
         oracle = rlbridge.bellman_v(env)
         _say(args, "state values (tapping-mediated TD(0)):")
         _say(args, "  " + " ".join(f"{v:.6f}" for v in table.v))

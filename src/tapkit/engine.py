@@ -160,24 +160,34 @@ _BLOCK_ROWS = 4096
 
 
 def _gather(matrix: SensorimotorMatrix, tapping: Tapping):
-    """Compile the tapping and read every row of every episode.
-
-    Returns the plan, the dataset with every cell active, and the first row
-    of each episode followed by the row count.
-    """
+    """Check the tapping against the matrix's space, then read every row of
+    every episode with :func:`_gather_packed`."""
     if not tapping.space.compatible(matrix.space):
         raise TapkitError(
             f"tapping {tapping.name!r} and matrix use different spaces "
             f"({tapping.space.name!r} vs {matrix.space.name!r})"
         )
-    plan = _compile(tapping)
-    d_in, span = plan.d_in, tapping.span
     # Each episode's data and id are read once; every later step works on arrays.
     datas = [ep.data for ep in matrix.episodes]
     ids = np.fromiter([ep.id for ep in matrix.episodes], np.int64, len(datas))
     widths = np.fromiter([data.shape[1] for data in datas], np.intp, len(datas))
+    data = np.concatenate(datas, axis=1) if datas else np.empty((matrix.space.n_sm, 0))
+    return _gather_packed(data, widths, ids, tapping)
+
+
+def _gather_packed(data: np.ndarray, widths: np.ndarray, ids: np.ndarray, tapping: Tapping):
+    """Compile the tapping and read every row of episodes laid end to end:
+    episode i, with id ``ids[i]``, is the next ``widths[i]`` columns of
+    ``data``, whose rows are the tapping space's. The caller vouches for the
+    layout; :func:`_gather` makes it from a checked matrix.
+
+    Returns the plan, the dataset with every cell active, and the first row
+    of each episode followed by the row count.
+    """
+    plan = _compile(tapping)
+    d_in, span = plan.d_in, tapping.span
     counts = np.maximum(widths - (span - 1), 0)  # rows per episode
-    bounds = np.zeros(len(datas) + 1, dtype=np.intp)
+    bounds = np.zeros(len(widths) + 1, dtype=np.intp)
     np.cumsum(counts, out=bounds[1:])
     firsts, n = bounds[:-1], int(bounds[-1])
     X = np.empty((n, d_in))
@@ -190,10 +200,10 @@ def _gather(matrix: SensorimotorMatrix, tapping: Tapping):
                       anchors, plan.layout[:d_in], plan.layout[d_in:])
     if not n:
         return plan, dataset, bounds
-    # With the episodes laid end to end, row i reads the length-span window
-    # that starts at column starts[i]; its cell at lag l is offset l - min_lag.
+    # Row i reads the length-span window that starts at column starts[i];
+    # its cell at lag l is offset l - min_lag.
     starts = local + np.repeat(np.cumsum(widths) - widths, counts)
-    windows = sliding_window_view(np.concatenate(datas, axis=1), span, axis=1)
+    windows = sliding_window_view(data, span, axis=1)
     x_rows, y_rows = np.split(plan.rows, [d_in])
     x_offs, y_offs = np.split(plan.offs, [d_in])
     edges = firsts[np.diff(firsts // _BLOCK_ROWS, prepend=-1) > 0].tolist() + [n]

@@ -8,7 +8,6 @@ row-major upper-triangle order, after the linear terms.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -19,13 +18,8 @@ from .errors import TapkitError, check_positive, check_seed
 from .smcore import _fmt
 
 
-# The (i, j) pairs depend only on d, and np.triu_indices takes ~20 us a call:
-# twice the products of a 256 x 2 batch, which best_of_n maps for one goal.
-_triu_indices = functools.lru_cache(maxsize=None)(np.triu_indices)
-
-
 def _quadratic(X: np.ndarray) -> np.ndarray:
-    i, j = _triu_indices(X.shape[-1])
+    i, j = np.triu_indices(X.shape[-1])
     pairs = X[..., i]
     pairs *= X[..., j]  # in place: one (..., pairs) temporary fewer at the peak
     return np.concatenate([X, pairs], axis=-1)

@@ -1,7 +1,7 @@
 """Tabular temporal-difference learning driven by tapped trajectory data.
 
-The td0 tapping template extracts (state@-1, state@0, reward@0) rows from a
-recorded trajectory matrix; feeding those rows to the TD(0) rule must equal
+The td0 tapping template extracts (state@-1, state@0, reward@0) rows from
+recorded trajectories; feeding those rows to the TD(0) rule must equal
 running the rule directly on the trajectory, transition for transition. The
 standard error form v(s) += alpha * (r + gamma * v(s') - v(s)) is used
 throughout (the variant without the -v(s) term appears in some summaries but
@@ -19,7 +19,6 @@ import numpy as np
 
 from . import engine, smcore, tapdsl
 from .errors import TapkitError, check_seed
-from .smcore import Episode, SensorimotorMatrix
 
 LEFT, RIGHT = 0, 1
 ACTIONS = (LEFT, RIGHT)
@@ -100,9 +99,14 @@ def _walk_right(env: ChainEnv, s: int):
 
 
 def _packed_rollouts(env: ChainEnv, episodes: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`rollout_episodes`' episodes laid end to end: one C-contiguous
-    ``(2, N)`` float array, states over rewards, and the episode bounds, the
-    first column of each episode followed by N."""
+    """Right-policy episodes from uniformly random start states, laid end to
+    end: one ``(2, N)`` float array, states over rewards, and the episode
+    bounds, the first column of each episode followed by N.
+
+    In episode columns ``a:b``, states[t] is the state occupied at step t and
+    rewards[t] the reward received on arriving there (rewards[a] is 0). A
+    terminal start yields a single-column episode with no transition.
+    """
     _check_count("episodes", episodes)
     check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -117,48 +121,10 @@ def _packed_rollouts(env: ChainEnv, episodes: int, seed: int) -> tuple[np.ndarra
     return np.concatenate([walks[i] for i in slot.tolist()], axis=1), bounds
 
 
-def rollout_episodes(env: ChainEnv, episodes: int, seed: int) -> list[np.ndarray]:
-    """Right-policy episodes from uniformly random start states.
-
-    Each episode is its own C-contiguous ``(2, T)`` float array, so
-    ``states, rewards = episode`` unpacks it: states[t] is the state occupied
-    at step t and rewards[t] the reward received on arriving there (rewards[0]
-    is 0). A terminal start yields a single-step episode with no transition.
-    """
-    packed, bounds = _packed_rollouts(env, episodes, seed)
-    return [packed[:, a:b].copy() for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
-
-
-def trajectory_matrix(rollouts) -> SensorimotorMatrix:
-    """Pack rollouts into a two-channel matrix (intero s, intero r).
-
-    Each rollout is a ``(2, T)`` array of states over rewards, as
-    :func:`rollout_episodes` returns them, or a pair of equal-length 1-D
-    arrays ``(states, rewards)``; episode i holds a copy of rollout i.
-    """
-    datas = []
-    for i, rollout in enumerate(rollouts):
-        try:
-            datas.append(np.array(rollout, dtype=float))
-        except ValueError:  # NumPy words a ragged pair as an inhomogeneous shape
-            if len(rollout) != 2 or any(np.ndim(part) != 1 for part in rollout) \
-                    or len(rollout[0]) == len(rollout[1]):
-                raise
-            raise TapkitError(f"episode {i}: states and rewards differ in length "
-                              f"({len(rollout[0])} vs {len(rollout[1])})") from None
-    return _td_matrix(datas)
-
-
-def _packed_matrix(packed: np.ndarray, bounds: np.ndarray) -> SensorimotorMatrix:
-    """The trajectory matrix whose episode i is the column view
-    ``packed[:, bounds[i]:bounds[i + 1]]``; an append to an episode copies it
-    first, as :class:`Episode` does for any data it did not allocate."""
-    return _td_matrix(packed[:, a:b] for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-
-
-def _td_matrix(datas) -> SensorimotorMatrix:
-    space = smcore.define_space([("intero", "s", 1), ("intero", "r", 1)], name="td")
-    return SensorimotorMatrix(space, [Episode(i, data) for i, data in enumerate(datas)])
+# The td0 tapping over the rollouts' two channels (intero s, intero r): its
+# (s@-1, s@0, r@0) input rows are read straight from the packed rollouts.
+_TD0 = tapdsl.td0(smcore.define_space([("intero", "s", 1), ("intero", "r", 1)], name="td"),
+                  "s", "r")
 
 
 def _td0_run(env: ChainEnv, alpha: float, transitions) -> ValueTable:
@@ -175,10 +141,10 @@ def tapped_td_run(env: ChainEnv, episodes: int, seed: int,
                   alpha: float = 0.1) -> ValueTable:
     """TD(0) fed exclusively through the td0 tapping.
 
-    Rollouts are recorded into a sensorimotor matrix, the td0 template turns
-    it into (s@-1, s@0, r@0) rows, and each row drives one update, bit-identical
-    to :func:`direct_td_run`'s TD(0) on the same transitions."""
-    return _tapped_td0(env, _packed_matrix(*_packed_rollouts(env, episodes, seed)), alpha)
+    The td0 template turns the packed rollouts' (s, r) channels into
+    (s@-1, s@0, r@0) rows, and each row drives one update, bit-identical to
+    :func:`direct_td_run`'s TD(0) on the same transitions."""
+    return _tapped_td0(env, *_packed_rollouts(env, episodes, seed), alpha)
 
 
 def direct_td_run(env: ChainEnv, episodes: int, seed: int,
@@ -187,9 +153,12 @@ def direct_td_run(env: ChainEnv, episodes: int, seed: int,
     return _direct_td0(env, *_packed_rollouts(env, episodes, seed), alpha)
 
 
-def _tapped_td0(env: ChainEnv, matrix: SensorimotorMatrix, alpha: float) -> ValueTable:
-    """:func:`tapped_td_run`'s body, over the rollouts' trajectory matrix."""
-    X = engine.apply(matrix, tapdsl.td0(matrix.space, "s", "r")).X  # (s@-1, s@0, r@0) rows
+def _tapped_td0(env: ChainEnv, packed: np.ndarray, bounds: np.ndarray,
+                alpha: float) -> ValueTable:
+    """:func:`tapped_td_run`'s body, over the packed rollouts of
+    :func:`_packed_rollouts`, episode i numbered i."""
+    widths = np.diff(bounds)
+    X = engine._gather_packed(packed, widths, np.arange(len(widths)), _TD0)[1].X
     s, s_next = X[:, :2].astype(np.intp).T.tolist()
     return _td0_run(env, alpha, zip(s, X[:, 2].tolist(), s_next))
 

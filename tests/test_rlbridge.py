@@ -13,13 +13,11 @@ from tapkit.rlbridge import (
     direct_td_run,
     greedy_policy,
     q_learning_run,
-    rollout_episodes,
     sarsa_run,
     tapped_td_run,
     td0_sweeps,
-    trajectory_matrix,
 )
-from tapkit import models, tapdsl
+from tapkit import engine, models, tapdsl
 from tapkit.engine import apply
 from tapkit.smcore import Episode, SensorimotorMatrix, define_space
 
@@ -51,6 +49,23 @@ class TestEnv:
             ChainEnv(5, 0.0)
 
 
+def td_matrix(*datas):
+    """The rollouts' two channels (intero s, intero r), episode i holding datas[i]."""
+    return SensorimotorMatrix(rlbridge._TD0.space, [Episode(i, d) for i, d in enumerate(datas)])
+
+
+def split_rollouts(env, count, seed):
+    """``_packed_rollouts`` cut at its bounds into ``(states, rewards)`` views."""
+    packed, bounds = rlbridge._packed_rollouts(env, count, seed)
+    return [tuple(packed[:, a:b]) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+
+
+def td0_rows(packed, bounds):
+    """The packed core's td0 dataset, episode i numbered i."""
+    widths = np.diff(bounds)
+    return engine._gather_packed(packed, widths, np.arange(len(widths)), rlbridge._TD0)[1]
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: ChainEnv(5, 0.9).step(0, 2), "unknown action 2"),
     (lambda: ChainEnv(5, 0.9).step(5, RIGHT), "state 5 out of range [0, 5)"),
@@ -77,20 +92,14 @@ class TestEnv:
      "alpha must be in (0, 1], got 2.0"),
     (lambda: q_learning_run(ChainEnv(5, 0.9), 1, 0.1, 0.1, seed=-1), "seed must be >= 0, got -1"),
     (lambda: sarsa_run(ChainEnv(5, 0.9), 1, 0.1, 0.1, seed=-2), "seed must be >= 0, got -2"),
-    (lambda: rollout_episodes(ChainEnv(5, 0.9), 1, seed=-1), "seed must be >= 0, got -1"),
+    (lambda: rlbridge._packed_rollouts(ChainEnv(5, 0.9), 1, seed=-1), "seed must be >= 0, got -1"),
     (lambda: tapped_td_run(ChainEnv(5, 0.9), 1, seed=-1), "seed must be >= 0, got -1"),
     (lambda: direct_td_run(ChainEnv(5, 0.9), 1, seed=-1), "seed must be >= 0, got -1"),
-    # a ragged (states, rewards) pair, named by its episode and both lengths
-    (lambda: trajectory_matrix([np.zeros((2, 3)), (np.arange(3.0), np.arange(2.0))]),
-     "episode 1: states and rewards differ in length (3 vs 2)"),
-    (lambda: trajectory_matrix([([0.0], [0.0, 1.0])]),
-     "episode 0: states and rewards differ in length (1 vs 2)"),
-    # a rollout that is not two rows: the matrix constructor's words
-    (lambda: trajectory_matrix([np.zeros((2, 2)), np.zeros((3, 4))]),
+    # a hand-built trajectory episode that is not two rows: the matrix constructor's words
+    (lambda: td_matrix(np.zeros((2, 2)), np.zeros((3, 4))),
      "episode 1: expected 2 rows, got shape (3, 4)"),
-    (lambda: trajectory_matrix([np.zeros(4)]), "episode 0: expected 2 rows, got shape (4,)"),
-    (lambda: trajectory_matrix([np.zeros((2, 3, 1))]),
-     "episode 0: expected 2 rows, got shape (2, 3, 1)"),
+    (lambda: td_matrix(np.zeros(4)), "episode 0: expected 2 rows, got shape (4,)"),
+    (lambda: td_matrix(np.zeros((2, 3, 1))), "episode 0: expected 2 rows, got shape (2, 3, 1)"),
 ])
 def test_refusal_text(call, message):
     with pytest.raises(TapkitError) as exc:
@@ -149,55 +158,16 @@ class TestTappedRun:
         assert ds.n == 0
 
     def test_rollout_layout(self, env):
-        rollouts = rollout_episodes(env, 5, seed=3)
-        matrix = trajectory_matrix(rollouts)
-        for (states, rewards), ep in zip(rollouts, matrix.episodes):
-            assert np.array_equal(ep.data[0], states)
-            assert np.array_equal(ep.data[1], rewards)
-            assert rewards[0] == 0.0
-            assert states[-1] == env.terminal
-
-    @pytest.mark.parametrize("rollouts", [
-        [(["a", "b"], [0.0, 1.0])],  # equal lengths: NumPy's own conversion error
-        [([0.0, 1.0], [0.0], [1.0])],  # not a pair
-        [(1.0, [0.0, 1.0])],  # a scalar part has no length to name
-        [([0.0, 1.0], 1.0)],
-    ])
-    def test_other_conversion_errors_pass_through(self, rollouts):
-        with pytest.raises(ValueError) as exc:
-            trajectory_matrix(rollouts)
-        assert not isinstance(exc.value, TapkitError)
-
-    def test_matrix_holds_a_copy(self, env):
-        rollouts = rollout_episodes(env, 40, seed=2)
-        pairs = [(states.copy(), rewards.copy()) for states, rewards in rollouts]
-        want = [ep.copy() for ep in rollouts]
-        packed = [trajectory_matrix(rollouts), trajectory_matrix(pairs)]
-        for ep in rollouts:
-            ep[:] = -7.0
-        for states, rewards in pairs:
-            states[:] = -7.0
-            rewards[:] = -7.0
-        for matrix in packed:
-            assert [ep.data.tobytes() for ep in matrix.episodes] == [w.tobytes() for w in want]
-
-    @pytest.mark.parametrize("count", [2, 8])
-    def test_append_leaves_the_packed_buffer_alone(self, env, count):
-        # The td path's episodes are column views of one packed array. Written
-        # in place, an append to the last one (T columns) would land in column
-        # T of that array, inside an earlier episode; it must copy the episode.
-        packed, bounds = rlbridge._packed_rollouts(env, count, seed=5)
-        matrix = rlbridge._packed_matrix(packed, bounds)
-        assert all(ep.data.base is packed for ep in matrix.episodes)
-        frozen, want = packed.copy(), [ep.data.copy() for ep in matrix.episodes]
-        last = matrix.episodes[-1]
-        for step in range(3):
-            matrix.append_measurement(last.id, [9.0, float(step)])
-        assert packed.tobytes() == frozen.tobytes()
-        assert not np.shares_memory(last.data, packed)
-        assert last.data.tobytes() == np.hstack([want[-1], [[9.0] * 3, [0.0, 1.0, 2.0]]]).tobytes()
-        for ep, data in zip(matrix.episodes[:-1], want):
-            assert ep.data.tobytes() == data.tobytes()
+        packed, bounds = rlbridge._packed_rollouts(env, 5, seed=3)
+        assert bounds[0] == 0 and bounds[-1] == packed.shape[1]
+        starts, ends = bounds[:-1], bounds[1:] - 1
+        assert (packed[1, starts] == 0.0).all()  # no reward on the first step
+        assert (packed[0, ends] == env.terminal).all()
+        # td0 reads (s@-1, s@0, r@0) inside each episode: one row per transition
+        ds = td0_rows(packed, bounds)
+        t = np.delete(np.arange(packed.shape[1]), starts)
+        assert ds.X.tobytes() == np.stack([packed[0, t - 1], packed[0, t], packed[1, t]], 1).tobytes()
+        assert ds.Y.tobytes() == packed[0, t - 1, None].tobytes()
 
     def test_td_fixed_point_along_trajectory(self, env):
         table = td0_sweeps(env, 5000, alpha=0.1)
@@ -244,7 +214,7 @@ class TestAgainstReference:
            seed=st.integers(0, 2**32 - 1))
     def test_td0_runners(self, n_states, alpha, gamma, count, seed):
         env = ChainEnv(n_states, gamma)
-        rollouts = rollout_episodes(env, count, seed)
+        rollouts = split_rollouts(env, count, seed)
         want = reference_rollout_episodes(env, count, seed)
         assert [(s.tobytes(), r.tobytes()) for s, r in rollouts] == \
             [(s.tobytes(), r.tobytes()) for s, r in want]
@@ -276,28 +246,28 @@ class TestAgainstReference:
     @example(n_states=64, count=300, seed=1)
     def test_rollouts_up_to_64_states(self, n_states, count, seed):
         # One batched start draw must give the per-episode scalar draws, and
-        # episodes from the same start share one walk but not its arrays.
+        # episodes from the same start repeat one walk's columns.
         env = ChainEnv(n_states, 0.9)
-        rollouts = rollout_episodes(env, count, seed)
+        packed, bounds = rlbridge._packed_rollouts(env, count, seed)
         want = reference_rollout_episodes(env, count, seed)
-        assert [(s.tobytes(), r.tobytes()) for s, r in rollouts] == \
+        assert [(s.tobytes(), r.tobytes()) for s, r in split_rollouts(env, count, seed)] == \
             [(s.tobytes(), r.tobytes()) for s, r in want]
-        # Each episode is one C-contiguous (2, T) float array, states over rewards.
-        assert all(isinstance(ep, np.ndarray) and ep.dtype == float and ep.flags.c_contiguous
-                   and ep.shape == (2, len(states)) for ep, (states, _) in zip(rollouts, want))
-        for i, (states, rewards) in enumerate(rollouts):
-            states[:] = i
-            rewards[:] = -i
-        assert all((states == i).all() and (rewards == -i).all()
-                   for i, (states, rewards) in enumerate(rollouts))
+        # One (2, N) float array, states over rewards, and the first column
+        # of each episode followed by N.
+        assert packed.dtype == float
+        assert packed.shape == (2, sum(len(states) for states, _ in want))
+        assert bounds.tolist() == np.cumsum([0] + [len(states) for states, _ in want]).tolist()
 
     @settings(max_examples=50, deadline=None)
     @given(n_states=st.integers(2, 64), count=st.integers(0, 50), seed=st.integers(0, 2**32 - 1))
-    def test_trajectory_matrix_stacks_like_vstack(self, n_states, count, seed):
-        rollouts = rollout_episodes(ChainEnv(n_states, 0.9), count, seed)
-        matrix = trajectory_matrix(rollouts)
-        assert [ep.id for ep in matrix.episodes] == list(range(count))
-        for ep, (states, rewards) in zip(matrix.episodes, rollouts, strict=True):
-            want = np.vstack([states, rewards])
-            assert (ep.data.shape, ep.data.dtype) == (want.shape, want.dtype)
-            assert ep.data.tobytes() == want.tobytes()
+    def test_td0_rows_read_the_packed_columns(self, n_states, count, seed):
+        # The packed core reads the same rows as apply on a matrix whose
+        # episodes are copies of the packed columns, and anchors them there.
+        packed, bounds = rlbridge._packed_rollouts(ChainEnv(n_states, 0.9), count, seed)
+        episodes = [packed[:, a:b].copy() for a, b in zip(bounds[:-1], bounds[1:])]
+        assert td0_rows(packed, bounds) == apply(td_matrix(*episodes), rlbridge._TD0)
+        t = np.delete(np.arange(packed.shape[1]), bounds[:-1])
+        ds = td0_rows(packed, bounds)
+        assert ds.X.tobytes() == np.stack([packed[0, t - 1], packed[0, t], packed[1, t]], 1).tobytes()
+        assert ds.anchors == [(i, int(c) - int(a)) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
+                              for c in range(a + 1, b)]

@@ -229,6 +229,22 @@ class TestAppendOracle:
         assert taken.shape == (6, 10) and taken.tobytes() == frozen.tobytes()
         assert np.array_equal(m.episodes[0].data[0], np.arange(200.0))
 
+    @pytest.mark.parametrize("cols", [slice(0, 3), slice(2, 5), slice(7, 10)])
+    def test_append_to_a_column_view_leaves_its_array_alone(self, nao_space, cols):
+        # A view's base is the wider array. Written in place, an append to
+        # T columns would land in that array's column T, which may belong to
+        # another episode; the episode must copy itself first.
+        wide = np.arange(60.0).reshape(6, 10).copy()
+        frozen = wide.copy()
+        m = SensorimotorMatrix(nao_space, [Episode(0, wide[:, cols])])
+        assert m.episodes[0].data.base is wide
+        for t in range(3):
+            m.append_measurement(0, np.full(6, -1.0 - t))
+        assert wide.tobytes() == frozen.tobytes()
+        assert not np.shares_memory(m.episodes[0].data, wide)
+        want = np.hstack([frozen[:, cols], -1.0 - np.tile(np.arange(3.0), (6, 1))])
+        assert m.episodes[0].data.tobytes() == want.tobytes()
+
     def test_buffer_grows_by_doubling(self, nao_space):
         m = SensorimotorMatrix(nao_space)
         bases = []
