@@ -54,9 +54,8 @@ def td_matrix(*datas):
     return SensorimotorMatrix(rlbridge._TD0.space, [Episode(i, d) for i, d in enumerate(datas)])
 
 
-def split_rollouts(env, count, seed):
-    """``_packed_rollouts`` cut at its bounds into ``(states, rewards)`` views."""
-    packed, bounds = rlbridge._packed_rollouts(env, count, seed)
+def split_rollouts(packed, bounds):
+    """Packed rollouts cut at their bounds into ``(states, rewards)`` views."""
     return [tuple(packed[:, a:b]) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
@@ -214,7 +213,7 @@ class TestAgainstReference:
            seed=st.integers(0, 2**32 - 1))
     def test_td0_runners(self, n_states, alpha, gamma, count, seed):
         env = ChainEnv(n_states, gamma)
-        rollouts = split_rollouts(env, count, seed)
+        rollouts = split_rollouts(*rlbridge._packed_rollouts(env, count, seed))
         want = reference_rollout_episodes(env, count, seed)
         assert [(s.tobytes(), r.tobytes()) for s, r in rollouts] == \
             [(s.tobytes(), r.tobytes()) for s, r in want]
@@ -250,7 +249,7 @@ class TestAgainstReference:
         env = ChainEnv(n_states, 0.9)
         packed, bounds = rlbridge._packed_rollouts(env, count, seed)
         want = reference_rollout_episodes(env, count, seed)
-        assert [(s.tobytes(), r.tobytes()) for s, r in split_rollouts(env, count, seed)] == \
+        assert [(s.tobytes(), r.tobytes()) for s, r in split_rollouts(packed, bounds)] == \
             [(s.tobytes(), r.tobytes()) for s, r in want]
         # One (2, N) float array, states over rewards, and the first column
         # of each episode followed by N.
@@ -264,10 +263,10 @@ class TestAgainstReference:
         # The packed core reads the same rows as apply on a matrix whose
         # episodes are copies of the packed columns, and anchors them there.
         packed, bounds = rlbridge._packed_rollouts(ChainEnv(n_states, 0.9), count, seed)
-        episodes = [packed[:, a:b].copy() for a, b in zip(bounds[:-1], bounds[1:])]
-        assert td0_rows(packed, bounds) == apply(td_matrix(*episodes), rlbridge._TD0)
-        t = np.delete(np.arange(packed.shape[1]), bounds[:-1])
         ds = td0_rows(packed, bounds)
+        episodes = [np.vstack(rollout) for rollout in split_rollouts(packed, bounds)]
+        assert ds == apply(td_matrix(*episodes), rlbridge._TD0)
+        t = np.delete(np.arange(packed.shape[1]), bounds[:-1])
         assert ds.X.tobytes() == np.stack([packed[0, t - 1], packed[0, t], packed[1, t]], 1).tobytes()
         assert ds.anchors == [(i, int(c) - int(a)) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
                               for c in range(a + 1, b)]
