@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import TapkitError, check_positive, check_seed
-from .smcore import _fmt
+from .smcore import _text_lines
 
 
 def _quadratic(X: np.ndarray) -> np.ndarray:
@@ -266,11 +266,11 @@ def invert_direct(inverse_model: LinearModel, goal) -> np.ndarray:
 
 def save_model(model: LinearModel, path) -> None:
     """Header ``d_out d_feat ridge feature_map``, then W row-major, then b."""
+    ridge = _text_lines(np.array([[model.ridge]], dtype=float), end="").decode()
     with open(path, "w") as fh:
-        fh.write(f"{model.d_out} {model.d_feat} {_fmt(model.ridge)} {model.feature_map}\n")
-        for row in model.W:
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
-        fh.write(" ".join(_fmt(v) for v in model.b) + "\n")
+        fh.write(f"{model.d_out} {model.d_feat} {ridge} {model.feature_map}\n")
+        fh.write(_text_lines(np.asarray(model.W, dtype=float), sep=" ", end="\n").decode())
+        fh.write(_text_lines(np.asarray(model.b, dtype=float)[None], sep=" ", end="\n").decode())
 
 
 def load_model(path) -> LinearModel:

@@ -27,11 +27,6 @@ _CHANNEL_RE = re.compile(r"(\w+):(\w+)\[(\d+)\]\Z")
 _CHANNEL_REF_RE = re.compile(r"(\w+)\[(\d+)\]\Z")
 
 
-def _fmt(value: float) -> str:
-    # 17 significant digits round-trips any float64 exactly.
-    return format(float(value), ".17g")
-
-
 @dataclass(frozen=True)
 class Group:
     """One modality group: a named contiguous block of channels of one kind."""
@@ -295,7 +290,7 @@ def infer_space_from_csv(path) -> SensorimotorSpace:
     return define_space(spec, name="inferred")
 
 
-_ROWS_PER_WRITE = 4096
+_ROWS_PER_WRITE = 1024
 _KEY_NAMES = ("episode id", "t")
 _BITS = frozenset("01")
 
@@ -304,34 +299,181 @@ def _write_table(path, header: list[str], blocks) -> None:
     """Write ``header``, then one line per row of each ``(keys, cells)`` block:
     the ``(n, k)`` int keys as ``%d``, then the ``(n, d)`` cells, floats as
     ``%.17g``, which round-trips any float64 exactly, and bools as ``0`` or
-    ``1``. Lines end in CRLF, as the csv module writes them.
+    ``1``. Fields are joined by commas and lines end in CRLF, as the csv
+    module writes them.
 
-    Each chunk of rows is formatted by one ``%`` call over its keys as
-    Python ints and its cells as Python floats, or for bools one string per
-    row from :func:`_mask_tails`.
+    The bytes are those of Python's ``%`` operator. They are made by NumPy
+    ops over chunks of ``_ROWS_PER_WRITE`` rows, see :func:`_text_lines`.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
+        fh.flush()  # the lines are bytes: they go to the binary buffer after the header
         for keys, cells in blocks:
-            k, d = keys.shape[1], cells.shape[1]
-            mask = cells.dtype == bool
-            line = ",".join(["%d"] * k) + ("%s" if mask else ",%.17g" * d + "\r\n")
-            rows = np.empty((min(len(keys), _ROWS_PER_WRITE), k + (1 if mask else d)), dtype=object)
             for a in range(0, len(keys), _ROWS_PER_WRITE):
                 b = a + _ROWS_PER_WRITE
-                chunk = rows[:len(keys[a:b])]
-                chunk[:, :k] = keys[a:b]
-                chunk[:, k:] = _mask_tails(cells[a:b]) if mask else cells[a:b]
-                fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+                fh.buffer.write(_text_lines(cells[a:b], keys[a:b]))
 
 
-def _mask_tails(cells: np.ndarray) -> np.ndarray:
-    """Each row of an ``(n, d)`` bool array as the string ``,0,1,...\\r\\n``,
-    in an ``(n, 1)`` str array built from one uint8 block."""
-    tail = np.full((len(cells), 2 * cells.shape[1] + 2), ord(","), dtype=np.uint8)
-    tail[:, 1:-2:2] = cells.view(np.uint8) + ord("0")
-    tail[:, -2:] = ord("\r"), ord("\n")
-    return tail.view(f"S{tail.shape[1]}").astype(str)
+def _text_lines(cells: np.ndarray, keys: np.ndarray | None = None,
+                sep: str = ",", end: str = "\r\n") -> bytes:
+    """One line per row: the ``(n, k)`` int64 ``keys`` as ``%d``, then the
+    ``(n, d)`` ``cells``, floats as ``%.17g`` and bools as ``0`` or ``1``,
+    joined by the one-character ``sep`` and ended by ``end``.
+
+    Every field is laid out at a fixed width in one zero-padded ``(n, width)``
+    uint8 block, a separator byte before it. NUL is never part of the text,
+    so one boolean index over the block leaves the lines.
+    """
+    n = len(cells)
+    fields = [] if keys is None else [(_int_text(keys.ravel()), keys.shape[1])]
+    fields.append(((cells.view(np.uint8) + ord("0")).reshape(1, -1) if cells.dtype == bool
+                   else _float_text(cells.ravel()), cells.shape[1]))
+    block = np.zeros((n, sum(m * (len(text) + 1) for text, m in fields) + len(end)),
+                     dtype=np.uint8)
+    at = 0
+    for text, m in fields:
+        w = len(text) + 1
+        slots = block[:, at:at + m * w].reshape(n, m, w)
+        slots[:, :, 0] = ord(sep)
+        slots[:, :, 1:] = text.reshape(w - 1, n, m).transpose(1, 2, 0)
+        at += m * w
+    block[:, 0] = 0  # no separator before a line's first field
+    block[:, at:] = np.frombuffer(end.encode(), dtype=np.uint8)
+    flat = block.ravel()
+    return flat[flat != 0].tobytes()
+
+
+# The %.17g kernel. For a finite x with decimal exponent X in [-6, 16],
+# 10**(16 - X) is an exact double, and Dekker's TwoProduct gives
+# |x| * 10**(16 - X) exactly as hi + lo with hi an integer in [1e16, 1e17]:
+# its 17-digit rounding is exact in int64. Texts are built as
+# sign, "0.00"-style lead, digits with the point, "e-05"-style exponent.
+_POW10 = 10.0 ** np.arange(23)
+_POW10_INT = 10 ** np.arange(1, 19, dtype=np.uint64)
+_DIGITS = np.frombuffer(b"".join(b"%04d" % g for g in range(10_000)),
+                        dtype=np.uint8).reshape(10_000, 4).T.copy()
+_TRAILING_ZEROS = np.array([4] + [len(s) - len(s.rstrip("0")) for s in map(str, range(1, 10_000))])
+_ROW = np.arange(19)[:, None]
+
+
+def _by_exponent(texts: dict[int, bytes], width: int) -> np.ndarray:
+    """A ``(width, 23)`` table whose column ``X + 6`` holds ``texts[X]``."""
+    table = np.zeros((width, 23), dtype=np.uint8)
+    for x, text in texts.items():
+        table[:len(text), x + 6] = list(text)
+    return table
+
+
+_LEAD = _by_exponent({x: b"0." + b"0" * (-x - 1) for x in range(-4, 0)}, 5)
+_EXPONENT = _by_exponent({x: b"e%03d" % x for x in (-6, -5)}, 4)
+
+
+def _veltkamp(a):
+    """Split doubles into a 26-bit high part and the exact rest."""
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+_POW10_HIGH, _POW10_LOW = _veltkamp(_POW10)
+
+
+def _scaled(a, exponent):
+    """``a * 10**(16 - exponent)`` exactly, as ``(hi, lo)``: Dekker's
+    TwoProduct, one rounding per ufunc call, so nothing becomes an FMA."""
+    k = 16 - exponent
+    hi = a * _POW10[k]
+    ah, al = _veltkamp(a)
+    bh, bl = _POW10_HIGH[k], _POW10_LOW[k]
+    return hi, al * bl - (((hi - ah * bh) - al * bh) - ah * bl)
+
+
+def _decimal(u: np.ndarray, width: int):
+    """The last ``width`` decimal digits of each non-negative int, as a
+    ``(width, n)`` ASCII array, and its 4-digit groups, lowest first."""
+    digits = np.empty((width, len(u)), dtype=np.uint8)
+    groups = []
+    for stop in range(width, 0, -4):
+        high = u // 10_000
+        groups.append((u - high * 10_000).astype(np.intp, copy=False))
+        start = max(stop - 4, 0)
+        digits[start:stop] = _DIGITS[4 - stop + start:].take(groups[-1], axis=1)
+        u = high
+    return digits, groups
+
+
+def _int_text(v: np.ndarray) -> np.ndarray:
+    """``'%d' % i`` for each value of the 1-D int64 ``v``, as a ``(w + 1, n)``
+    uint8 array, ``w`` the digits of the longest: column ``j`` holds the text
+    of ``v[j]``, NUL-padded."""
+    neg = v < 0
+    mag = np.where(neg, ~v, v).astype(np.uint64) + neg  # ~v == -v - 1 fits int64's minimum
+    size = np.searchsorted(_POW10_INT, mag, side="right")  # digits - 1
+    width = int(size.max(initial=0)) + 1
+    digits, _ = _decimal(mag, width)
+    digits *= _ROW[:width] >= width - 1 - size
+    text = np.empty((width + 1, len(v)), dtype=np.uint8)
+    text[0] = neg * ord("-")
+    text[1:] = digits
+    return text
+
+
+def _float_text(x: np.ndarray) -> np.ndarray:
+    """``'%.17g' % f`` for each value of the 1-D float64 ``x``, as a
+    ``(24, n)`` uint8 array, ``(28, n)`` if one needs the kernel's exponent
+    form: column ``j`` holds the text of ``x[j]`` with NULs between and after
+    its parts.
+
+    Zeros and values with ``1e-6 < |x| < 1e17`` are made by the kernel above;
+    every other value (subnormal, tiny, huge, nan, inf) one at a time by ``%``.
+    """
+    a = np.abs(x)
+    fast = (a > 1e-6) & (a < 1e17)  # 1e-6 as a double lies below 10**-6
+    a = np.where(fast, a, 1.0)  # zeros get 1.0's digits, with the 1 made a 0 below
+    e = np.floor(np.log10(a)).astype(np.intp)
+    np.clip(e, -6, 16, out=e)
+    hi, lo = _scaled(a, e)
+    # log10 may be one off next to a power of ten: the exact product's decade says which way
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    miss = np.flatnonzero(below | above)
+    if miss.size:
+        e[miss] += np.where(above[miss], 1, -1)
+        hi[miss], lo[miss] = _scaled(a[miss], e[miss])
+    floor_lo = np.floor(lo)
+    sig = hi.astype(np.int64) + floor_lo.astype(np.int64)
+    rest = lo - floor_lo
+    sig += (rest > 0.5) | ((rest == 0.5) & ((sig & 1) == 1))  # round half to even
+    carry = sig == 10**17
+    sig[carry] = 10**16
+    e += carry
+    digits, groups = _decimal(sig, 17)
+    digits[0] -= x == 0
+    tz = _TRAILING_ZEROS[groups[0]]
+    run = np.flatnonzero(groups[0] == 0)  # four or more trailing zeros: look further up
+    for group in groups[1:4]:
+        tz[run] += _TRAILING_ZEROS[group[run]]
+        run = run[group[run] == 0]
+    # the last digit before the point: -1 puts every digit after the lead, 0 is the exponent form
+    q = np.where(e >= 0, e, np.where(e >= -4, -1, 0))
+    keep = np.maximum(17 - tz, q + 1)
+    cut = np.flatnonzero(keep < 17)
+    digits[:, cut] *= _ROW[:17] < keep[cut]
+    text = np.empty((28 if (e < -4).any() else 24, len(x)), dtype=np.uint8)
+    text[0] = np.signbit(x) * ord("-")
+    text[1:6] = _LEAD.take(e + 6, axis=1)
+    body = text[6:24]
+    left = _ROW[:17] <= q
+    body[:17] = digits * left
+    body[17] = 0
+    body[1:] += digits * ~left
+    body[1:] += (_ROW[:17] == q) * (ord(".") * ((q >= 0) & (keep > q + 1))).astype(np.uint8)
+    text[24:] = _EXPONENT[:len(text) - 24].take(e + 6, axis=1)
+    slow = np.flatnonzero(~fast & (x != 0))
+    if slow.size:  # each text has at most 24 characters
+        text[:, slow] = np.array(["%.17g" % f for f in x[slow].tolist()],
+                                 dtype=f"S{len(text)}").view(np.uint8).reshape(-1, len(text)).T
+    return text
 
 
 def _read_table(path, n_keys: int, check_header, mask: bool = False):

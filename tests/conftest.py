@@ -3,8 +3,12 @@ import sys
 
 import pytest
 
-# Make `pytest` work from a fresh checkout without an editable install.
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+# Make `pytest` work from a fresh checkout without an editable install. A
+# PYTHONPATH entry that holds a tapkit package (say, a copy of src) is left
+# ahead of it, so `PYTHONPATH=<copy>/src pytest` tests that copy.
+if not any(os.path.isdir(os.path.join(entry, "tapkit"))
+           for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep) if entry):
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.dirname(__file__))
 
 from tapkit import define_space  # noqa: E402

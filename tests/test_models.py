@@ -477,6 +477,18 @@ class TestSerialization:
         save_model(model, path)
         assert path.read_text().splitlines()[0] == "1 2 0 identity"
 
+    def test_bytes_are_percent_17g(self, tmp_path):
+        """Header, W rows and b row, each value as ``%.17g``, space-separated."""
+        rng = np.random.default_rng(13)
+        W = rng.normal(size=(3, 4)) * 10.0 ** rng.integers(-9, 20, (3, 4))
+        W[0, :3] = -0.0, 5e-324, 0.1
+        model = LinearModel(np.asfortranarray(W), np.array([1e-5, -2.5, 1e17]), "identity", 1e-6)
+        path = tmp_path / "m.txt"
+        save_model(model, path)
+        lines = ["3 4 %.17g identity" % 1e-6]
+        lines += [" ".join("%.17g" % v for v in row) for row in W.tolist() + [list(model.b)]]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("2 2 0 identity\n1 2\n")

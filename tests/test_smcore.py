@@ -16,7 +16,16 @@ from tapkit import (
     load_csv,
     save_csv,
 )
-from tapkit.smcore import ChannelRef, Episode, _read_table, _write_table, parse_channel_ref
+from tapkit.smcore import (
+    ChannelRef,
+    Episode,
+    _float_text,
+    _int_text,
+    _read_table,
+    _text_lines,
+    _write_table,
+    parse_channel_ref,
+)
 
 from oracles import edge_values, reference_append, reference_read_table, reference_write_table
 
@@ -576,8 +585,9 @@ class TestReadTableAgainstReference:
 
 
 class TestWriteTableAgainstReference:
-    # Around the chunk size (4 096 rows): empty, one row, one chunk +-1, two chunks + 1.
-    ROWS = (0, 1, 2, 4095, 4096, 4097, 8193)
+    # Around the chunk size (1 024 rows) and the 4 096 it was: empty, one row,
+    # one chunk +-1, two chunks + 1.
+    ROWS = (0, 1, 2, 1023, 1024, 1025, 2049, 4095, 4096, 4097, 8193)
     KEYS = (-2**63, -2**63 + 1, -7, -1, 0, 1, 2**31, 2**63 - 1)
 
     @settings(max_examples=60, deadline=None)
@@ -597,3 +607,78 @@ class TestWriteTableAgainstReference:
         _write_table(out / "got.csv", header, arrays)
         reference_write_table(out / "want.csv", header, arrays)
         assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+
+def texts(field: np.ndarray) -> list[str]:
+    """The text of each column of a ``(width, n)`` field array, NULs dropped."""
+    return [bytes(column).replace(b"\0", b"").decode() for column in field.T]
+
+
+def powers_of_ten_neighbours(steps: int) -> np.ndarray:
+    """``steps`` doubles on each side of every power of ten a double can hold."""
+    out = []
+    for k in range(-324, 309):
+        for toward in (0.0, np.inf):
+            v = float(f"1e{k}")
+            for _ in range(steps):
+                out.append(v)
+                v = np.nextafter(v, toward)
+    return np.array(out)
+
+
+def dyadic_ties(rng, per_shift: int) -> np.ndarray:
+    """Odd ``j / 2**t`` whose exact decimal has 18 significant digits, the
+    last a 5: halfway between two 17-digit texts."""
+    out = []
+    for t in range(60):
+        lo, hi = max(1, 10**17 // 5**t), min(2**53, 10**18 // 5**t)
+        if lo < hi:
+            out.append((rng.integers(lo, hi, per_shift) | 1) / 2.0**t)
+    return np.concatenate(out)
+
+
+class TestTextKernel:
+    """``_float_text`` and ``_int_text`` against Python's ``%``."""
+
+    def test_float_text_is_percent_17g(self):
+        rng = np.random.default_rng(7)
+        # random bit patterns under every sign and biased exponent
+        high = np.repeat(np.arange(4096, dtype=np.uint64), 32) << np.uint64(52)
+        bits = high | rng.integers(0, 2**52, high.size, dtype=np.uint64)
+        ties = dyadic_ties(rng, 200)
+        values = np.concatenate([
+            bits.view(np.float64), ties, -ties, powers_of_ten_neighbours(12),
+            -powers_of_ten_neighbours(3), 10 ** rng.uniform(-8, 19, 20_000),
+            rng.standard_normal(20_000), np.array(EDGE_TEXT_FLOATS)])
+        got = texts(_float_text(values))
+        want = ["%.17g" % v for v in values.tolist()]
+        assert [(v, g) for v, g, w in zip(values.tolist(), got, want) if g != w] == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+    def test_float_text_is_percent_17g_on_drawn_floats(self, values):
+        assert texts(_float_text(np.array(values, dtype=float))) == ["%.17g" % v for v in values]
+
+    def test_int_text_is_percent_d(self):
+        rng = np.random.default_rng(8)
+        tens = 10 ** np.arange(19, dtype=np.int64)
+        values = np.concatenate([
+            [-2**63, -2**63 + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1], tens, tens - 1, -tens, 1 - tens,
+            rng.integers(-2**63, 2**63 - 1, 20_000, dtype=np.int64, endpoint=True),
+        ]).astype(np.int64)
+        assert texts(_int_text(values)) == ["%d" % v for v in values.tolist()]
+
+    def test_lines_with_other_separators(self):
+        cells = np.array([[0.5, -0.0, 1e22], [np.nan, 2.0, 1e-7]])
+        assert _text_lines(cells, sep=" ", end="\n") == b"0.5 -0 1e+22\nnan 2 9.9999999999999995e-08\n"
+        assert _text_lines(cells[:1, :1], end="") == b"0.5"
+        assert _text_lines(np.empty((2, 0)), end="\n") == b"\n\n"
+        keys = np.array([[-2**63], [7]])
+        assert _text_lines(np.array([[True, False], [False, True]]), keys) == \
+            b"-9223372036854775808,1,0\r\n7,0,1\r\n"
+
+
+EDGE_TEXT_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+                    1.7976931348623157e308, -1.7976931348623157e308, np.nan, -np.nan, np.inf,
+                    -np.inf, 1e-6, 1.0000000000000002e-6, 1e16, 1e17, 99999999999999984.0,
+                    9.9999999999999995e-5, 0.0001, 0.5, 1.0, 2.8)
