@@ -350,9 +350,9 @@ def _text_lines(cells: np.ndarray, keys: np.ndarray | None = None,
 # sign, "0.00"-style lead, digits with the point, "e-05"-style exponent.
 _POW10 = 10.0 ** np.arange(23)
 _POW10_INT = 10 ** np.arange(1, 19, dtype=np.uint64)
-_DIGITS = np.frombuffer(b"".join(b"%04d" % g for g in range(10_000)),
-                        dtype=np.uint8).reshape(10_000, 4).T.copy()
-_TRAILING_ZEROS = np.array([4] + [len(s) - len(s.rstrip("0")) for s in map(str, range(1, 10_000))])
+_GROUP = np.arange(10_000)
+_DIGITS = (_GROUP // np.array([[1000], [100], [10], [1]]) % 10 + ord("0")).astype(np.uint8)
+_TRAILING_ZEROS = sum(_GROUP % 10**k == 0 for k in range(1, 5))  # 4 for 0000
 _ROW = np.arange(19)[:, None]
 
 
