@@ -266,11 +266,15 @@ def invert_direct(inverse_model: LinearModel, goal) -> np.ndarray:
 
 def save_model(model: LinearModel, path) -> None:
     """Header ``d_out d_feat ridge feature_map``, then W row-major, then b."""
-    ridge = _text_lines(np.array([[model.ridge]], dtype=float), end="").decode()
+    d_out, d_feat = model.d_out, model.d_feat
+    # one formatter call for every number: its fixed cost outweighs a small model's cells
+    values = np.concatenate([[model.ridge], np.ravel(model.W), model.b]).astype(float)
+    ridge, *cells = _text_lines(values[None], sep=" ", end="").decode().split(" ")
+    lines = [f"{d_out} {d_feat} {ridge} {model.feature_map}"]
+    lines += [" ".join(cells[i * d_feat:(i + 1) * d_feat]) for i in range(d_out)]
+    lines.append(" ".join(cells[d_out * d_feat:]))
     with open(path, "w") as fh:
-        fh.write(f"{model.d_out} {model.d_feat} {ridge} {model.feature_map}\n")
-        fh.write(_text_lines(np.asarray(model.W, dtype=float), sep=" ", end="\n").decode())
-        fh.write(_text_lines(np.asarray(model.b, dtype=float)[None], sep=" ", end="\n").decode())
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_model(path) -> LinearModel:

@@ -124,8 +124,13 @@ def _sha256(data: bytes) -> str:
 
 
 @pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    return pipeline_outputs(tmp_path_factory.mktemp("pipeline"))
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("pipeline")
+
+
+@pytest.fixture(scope="module")
+def pipeline(workdir):
+    return pipeline_outputs(workdir)
 
 
 @pytest.mark.parametrize("run", RUNS)
@@ -139,12 +144,11 @@ def test_pipeline_digest(pipeline, name):
     assert _sha256(pipeline[name]) == _recorded()[name]
 
 
-def test_pipeline_writes_only_the_listed_files(tmp_path):
-    pipeline_outputs(tmp_path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == FILES
+def test_pipeline_writes_only_the_listed_files(pipeline, workdir):
+    assert sorted(p.name for p in workdir.iterdir()) == FILES
 
 
-def test_every_recorded_output_is_checked(pipeline):
+def test_every_recorded_run_is_checked(pipeline):
     assert sorted(_recorded()) == sorted(RUNS + list(pipeline))
 
 

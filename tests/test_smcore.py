@@ -659,6 +659,11 @@ class TestTextKernel:
     def test_float_text_is_percent_17g_on_drawn_floats(self, values):
         assert texts(_float_text(np.array(values, dtype=float))) == ["%.17g" % v for v in values]
 
+    def test_float32_and_int_cells_are_percent_17g_of_their_value(self):
+        values = np.random.default_rng(9).standard_normal(5_000) * 10.0 ** np.arange(-8, 12).repeat(250)
+        for cells in (values.astype(np.float32), values.astype(np.int64)):
+            assert texts(_float_text(cells)) == ["%.17g" % v for v in cells.tolist()]
+
     def test_int_text_is_percent_d(self):
         rng = np.random.default_rng(8)
         tens = 10 ** np.arange(19, dtype=np.int64)
