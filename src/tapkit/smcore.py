@@ -431,7 +431,7 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     fast = (a > 1e-6) & (a < 1e17)  # 1e-6 as a double lies below 10**-6
     a = np.where(fast, a, 1.0)  # zeros get 1.0's digits, with the 1 made a 0 below
     e = np.floor(np.log10(a)).astype(np.intp)
-    np.clip(e, -6, 16, out=e)
+    np.clip(e, -6, 16, out=e)  # log10 of a value just below 1e17 may round up to 17
     hi, lo = _scaled(a, e)
     # log10 may be one off next to a power of ten: the exact product's decade says which way
     below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))

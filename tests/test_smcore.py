@@ -609,6 +609,13 @@ class TestWriteTableAgainstReference:
         assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
 
 
+# Zeros, subnormals, the normal range's ends, nan, inf, and the kernel's range ends.
+EDGE_TEXT_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+                    1.7976931348623157e308, -1.7976931348623157e308, np.nan, -np.nan, np.inf,
+                    -np.inf, 1e-6, 1.0000000000000002e-6, 1e16, 1e17, 99999999999999984.0,
+                    9.9999999999999995e-5, 0.0001, 0.5, 1.0, 2.8)
+
+
 def texts(field: np.ndarray) -> list[str]:
     """The text of each column of a ``(width, n)`` field array, NULs dropped."""
     return [bytes(column).replace(b"\0", b"").decode() for column in field.T]
@@ -660,7 +667,8 @@ class TestTextKernel:
         assert texts(_float_text(np.array(values, dtype=float))) == ["%.17g" % v for v in values]
 
     def test_float32_and_int_cells_are_percent_17g_of_their_value(self):
-        values = np.random.default_rng(9).standard_normal(5_000) * 10.0 ** np.arange(-8, 12).repeat(250)
+        scales = 10.0 ** np.arange(-8, 12).repeat(250)
+        values = np.random.default_rng(9).standard_normal(scales.size) * scales
         for cells in (values.astype(np.float32), values.astype(np.int64)):
             assert texts(_float_text(cells)) == ["%.17g" % v for v in cells.tolist()]
 
@@ -681,9 +689,3 @@ class TestTextKernel:
         keys = np.array([[-2**63], [7]])
         assert _text_lines(np.array([[True, False], [False, True]]), keys) == \
             b"-9223372036854775808,1,0\r\n7,0,1\r\n"
-
-
-EDGE_TEXT_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
-                    1.7976931348623157e308, -1.7976931348623157e308, np.nan, -np.nan, np.inf,
-                    -np.inf, 1e-6, 1.0000000000000002e-6, 1e16, 1e17, 99999999999999984.0,
-                    9.9999999999999995e-5, 0.0001, 0.5, 1.0, 2.8)
