@@ -16,7 +16,7 @@ from tapkit import (
 )
 from tapkit import PlantConfig, generate
 from tapkit.analysis import (_bin_index, _entropy_bits, _pooled_pairs, _sample_range,
-                             default_bins)
+                             default_bins, tapping_from_scans)
 
 from oracles import (edge_values, exact_discrete_mi_bits, random_matrix, random_space,
                      reference_mutual_information, reference_pooled_pairs)
@@ -257,6 +257,18 @@ class TestEffectiveTapping:
         m = planted_lag_series(2, 100, seed=1)
         with pytest.raises(TapkitError):
             effective_tapping(m, ChannelRef("y", 0), 2, threshold_frac=0.0)
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, math.nan])
+    @pytest.mark.parametrize("entry", ["effective_tapping", "tapping_from_scans"])
+    def test_threshold_refusal_text(self, entry, threshold):
+        m = planted_lag_series(2, 100, seed=1)
+        with pytest.raises(TapkitError) as exc:
+            if entry == "effective_tapping":
+                effective_tapping(m, ChannelRef("y", 0), 2, threshold_frac=threshold)
+            else:
+                scans = [lag_scan(m, ref, ChannelRef("y", 0), 2) for ref in m.space.channel_refs()]
+                tapping_from_scans(m.space, ChannelRef("y", 0), scans, threshold)
+        assert str(exc.value) == f"threshold_frac must be in (0, 1], got {threshold}"
 
     def test_no_candidates_at_all(self):
         from tapkit.smcore import Episode, SensorimotorMatrix, define_space

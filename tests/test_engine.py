@@ -446,6 +446,11 @@ class TestDropout:
         (dict(copies=1, proportion=0.1, scope="cells"),
          "scope must be one of ('inputs', 'targets', 'both'), got 'cells'"),
         (dict(copies=1, proportion=0.1, seed=-3), "seed must be >= 0, got -3"),
+        (dict(copies=1, proportion=float("nan")), "proportion must be in [0, 1], got nan"),
+        # copies is checked before proportion, and proportion before scope and seed
+        (dict(copies=-2, proportion=1.5), "copies must be >= 0, got -2"),
+        (dict(copies=1, proportion=2.0, scope="cells", seed=-1),
+         "proportion must be in [0, 1], got 2.0"),
     ])
     def test_config_refusal_text(self, kwargs, message):
         with pytest.raises(TapkitError) as exc:
@@ -493,7 +498,7 @@ class TestBlocking:
         c = apply_blocking(m, tapping, 0.5, seed=43)
         assert a != c  # different seed, different block sets (generic)
 
-    @pytest.mark.parametrize("proportion", [-0.1, 1.5])
+    @pytest.mark.parametrize("proportion", [-0.1, 1.5, float("nan")])
     def test_proportion_refusal_text(self, vspace, proportion):
         m = SensorimotorMatrix(vspace, [Episode(0, np.arange(1.0, 7.0)[None, :])])
         with pytest.raises(TapkitError) as exc:

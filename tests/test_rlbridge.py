@@ -99,6 +99,30 @@ def td0_rows(packed, bounds):
      "episode 1: expected 2 rows, got shape (3, 4)"),
     (lambda: td_matrix(np.zeros(4)), "episode 0: expected 2 rows, got shape (4,)"),
     (lambda: td_matrix(np.zeros((2, 3, 1))), "episode 0: expected 2 rows, got shape (2, 3, 1)"),
+    (lambda: ChainEnv(5, 0.0), "gamma must be in (0, 1], got 0.0"),
+    (lambda: ChainEnv(5, 1.5), "gamma must be in (0, 1], got 1.5"),
+    (lambda: ChainEnv(5, float("nan")), "gamma must be in (0, 1], got nan"),
+    (lambda: ChainEnv(1, 1.5), "need at least 2 states, got 1"),  # states before gamma
+    (lambda: rlbridge.ValueTable(float("nan"), 0.9, v=np.zeros(3)),
+     "alpha must be in (0, 1], got nan"),
+    (lambda: rlbridge.ValueTable(1.25, 0.9), "alpha must be in (0, 1], got 1.25"),
+    # the TD(0) runners check alpha after the counts, seed and rollouts
+    (lambda: td0_sweeps(ChainEnv(5, 0.9), 1, alpha=-1.0), "alpha must be in (0, 1], got -1.0"),
+    (lambda: tapped_td_run(ChainEnv(5, 0.9), 1, seed=0, alpha=float("nan")),
+     "alpha must be in (0, 1], got nan"),
+    (lambda: direct_td_run(ChainEnv(5, 0.9), 1, seed=0, alpha=3.0),
+     "alpha must be in (0, 1], got 3.0"),
+    (lambda: tapped_td_run(ChainEnv(5, 0.9), -3, seed=-1, alpha=2.0),
+     "episodes must be >= 0, got -3"),
+    (lambda: direct_td_run(ChainEnv(5, 0.9), 1, seed=-4, alpha=2.0), "seed must be >= 0, got -4"),
+    (lambda: td0_sweeps(ChainEnv(5, 0.9), -2, alpha=2.0), "sweeps must be >= 0, got -2"),
+    (lambda: q_learning_run(ChainEnv(5, 0.9), 1, float("nan"), 0.1, seed=0),
+     "alpha must be in (0, 1], got nan"),
+    # the control runners check episodes, epsilon, seed, then alpha
+    (lambda: sarsa_run(ChainEnv(5, 0.9), -5, 2.0, 5.0, seed=-1), "episodes must be >= 0, got -5"),
+    (lambda: q_learning_run(ChainEnv(5, 0.9), 1, 2.0, 1.5, seed=-1),
+     "epsilon must be in [0, 1], got 1.5"),
+    (lambda: sarsa_run(ChainEnv(5, 0.9), 1, 2.0, 0.1, seed=-6), "seed must be >= 0, got -6"),
 ])
 def test_refusal_text(call, message):
     with pytest.raises(TapkitError) as exc:

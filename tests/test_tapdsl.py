@@ -44,6 +44,12 @@ class TestTapInvariants:
         with pytest.raises(TapkitError):
             Tap("m", 0, ROLE_INPUT, drop_p=1.5)
 
+    @pytest.mark.parametrize("drop_p", [1.5, -0.1, float("nan")])
+    def test_drop_p_refusal_text(self, drop_p):
+        with pytest.raises(TapkitError) as exc:
+            Tap("m", 0, ROLE_INPUT, drop_p=drop_p)
+        assert str(exc.value) == f"drop_p must be in [0, 1], got {drop_p}"
+
     def test_duplicate_channels_rejected(self):
         with pytest.raises(TapkitError):
             Tap("m", 0, ROLE_INPUT, channels=(1, 1))
