@@ -49,7 +49,6 @@ from .tapdsl import (
     Tapping,
     parse,
     parse_file,
-    format_space,
     format_tapping,
     to_text,
     validate,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TapkitError
+from .errors import TapkitError, check_at_least, check_positive_fraction
 from .smcore import ChannelRef, SensorimotorMatrix, SensorimotorSpace
 from .tapdsl import ROLE_INPUT, ROLE_TARGET, Tap, Tapping
 
@@ -135,8 +135,7 @@ def lag_scan(matrix: SensorimotorMatrix, source: ChannelRef, target: ChannelRef,
     The bin count (when not given) is fixed from the deepest lag's sample
     count so the scan is comparable across lags.
     """
-    if max_lag < 0:
-        raise TapkitError(f"max_lag must be >= 0, got {max_lag}")
+    check_at_least("max_lag", max_lag, 0)
     src_row = matrix.space.resolve(source.group, source.index)
     tgt_row = matrix.space.resolve(target.group, target.index)
     deepest = sum(max(0, ep.data.shape[1] - max_lag) for ep in matrix.episodes)
@@ -169,7 +168,7 @@ def effective_tapping(matrix: SensorimotorMatrix, target: ChannelRef,
     passes the scans to :func:`tapping_from_scans`. The result is always
     causal.
     """
-    _check_threshold(threshold_frac)
+    check_positive_fraction("threshold_frac", threshold_frac)
     # Validates the target reference before any scanning.
     matrix.space.resolve(target.group, target.index)
     scans = [lag_scan(matrix, ref, target, max_lag, bins)
@@ -186,7 +185,7 @@ def tapping_from_scans(space: SensorimotorSpace, target: ChannelRef,
     Skips the target's own lag-0 cell and keeps the cells whose MI reaches
     ``threshold_frac`` of the maximum found, in scan order.
     """
-    _check_threshold(threshold_frac)
+    check_positive_fraction("threshold_frac", threshold_frac)
     candidates = scan_candidates(target, scans)
     max_mi = max(res.mi_bits for res in candidates)
     if max_mi == 0.0:
@@ -211,8 +210,3 @@ def scan_candidates(target: ChannelRef, scans) -> list[MIResult]:
             "nothing to scan: the target's own lag-0 cell is the only candidate"
         )
     return candidates
-
-
-def _check_threshold(threshold_frac: float) -> None:
-    if not 0.0 < threshold_frac <= 1.0:
-        raise TapkitError(f"threshold_frac must be in (0, 1], got {threshold_frac}")

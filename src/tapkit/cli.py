@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import analysis, engine, models, render, rlbridge, sim, smcore, tapdsl
-from .errors import TapkitError, check_positive, check_seed
+from .errors import TapkitError, check_positive, check_positive_fraction, check_seed
 
 
 def split_seed(seed: int, n: int) -> list[int]:
@@ -165,7 +165,7 @@ def cmd_td(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    analysis._check_threshold(args.threshold)  # refused even where no tapping is emitted
+    check_positive_fraction("threshold_frac", args.threshold)  # also without --emit-tapping
     if args.space:
         space = _load_space_and_tappings(args.space).space
     else:

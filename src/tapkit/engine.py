@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import TapkitError, check_seed
+from .errors import TapkitError, check_at_least, check_fraction, check_seed
 from .smcore import (ChannelRef, SensorimotorMatrix, _as_measurement, _find_row, _read_table,
                      _write_table)
 from .tapdsl import ROLE_INPUT, ROLE_TARGET, Tapping, tap_channels
@@ -113,10 +113,8 @@ class DropoutConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.copies < 0:
-            raise TapkitError(f"copies must be >= 0, got {self.copies}")
-        if not 0.0 <= self.proportion <= 1.0:
-            raise TapkitError(f"proportion must be in [0, 1], got {self.proportion}")
+        check_at_least("copies", self.copies, 0)
+        check_fraction("proportion", self.proportion)
         if self.scope not in SCOPES:
             raise TapkitError(f"scope must be one of {SCOPES}, got {self.scope!r}")
         check_seed(self.seed)
@@ -317,17 +315,21 @@ def apply_blocking(matrix: SensorimotorMatrix, tapping: Tapping,
     subset of taps is blocked: every cell of a blocked tap is inactive
     (fill 0) for that whole episode. Episode i uses
     ``default_rng(SeedSequence(seed).spawn(n_episodes)[i])``, whether or not
-    it is long enough to yield rows.
+    it is long enough to yield rows. A proportion above 0 that blocks no tap
+    is refused.
     """
-    if not 0.0 <= proportion <= 1.0:
-        raise TapkitError(f"proportion must be in [0, 1], got {proportion}")
+    check_fraction("proportion", proportion)
     check_seed(seed)
+    n_taps = len(tapping.taps)
+    k = int(np.floor(proportion * n_taps))
+    if proportion > 0 and k == 0:
+        raise TapkitError(f"proportion {proportion} blocks no tap of {n_taps}: "
+                          f"floor({proportion} * {n_taps}) = 0")
     plan, dataset, bounds = _gather(matrix, tapping)
     values, masks = (dataset.X, dataset.Y), (dataset.x_mask, dataset.y_mask)
-    k = int(np.floor(proportion * len(plan.taps)))
     children = np.random.SeedSequence(seed).spawn(len(matrix.episodes))
     for child, a, b in zip(children, bounds, bounds[1:]):
-        blocked = np.random.default_rng(child).choice(len(plan.taps), size=k, replace=False)
+        blocked = np.random.default_rng(child).choice(n_taps, size=k, replace=False)
         for tap in blocked:
             block, cols = plan.taps[tap]
             values[block][a:b, cols] = 0.0

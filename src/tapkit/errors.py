@@ -1,5 +1,7 @@
 """Shared exception types and checks."""
 
+import numpy as np
+
 
 class TapkitError(Exception):
     """Data or validation failure anywhere in the library."""
@@ -14,14 +16,36 @@ class ParseError(TapkitError):
         self.col = col
 
 
+def check_at_least(what: str, value, low: int) -> None:
+    """Refuse ``value < low``; NaN compares false, so it passes."""
+    if value < low:
+        raise TapkitError(f"{what} must be >= {low}, got {value}")
+
+
+def check_fraction(what: str, value: float) -> None:
+    """Refuse a value outside [0, 1], or NaN."""
+    if not 0.0 <= value <= 1.0:
+        raise TapkitError(f"{what} must be in [0, 1], got {value}")
+
+
+def check_positive_fraction(what: str, value: float) -> None:
+    """Refuse a value outside (0, 1], or NaN."""
+    if not 0.0 < value <= 1.0:
+        raise TapkitError(f"{what} must be in (0, 1], got {value}")
+
+
+def check_finite(what: str, value: float) -> None:
+    """Refuse nan and inf."""
+    if not np.isfinite(value):
+        raise TapkitError(f"{what} must be finite, got {value}")
+
+
 def check_seed(seed: int) -> None:
     """Refuse a negative seed where one enters the library: ``SeedSequence``
     accepts only non-negative entropy."""
-    if seed < 0:
-        raise TapkitError(f"seed must be >= 0, got {seed}")
+    check_at_least("seed", seed, 0)
 
 
 def check_positive(what: str, count: int) -> None:
     """Refuse a count below 1 where at least one is needed."""
-    if count < 1:
-        raise TapkitError(f"{what} must be >= 1, got {count}")
+    check_at_least(what, count, 1)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import TapkitError, check_positive, check_seed
+from .errors import TapkitError, check_at_least, check_finite, check_positive, check_seed
 from .smcore import _text_lines
 
 
@@ -97,10 +97,8 @@ def fit(dataset, feature_map: str = "identity", ridge: float = 0.0) -> LinearMod
     X, Y = np.asarray(dataset.X, dtype=float), np.asarray(dataset.Y, dtype=float)
     if X.shape[0] < 1:
         raise TapkitError("cannot fit on an empty dataset")
-    if ridge < 0:
-        raise TapkitError(f"ridge must be >= 0, got {ridge}")
-    if not np.isfinite(ridge):
-        raise TapkitError(f"ridge must be finite, got {ridge}")
+    check_at_least("ridge", ridge, 0)
+    check_finite("ridge", ridge)
     # A nan or inf in X or Y, or an overflowing feature, reaches G or rhs;
     # the finiteness check below reports it, so NumPy's warnings are noise.
     with np.errstate(invalid="ignore", over="ignore"):
@@ -142,8 +140,7 @@ def predict(model: LinearModel, x) -> np.ndarray:
 
 def lms_step(model: LinearModel, x, y, rate: float) -> LinearModel:
     """One gradient step on the squared error of a single example."""
-    if rate < 0:
-        raise TapkitError(f"rate must be >= 0, got {rate}")
+    check_at_least("rate", rate, 0)
     W, b = model.W, model.b
     phi = features(x, model.feature_map)
     y = np.asarray(y, dtype=float)

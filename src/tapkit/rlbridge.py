@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, smcore, tapdsl
-from .errors import TapkitError, check_seed
+from .errors import (TapkitError, check_at_least, check_fraction, check_positive_fraction,
+                     check_seed)
 
 LEFT, RIGHT = 0, 1
 ACTIONS = (LEFT, RIGHT)
@@ -39,8 +40,7 @@ class ChainEnv:
     def __post_init__(self):
         if self.n_states < 2:
             raise TapkitError(f"need at least 2 states, got {self.n_states}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise TapkitError(f"gamma must be in (0, 1], got {self.gamma}")
+        check_positive_fraction("gamma", self.gamma)
 
     @property
     def terminal(self) -> int:
@@ -70,8 +70,7 @@ class ValueTable:
     q: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise TapkitError(f"alpha must be in (0, 1], got {self.alpha}")
+        check_positive_fraction("alpha", self.alpha)
         if (self.v is None) == (self.q is None):
             raise TapkitError("exactly one of v and q must be set")
 
@@ -83,11 +82,6 @@ def greedy_policy(q: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Rollouts and runners
 # ---------------------------------------------------------------------------
-
-def _check_count(what: str, count: int) -> None:
-    if count < 0:
-        raise TapkitError(f"{what} must be >= 0, got {count}")
-
 
 def _walk_right(env: ChainEnv, s: int):
     """The always-right policy's ``(s, r, s')`` transitions from ``s`` to the terminal."""
@@ -107,7 +101,7 @@ def _packed_rollouts(env: ChainEnv, episodes: int, seed: int) -> tuple[np.ndarra
     rewards[t] the reward received on arriving there (rewards[a] is 0). A
     terminal start yields a single-column episode with no transition.
     """
-    _check_count("episodes", episodes)
+    check_at_least("episodes", episodes, 0)
     check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     # Episode e walks from distinct[slot[e]]; each distinct walk is built once.
@@ -131,7 +125,8 @@ def _td0_run(env: ChainEnv, alpha: float, transitions) -> ValueTable:
     """TD(0), ``v(s) += alpha * ((r + gamma * v(s')) - v(s))`` in that float
     order on a private list, over ``(s, r, s')`` transitions made by ``ChainEnv.step``,
     which range-checks ``s`` and returns in-range states, so none is checked again."""
-    v, gamma = ValueTable(alpha, env.gamma, v=np.zeros(env.n_states)).v.tolist(), env.gamma
+    check_positive_fraction("alpha", alpha)
+    v, gamma = [0.0] * env.n_states, env.gamma
     for s, r, s_next in transitions:
         v[s] += alpha * ((r + gamma * v[s_next]) - v[s])
     return ValueTable(alpha, gamma, v=np.array(v))
@@ -177,7 +172,7 @@ def _direct_td0(env: ChainEnv, packed: np.ndarray, bounds: np.ndarray,
 def td0_sweeps(env: ChainEnv, sweeps: int, alpha: float) -> ValueTable:
     """Policy evaluation of the always-right policy: one episode from state 0
     per sweep."""
-    _check_count("sweeps", sweeps)
+    check_at_least("sweeps", sweeps, 0)
     return _td0_run(env, alpha, (step for _ in range(sweeps) for step in _walk_right(env, 0)))
 
 
@@ -189,11 +184,11 @@ def _epsilon_greedy(rng, q, s, epsilon) -> int:
 
 def _control_start(env: ChainEnv, episodes: int, alpha: float, epsilon: float, seed: int):
     """The control runners' checks, then their generator and zero q table as lists."""
-    _check_count("episodes", episodes)
-    if not 0.0 <= epsilon <= 1.0:
-        raise TapkitError(f"epsilon must be in [0, 1], got {epsilon}")
+    check_at_least("episodes", episodes, 0)
+    check_fraction("epsilon", epsilon)
     check_seed(seed)
-    q = ValueTable(alpha, env.gamma, q=np.zeros((env.n_states, len(ACTIONS)))).q.tolist()
+    check_positive_fraction("alpha", alpha)
+    q = [[0.0] * len(ACTIONS) for _ in range(env.n_states)]
     return np.random.default_rng(np.random.SeedSequence(seed)), q
 
 

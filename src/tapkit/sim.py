@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TapkitError, check_seed
+from .errors import TapkitError, check_at_least, check_finite, check_seed
 from .smcore import Episode, SensorimotorMatrix, SensorimotorSpace, define_space
 
 PLANT_KINDS = ("linear", "arm", "planted_lag")
@@ -48,12 +48,9 @@ class PlantConfig:
             raise TapkitError("command box needs finite bounds and a width float64 can hold")
         if self.dim < 1:
             raise TapkitError(f"linear plant dimension must be >= 1, got {self.dim}")
-        if self.noise_std < 0:
-            raise TapkitError(f"noise_std must be >= 0, got {self.noise_std}")
-        if not np.isfinite(self.noise_std):
-            raise TapkitError(f"noise_std must be finite, got {self.noise_std}")
-        if self.delay < 1:
-            raise TapkitError(f"delay must be >= 1, got {self.delay}")
+        check_at_least("noise_std", self.noise_std, 0)
+        check_finite("noise_std", self.noise_std)
+        check_at_least("delay", self.delay, 1)
         if not all(l > 0 for l in self.link_lengths):  # a nan length is not > 0 either
             raise TapkitError("arm link lengths must be positive")
         if not all(math.isfinite(l) for l in self.link_lengths):
@@ -124,10 +121,8 @@ def generate(config: PlantConfig, episodes: int, steps_per_episode: int) -> Sens
     Observation at t answers the command at t - delay (zero command before
     that), plus Gaussian noise of ``noise_std`` at every step.
     """
-    if steps_per_episode < 1:
-        raise TapkitError(f"steps_per_episode must be >= 1, got {steps_per_episode}")
-    if episodes < 0:
-        raise TapkitError(f"episodes must be >= 0, got {episodes}")
+    check_at_least("steps_per_episode", steps_per_episode, 1)
+    check_at_least("episodes", episodes, 0)
     space = space_for(config)
     d_m = space.groups[0].dim
     d_s = space.groups[1].dim
@@ -153,8 +148,7 @@ def planted_lag_series(lag: int, T: int, seed: int = 0,
     Fixture for dependency-recovery tests: the only structure in the data is
     at exactly the planted lag.
     """
-    if lag < 1:
-        raise TapkitError(f"lag must be >= 1, got {lag}")
+    check_at_least("lag", lag, 1)
     if T <= lag:
         raise TapkitError(f"need T > lag, got T={T}, lag={lag}")
     config = PlantConfig(kind="planted_lag", noise_std=noise_std, delay=lag, seed=seed)

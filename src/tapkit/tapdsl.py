@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ParseError, TapkitError
+from .errors import ParseError, TapkitError, check_fraction
 from .smcore import _IDENT_RE, KINDS, SensorimotorSpace, define_space
 
 ROLE_INPUT = "input"
@@ -54,8 +54,7 @@ class Tap:
     def __post_init__(self):
         if self.role not in (ROLE_INPUT, ROLE_TARGET):
             raise TapkitError(f"tap role must be input or target, got {self.role!r}")
-        if not 0.0 <= self.drop_p <= 1.0:
-            raise TapkitError(f"drop_p must be in [0, 1], got {self.drop_p}")
+        check_fraction("drop_p", self.drop_p)
         if self.channels is not None:
             chans = tuple(sorted(int(c) for c in self.channels))
             if len(set(chans)) != len(chans):
@@ -257,13 +256,6 @@ def td0(space, state_group, reward_group, name=None) -> Tapping:
 # Printer
 # ---------------------------------------------------------------------------
 
-def format_space(space: SensorimotorSpace) -> str:
-    lines = [f"space {space.name} {{"]
-    lines += [f"  {g.kind} {g.name}: {g.dim}" for g in space.groups]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def format_tapping(tapping: Tapping) -> str:
     """Canonical text form: one tap per line, ranges never reconstructed."""
     lines = [f"tapping {tapping.name} {{"]
@@ -279,7 +271,8 @@ def to_text(space: SensorimotorSpace | None, tappings=()) -> str:
     """Render a whole .tap file (space block first, then tappings)."""
     parts = []
     if space is not None:
-        parts.append(format_space(space))
+        groups = "".join(f"  {g.kind} {g.name}: {g.dim}\n" for g in space.groups)
+        parts.append(f"space {space.name} {{\n{groups}}}\n")
     parts += [format_tapping(t) for t in tappings]
     return "\n".join(parts)
 

@@ -422,7 +422,8 @@ def reference_blocking(matrix, tapping, proportion, seed=0):
     Episode i draws ``rng.choice(#taps, k, replace=False)`` from
     ``default_rng(SeedSequence(seed).spawn(n_episodes)[i])``, also when it
     is too short to yield rows; each blocked tap's columns read 0 and are
-    inactive for that whole episode.
+    inactive for that whole episode. A proportion above 0 that blocks no tap
+    raises ``TapkitError``.
     """
     space = matrix.space
     cols = {ROLE_INPUT: [], ROLE_TARGET: []}  # (matrix row, lag) per column
@@ -433,6 +434,9 @@ def reference_blocking(matrix, tapping, proportion, seed=0):
         block += [(space.resolve(tap.group, ch), tap.lag) for ch in tap_channels(space, tap)]
         spans.append((tap.role, start, len(block)))
     k = int(np.floor(proportion * len(tapping.taps)))
+    if proportion > 0 and k == 0:
+        raise TapkitError(f"proportion {proportion} blocks no tap of {len(tapping.taps)}: "
+                          f"floor({proportion} * {len(tapping.taps)}) = 0")
     children = np.random.SeedSequence(seed).spawn(len(matrix.episodes))
     out = {ROLE_INPUT: ([], []), ROLE_TARGET: ([], [])}  # role -> (values, masks)
     anchors = []

@@ -629,6 +629,19 @@ class TestRefusals:
         assert (code, out, err) == (2, "", f"error: {SEED}\n")
         assert not (tmp_path / "ds.csv").exists()
 
+    def test_blocking_that_blocks_no_tap_refused(self, tmp_path, capsys):
+        # 0.25 of fwd's two taps is floor(0.5) = 0 taps: refused, not a silent plain apply
+        data, spec = tmp_path / "d.csv", tmp_path / "d.tap"
+        run(capsys, "gen", "--plant", "linear", "--steps", "10", "--out", str(data))
+        with open(spec, "a") as fh:
+            fh.write("tapping fwd { input m @ -1 target v @ 0 }\n")
+        code, out, err = run(capsys, "apply", "--space", str(spec), "--tapping", "fwd",
+                             "--data", str(data), "--out", str(tmp_path / "ds.csv"),
+                             "--blocking", "0.25")
+        assert (code, out, err) == (2, "", "error: proportion 0.25 blocks no tap of 2: "
+                                           "floor(0.25 * 2) = 0\n")
+        assert not (tmp_path / "ds.csv").exists()
+
     @pytest.mark.parametrize("ridge", ["nan", "inf"])
     def test_train_ridge_refusal(self, tmp_path, capsys, ridge):
         ds_path = tmp_path / "ds.csv"

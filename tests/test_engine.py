@@ -231,8 +231,15 @@ class TestAgainstReferenceMasks:
         tapping = random_tapping(rng, space)
         # Short episodes (T < span) still consume one seed child each.
         matrix = random_matrix(rng, space, max_episodes=5, max_T=12)
-        assert_bit_identical(apply_blocking(matrix, tapping, proportion, seed),
-                             reference_blocking(matrix, tapping, proportion, seed))
+        # same arrays, or the same refusal of a proportion that blocks no tap
+        try:
+            want = reference_blocking(matrix, tapping, proportion, seed)
+        except TapkitError as exc:
+            with pytest.raises(TapkitError) as got:
+                apply_blocking(matrix, tapping, proportion, seed)
+            assert str(got.value) == str(exc)
+        else:
+            assert_bit_identical(apply_blocking(matrix, tapping, proportion, seed), want)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 3), proportions,
@@ -510,6 +517,16 @@ class TestBlocking:
         with pytest.raises(TapkitError) as exc:
             apply_blocking(m, tapdsl.multi_step(vspace, "v", 2), 0.5, seed=-1)
         assert str(exc.value) == "seed must be >= 0, got -1"
+
+    @pytest.mark.parametrize("proportion, message", [
+        (0.25, "proportion 0.25 blocks no tap of 2: floor(0.25 * 2) = 0"),
+        (5e-324, "proportion 5e-324 blocks no tap of 2: floor(5e-324 * 2) = 0"),
+    ])
+    def test_proportion_blocking_no_tap_refused(self, nao_space, proportion, message):
+        m = line_matrix(nao_space, 8)
+        with pytest.raises(TapkitError) as exc:
+            apply_blocking(m, tapdsl.forward(nao_space, "m", "vision"), proportion, seed=1)
+        assert str(exc.value) == message
 
 
 class TestAnchors:
