@@ -1,5 +1,7 @@
 """Shared exception types and checks."""
 
+import math
+
 import numpy as np
 
 
@@ -35,9 +37,21 @@ def check_positive_fraction(what: str, value: float) -> None:
 
 
 def check_finite(what: str, value: float) -> None:
-    """Refuse nan and inf."""
-    if not np.isfinite(value):
+    """Refuse a nan or inf scalar."""
+    if not math.isfinite(value):  # a tenth of np.isfinite's cost on a Python float
         raise TapkitError(f"{what} must be finite, got {value}")
+
+
+def check_box(low, high) -> None:
+    """Refuse an empty command box, then one with a nan or inf bound or a
+    width past float64's range; ``low`` and ``high`` are scalars or
+    per-channel arrays. A nan bound compares false, so only the second
+    check refuses it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.any(high <= low):
+            raise TapkitError("command box is empty (high <= low)")
+        if not np.isfinite(np.subtract(high, low)).all():
+            raise TapkitError("command box needs finite bounds and a width float64 can hold")
 
 
 def check_seed(seed: int) -> None:

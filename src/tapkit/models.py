@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import TapkitError, check_at_least, check_finite, check_positive, check_seed
+from .errors import (TapkitError, check_at_least, check_box, check_finite, check_positive,
+                     check_seed)
 from .smcore import _text_lines
 
 
@@ -141,6 +142,7 @@ def predict(model: LinearModel, x) -> np.ndarray:
 def lms_step(model: LinearModel, x, y, rate: float) -> LinearModel:
     """One gradient step on the squared error of a single example."""
     check_at_least("rate", rate, 0)
+    check_finite("rate", rate)
     W, b = model.W, model.b
     phi = features(x, model.feature_map)
     y = np.asarray(y, dtype=float)
@@ -217,18 +219,11 @@ def _reach(model: LinearModel, goals: np.ndarray, n: int, seeds, low, high):
             lo, hi = np.broadcast_to(lo, (d,)), np.broadcast_to(hi, (d,))
     except ValueError:
         raise TapkitError(f"command box bounds must broadcast to {d} channels") from None
-    if lo.ndim:
-        with np.errstate(over="ignore", invalid="ignore"):  # nan or inf bound, or overflow
-            empty, finite = np.any(hi <= lo), np.isfinite(hi - lo).all()
-    else:
-        # Scalar bounds stay scalar, checked with float math: uniform draws the
-        # same low + (high - low) * U from them as from per-channel arrays.
+    if not lo.ndim:
+        # Scalar bounds stay scalar: uniform draws the same low + (high - low) * U
+        # from them as from per-channel arrays.
         lo, hi = float(lo), float(hi)
-        empty, finite = hi <= lo, math.isfinite(hi - lo)
-    if empty:
-        raise TapkitError("command box is empty (high <= low)")
-    if not finite:
-        raise TapkitError("command box needs finite bounds and a width float64 can hold")
+    check_box(lo, hi)
     k, width = len(goals), hi - lo
     commands, predicted, distances = np.empty((k, d)), np.empty((k, model.d_out)), np.empty(k)
     per_block = max(1, _REACH_BLOCK_ROWS // n)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TapkitError, check_at_least, check_finite, check_seed
+from .errors import TapkitError, check_at_least, check_box, check_finite, check_seed
 from .smcore import Episode, SensorimotorMatrix, SensorimotorSpace, define_space
 
 PLANT_KINDS = ("linear", "arm", "planted_lag")
@@ -42,10 +42,7 @@ class PlantConfig:
     def __post_init__(self):
         if self.kind not in PLANT_KINDS:
             raise TapkitError(f"unknown plant kind {self.kind!r}; expected {PLANT_KINDS}")
-        if self.command_high <= self.command_low:
-            raise TapkitError("command box is empty (high <= low)")
-        if not np.isfinite(float(self.command_high) - float(self.command_low)):
-            raise TapkitError("command box needs finite bounds and a width float64 can hold")
+        check_box(self.command_low, self.command_high)
         if self.dim < 1:
             raise TapkitError(f"linear plant dimension must be >= 1, got {self.dim}")
         check_at_least("noise_std", self.noise_std, 0)

@@ -343,29 +343,19 @@ def _text_lines(cells: np.ndarray, keys: np.ndarray | None = None,
     return flat[flat != 0].tobytes()
 
 
-# The %.17g kernel. For a finite x with decimal exponent X in [-6, 16],
+# The %.17g kernel. For a finite x with decimal exponent X in [-4, 16],
 # 10**(16 - X) is an exact double, and Dekker's TwoProduct gives
 # |x| * 10**(16 - X) exactly as hi + lo with hi an integer in [1e16, 1e17]:
 # its 17-digit rounding is exact in int64. Texts are built as
-# sign, "0.00"-style lead, digits with the point, "e-05"-style exponent.
-_POW10 = 10.0 ** np.arange(23)
+# sign, "0.00"-style lead, digits with the point.
+_POW10 = 10.0 ** np.arange(21)
 _POW10_INT = 10 ** np.arange(1, 19, dtype=np.uint64)
 _GROUP = np.arange(10_000)
 _DIGITS = (_GROUP // np.array([[1000], [100], [10], [1]]) % 10 + ord("0")).astype(np.uint8)
 _TRAILING_ZEROS = sum(_GROUP % 10**k == 0 for k in range(1, 5))  # 4 for 0000
 _ROW = np.arange(19)[:, None]
-
-
-def _by_exponent(texts: dict[int, bytes], width: int) -> np.ndarray:
-    """A ``(width, 23)`` table whose column ``X + 6`` holds ``texts[X]``."""
-    table = np.zeros((width, 23), dtype=np.uint8)
-    for x, text in texts.items():
-        table[:len(text), x + 6] = list(text)
-    return table
-
-
-_LEAD = _by_exponent({x: b"0." + b"0" * (-x - 1) for x in range(-4, 0)}, 5)
-_EXPONENT = _by_exponent({x: b"e%03d" % x for x in (-6, -5)}, 4)
+_LEAD = np.zeros((5, 21), dtype=np.uint8)  # column X + 4 holds the lead of exponent X
+_LEAD[:, :4] = np.frombuffer(b"0.000" b"0.00\0" b"0.0\0\0" b"0.\0\0\0", np.uint8).reshape(4, 5).T
 
 
 def _veltkamp(a):
@@ -420,33 +410,29 @@ def _int_text(v: np.ndarray) -> np.ndarray:
 
 def _float_text(x: np.ndarray) -> np.ndarray:
     """``'%.17g' % f`` for each value of the 1-D float64 ``x``, as a
-    ``(24, n)`` uint8 array, ``(28, n)`` if one needs the kernel's exponent
-    form: column ``j`` holds the text of ``x[j]`` with NULs between and after
-    its parts.
+    ``(24, n)`` uint8 array: column ``j`` holds the text of ``x[j]`` with
+    NULs between and after its parts.
 
-    Zeros and values with ``1e-6 < |x| < 1e17`` are made by the kernel above;
-    every other value (subnormal, tiny, huge, nan, inf) one at a time by ``%``.
+    Zeros and values with ``1e-4 <= |x| < 1e17`` are made by the kernel above.
+    Every other value (subnormal, small, huge, nan, inf), and each one whose
+    decade ``log10`` misses or whose rounding carries into the next decade,
+    is made one at a time by ``%``.
     """
     a = np.abs(x)
-    fast = (a > 1e-6) & (a < 1e17)  # 1e-6 as a double lies below 10**-6
+    fast = (a >= 1e-4) & (a < 1e17)  # 1e-4 as a double lies above 10**-4
     a = np.where(fast, a, 1.0)  # zeros get 1.0's digits, with the 1 made a 0 below
     e = np.floor(np.log10(a)).astype(np.intp)
-    np.clip(e, -6, 16, out=e)  # log10 of a value just below 1e17 may round up to 17
+    np.clip(e, -4, 16, out=e)  # log10 of a value just below 1e17 may round up to 17
     hi, lo = _scaled(a, e)
-    # log10 may be one off next to a power of ten: the exact product's decade says which way
-    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-    miss = np.flatnonzero(below | above)
-    if miss.size:
-        e[miss] += np.where(above[miss], 1, -1)
-        hi[miss], lo[miss] = _scaled(a[miss], e[miss])
     floor_lo = np.floor(lo)
     sig = hi.astype(np.int64) + floor_lo.astype(np.int64)
     rest = lo - floor_lo
     sig += (rest > 0.5) | ((rest == 0.5) & ((sig & 1) == 1))  # round half to even
-    carry = sig == 10**17
-    sig[carry] = 10**16
-    e += carry
+    # log10 may be one off next to a power of ten: the exact product's decade
+    # says so, and % writes those values and the ones that round up to 10**17
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    slow = np.flatnonzero(~fast & (x != 0) | below | above | (sig == 10**17))
     digits, groups = _decimal(sig, 17)
     digits[0] -= x == 0
     tz = _TRAILING_ZEROS[groups[0]]
@@ -454,25 +440,22 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     for group in groups[1:4]:
         tz[run] += _TRAILING_ZEROS[group[run]]
         run = run[group[run] == 0]
-    # the last digit before the point: -1 puts every digit after the lead, 0 is the exponent form
-    q = np.where(e >= 0, e, np.where(e >= -4, -1, 0))
+    q = np.maximum(e, -1)  # the last digit before the point: -1 puts every digit after the lead
     keep = np.maximum(17 - tz, q + 1)
     cut = np.flatnonzero(keep < 17)
     digits[:, cut] *= _ROW[:17] < keep[cut]
-    text = np.empty((28 if (e < -4).any() else 24, len(x)), dtype=np.uint8)
+    text = np.empty((24, len(x)), dtype=np.uint8)
     text[0] = np.signbit(x) * ord("-")
-    text[1:6] = _LEAD.take(e + 6, axis=1)
-    body = text[6:24]
+    text[1:6] = _LEAD.take(e + 4, axis=1)
+    body = text[6:]
     left = _ROW[:17] <= q
     body[:17] = digits * left
     body[17] = 0
     body[1:] += digits * ~left
-    body[1:] += (_ROW[:17] == q) * (ord(".") * ((q >= 0) & (keep > q + 1))).astype(np.uint8)
-    text[24:] = _EXPONENT[:len(text) - 24].take(e + 6, axis=1)
-    slow = np.flatnonzero(~fast & (x != 0))
+    body[1:] += (_ROW[:17] == q) * (ord(".") * (keep > q + 1)).astype(np.uint8)
     if slow.size:  # each text has at most 24 characters
         text[:, slow] = np.array(["%.17g" % f for f in x[slow].tolist()],
-                                 dtype=f"S{len(text)}").view(np.uint8).reshape(-1, len(text)).T
+                                 dtype="S24").view(np.uint8).reshape(-1, 24).T
     return text
 
 

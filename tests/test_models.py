@@ -299,6 +299,10 @@ BOX = "command box needs finite bounds and a width float64 can hold"
      "singular normal equations; ridge 1e-300 is too small to regularise them"),
     (lambda: lms_step(zero_model(2, 2), np.ones(2), np.ones(2), rate=-0.5),
      "rate must be >= 0, got -0.5"),
+    (lambda: lms_step(zero_model(2, 2), np.ones(2), np.ones(2), rate=np.nan),
+     "rate must be finite, got nan"),
+    (lambda: lms_step(zero_model(2, 2), np.ones(2), np.ones(2), rate=np.inf),
+     "rate must be finite, got inf"),
     (lambda: best_of_n(zero_model(2, 2), np.zeros(2), 0, 1, -1.0, 1.0), "n must be >= 1, got 0"),
     (lambda: fit(linear_plant_dataset(steps=11)[1], ridge=np.nan), "ridge must be finite, got nan"),
     (lambda: fit(linear_plant_dataset(steps=11)[1], ridge=np.inf), "ridge must be finite, got inf"),

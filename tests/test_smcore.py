@@ -609,7 +609,8 @@ class TestWriteTableAgainstReference:
         assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
 
 
-# Zeros, subnormals, the normal range's ends, nan, inf, and the kernel's range ends.
+# Zeros, subnormals, the normal range's ends, nan, inf, values next to 1e-6, and the kernel's
+# range ends, 1e-4 and 1e17.
 EDGE_TEXT_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
                     1.7976931348623157e308, -1.7976931348623157e308, np.nan, -np.nan, np.inf,
                     -np.inf, 1e-6, 1.0000000000000002e-6, 1e16, 1e17, 99999999999999984.0,
