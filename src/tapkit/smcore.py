@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import re
-import warnings
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -349,7 +348,7 @@ def _text_lines(cells: np.ndarray, keys: np.ndarray | None = None,
 # its 17-digit rounding is exact in int64. Texts are built as
 # sign, "0.00"-style lead, digits with the point.
 _POW10 = 10.0 ** np.arange(21)
-_POW10_INT = 10 ** np.arange(1, 19, dtype=np.uint64)
+_TENS = 10 ** np.arange(19, dtype=np.uint64)
 _GROUP = np.arange(10_000)
 _DIGITS = (_GROUP // np.array([[1000], [100], [10], [1]]) % 10 + ord("0")).astype(np.uint8)
 _TRAILING_ZEROS = sum(_GROUP % 10**k == 0 for k in range(1, 5))  # 4 for 0000
@@ -368,14 +367,21 @@ def _veltkamp(a):
 _POW10_HIGH, _POW10_LOW = _veltkamp(_POW10)
 
 
-def _scaled(a, exponent):
-    """``a * 10**(16 - exponent)`` exactly, as ``(hi, lo)``: Dekker's
-    TwoProduct, one rounding per ufunc call, so nothing becomes an FMA."""
+def _significand(a, exponent):
+    """The 17 digits of each ``a`` at decimal ``exponent``: ``a * 10**(16 -
+    exponent)`` rounded half to even, as int64, with that product exactly as
+    ``(hi, lo)``. The product is Dekker's TwoProduct, one rounding per ufunc
+    call, so nothing becomes an FMA."""
     k = 16 - exponent
     hi = a * _POW10[k]
     ah, al = _veltkamp(a)
     bh, bl = _POW10_HIGH[k], _POW10_LOW[k]
-    return hi, al * bl - (((hi - ah * bh) - al * bh) - ah * bl)
+    lo = al * bl - (((hi - ah * bh) - al * bh) - ah * bl)
+    floor_lo = np.floor(lo)
+    sig = hi.astype(np.int64) + floor_lo.astype(np.int64)
+    rest = lo - floor_lo
+    sig += (rest > 0.5) | ((rest == 0.5) & ((sig & 1) == 1))
+    return sig, hi, lo
 
 
 def _decimal(u: np.ndarray, width: int):
@@ -398,7 +404,7 @@ def _int_text(v: np.ndarray) -> np.ndarray:
     of ``v[j]``, NUL-padded."""
     neg = v < 0
     mag = np.where(neg, ~v, v).astype(np.uint64) + neg  # ~v == -v - 1 fits int64's minimum
-    size = np.searchsorted(_POW10_INT, mag, side="right")  # digits - 1
+    size = np.searchsorted(_TENS[1:], mag, side="right")  # digits - 1
     width = int(size.max(initial=0)) + 1
     digits, _ = _decimal(mag, width)
     digits *= _ROW[:width] >= width - 1 - size
@@ -423,11 +429,7 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     a = np.where(fast, a, 1.0)  # zeros get 1.0's digits, with the 1 made a 0 below
     e = np.floor(np.log10(a)).astype(np.intp)
     np.clip(e, -4, 16, out=e)  # log10 of a value just below 1e17 may round up to 17
-    hi, lo = _scaled(a, e)
-    floor_lo = np.floor(lo)
-    sig = hi.astype(np.int64) + floor_lo.astype(np.int64)
-    rest = lo - floor_lo
-    sig += (rest > 0.5) | ((rest == 0.5) & ((sig & 1) == 1))  # round half to even
+    sig, hi, lo = _significand(a, e)
     # log10 may be one off next to a power of ten: the exact product's decade
     # says so, and % writes those values and the ones that round up to 10**17
     below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
@@ -469,68 +471,262 @@ def _read_table(path, n_keys: int, check_header, mask: bool = False):
     header check's result, an ``(n, n_keys)`` int array and an ``(n, d)``
     float (bool for a mask) array.
 
-    NumPy's C reader parses the body in one pass. Any body it refuses or
-    warns about (no rows, an id past int64, quotes, ...) is read again by a
-    ``csv`` row loop that gives the same arrays or names the offending line;
-    blank lines are skipped by both but counted by the loop.
-
-    Warnings are turned into errors with ``warnings.catch_warnings()``,
-    which changes the filters of the whole process: do not load tables
-    from several threads at once.
+    The body is parsed by NumPy ops over bytes, see :func:`_parse_lines`.
+    Any body they do not take (blank lines, quotes, spaces, an id past
+    int64, ...) is read again by a ``csv`` row loop that gives the same
+    arrays or names the offending line; blank lines are skipped there but
+    counted.
     """
     with open(path, newline="") as fh:
         _, header = next(_csv_rows(path, fh), (1, None))
-        checked = check_header(header)
-        width = len(header)
-        d = width - n_keys
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                table = np.loadtxt(
-                    # S2 cells cannot tell "1\0" from "1": give a NUL line one field, so it is refused.
-                    (line if "\0" not in line else "\0" for line in fh) if mask else fh,
-                    dtype=[("k", "<i8", (n_keys,)), ("c", "S2" if mask else "<f8", (d,))],
-                    delimiter=",", comments=None, ndmin=1)
-            keys, cells = table["k"], table["c"]
-            if mask:  # the cells as little-endian byte pairs: "0" is 0x0030, "1" 0x0031
-                code = cells.view("<u2")
-                cells = code == ord("1")
-                if np.count_nonzero(cells) + np.count_nonzero(code == ord("0")) != code.size:
-                    raise ValueError("mask cell other than 0 or 1")
-        except (ValueError, Warning):
-            fh.seek(0)
-            rows = _csv_rows(path, fh)
-            next(rows)
-            keys = array("q")
-            cells = array("B" if mask else "d")
-            parse = int if mask else float
-            for lineno, row in rows:
-                if not row:
-                    continue
-                if len(row) != width or mask and not _BITS.issuperset(row[n_keys:]):
-                    expected = f"{d} mask cells of 0 or 1" if mask else f"{width} fields"
-                    raise TapkitError(f"{path}: line {lineno}: expected {expected}")
-                try:
-                    keys.extend(map(int, row[:n_keys]))
-                    cells.extend(map(parse, row[n_keys:]))
-                except (ValueError, OverflowError):
-                    for j, text in enumerate(row):
-                        try:
-                            value = (int if j < n_keys else float)(text)
-                        except ValueError:
-                            what = f"non-integer {_KEY_NAMES[j]}" if j < n_keys else "non-numeric value"
-                            raise TapkitError(f"{path}: line {lineno}: {what} {text!r}") from None
-                        if j < n_keys and not -2**63 <= value < 2**63:
-                            raise TapkitError(
-                                f"{path}: line {lineno}: {_KEY_NAMES[j]} out of range {text!r}")
-            keys = np.frombuffer(keys, dtype=np.int64).reshape(-1, n_keys)
-            cells = np.frombuffer(cells, dtype=bool if mask else float).reshape(-1, d)
+    checked = check_header(header)
+    width = len(header)
+    d = width - n_keys
+    keys, cells = _read_body(path, n_keys, width, mask) or _read_rows(path, n_keys, width, mask)
+    keys = np.frombuffer(keys, dtype=np.int64).reshape(-1, n_keys)
+    cells = np.frombuffer(cells, dtype=bool if mask else float).reshape(-1, d)
     if not mask and not np.isfinite(cells).all():
         i, j = divmod(int(np.argmin(np.isfinite(cells))), d)
         lineno, row = _find_row(path, i)
         where = "" if n_keys == 1 else " in the row of episode %d, t %d:" % tuple(keys[i])
         raise TapkitError(f"{path}: line {lineno}: non-finite value{where} {row[n_keys + j]!r}")
     return checked, keys, cells
+
+
+def _read_rows(path, n_keys: int, width: int, mask: bool):
+    """The body of a table read row by row with ``csv``: its keys and cells
+    as flat int64 and float64 (uint8 for a mask) arrays, or a TapkitError
+    naming the first line that is not a row of the table."""
+    d = width - n_keys
+    keys = array("q")
+    cells = array("B" if mask else "d")
+    parse = int if mask else float
+    with open(path, newline="") as fh:
+        rows = _csv_rows(path, fh)
+        next(rows)
+        for lineno, row in rows:
+            if not row:
+                continue
+            if len(row) != width or mask and not _BITS.issuperset(row[n_keys:]):
+                expected = f"{d} mask cells of 0 or 1" if mask else f"{width} fields"
+                raise TapkitError(f"{path}: line {lineno}: expected {expected}")
+            try:
+                keys.extend(map(int, row[:n_keys]))
+                cells.extend(map(parse, row[n_keys:]))
+            except (ValueError, OverflowError):
+                for j, text in enumerate(row):
+                    try:
+                        value = (int if j < n_keys else float)(text)
+                    except ValueError:
+                        what = f"non-integer {_KEY_NAMES[j]}" if j < n_keys else "non-numeric value"
+                        raise TapkitError(f"{path}: line {lineno}: {what} {text!r}") from None
+                    if j < n_keys and not -2**63 <= value < 2**63:
+                        raise TapkitError(
+                            f"{path}: line {lineno}: {_KEY_NAMES[j]} out of range {text!r}")
+    return keys, cells
+
+
+_PIECE_BYTES = 1 << 17
+
+
+def _read_body(path, n_keys: int, width: int, mask: bool):
+    """The body of a table parsed about ``_PIECE_BYTES`` of whole lines at a
+    time by :func:`_parse_lines`, as :func:`_read_rows` returns it, or None
+    if a piece is not one it takes or the header is not one plain line.
+
+    A mask's pieces are a quarter of that: its cells take 2 bytes each
+    against ~20 for a value, and each field costs the kernel ~40 bytes of
+    arrays."""
+    keys = array("q")
+    cells = array("B" if mask else "d")
+    piece = _PIECE_BYTES // 4 if mask else _PIECE_BYTES
+    with open(path, "rb") as fh:
+        head = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
+        if b'"' in head or b"\r" in head:  # a header row csv may not end with this line
+            return None
+        buf = bytearray()  # never holds a newline between pieces
+        while True:
+            start = len(buf)
+            buf += fh.read(piece) or (b"\n" if buf else b"")  # a last line gets its newline
+            if len(buf) == start:
+                break
+            cut = buf.rfind(b"\n", start) + 1
+            if cut:
+                with memoryview(buf) as view:
+                    part = _parse_lines(view[:cut], n_keys, width, mask)
+                if part is None:
+                    return None
+                keys.frombytes(part[0].view(np.uint8))
+                cells.frombytes(part[1].view(np.uint8))
+                del buf[:cut]
+    return keys, cells
+
+
+# The reader's digit kernel. A field's digits are read as the 8-byte
+# little-endian words that end where the field does, first digit in the
+# lowest byte, at most three; the nibbles of the bytes before its digits are
+# masked off, and three SWAR multiply-shift steps give each word's value:
+# pairs, then groups of 4 and of 8 digits.
+_NIBBLES = np.array([0x0F0F0F0F0F0F0F0F >> 8 * z << 8 * z for z in range(9)], dtype=np.uint64)
+_WORD_AT = np.array([[0], [8], [16]])
+_RUN_MASKS = _NIBBLES[np.clip(24 - np.arange(25) - _WORD_AT, 0, 8)]  # column r: the last r bytes
+_SWAR = [(np.uint64(mul), np.uint64(shift), np.uint64(keep)) for mul, shift, keep in (
+    (10 * 2**8 + 1, 8, 0x00FF00FF00FF00FF),
+    (100 * 2**16 + 1, 16, 0x0000FFFF0000FFFF),
+    (10_000 * 2**32 + 1, 32, 0xFFFFFFFF))]
+
+
+def _parse_lines(body, n_keys: int, width: int, mask: bool):
+    """The flat keys and cells of ``body``, whole lines that each end in
+    ``\\n``, or None unless each line is ``width`` fields that ``csv`` and
+    ``int`` or ``float`` read as the kernel does (see :func:`_fields`) and
+    each key has at most 18 digits.
+
+    A cell of at most 17 significant digits whose decade lies in [-4, 16]
+    is read by :func:`_checked`; every other one (exponent forms, more
+    digits, smaller values, a miss there) by ``float(text)``, and a
+    ValueError there gives None.
+    """
+    b = np.frombuffer(body, dtype=np.uint8)
+    starts, stops, plain, places, words = _fields(b, n_keys, width) or (None,) * 5
+    if starts is None:
+        return None
+    neg = b[starts[:, :n_keys]] == ord("-")
+    run = stops[:, :n_keys] - starts[:, :n_keys] - neg
+    if not (plain[:, :n_keys] & (run >= 1) & (run <= 18)).all():
+        return None
+    keys = _digits(words, stops[:, :n_keys].ravel(), run.ravel())[0].astype(np.int64)
+    keys = np.where(neg.ravel(), -keys, keys)
+    if mask:
+        cell = b[starts[:, n_keys:]]
+        if not ((stops[:, n_keys:] - starts[:, n_keys:] == 1)
+                & ((cell == ord("0")) | (cell == ord("1")))).all():
+            return None
+        return keys, cell == ord("1")
+
+    starts, stops, plain, places = (a[:, n_keys:].ravel() for a in (starts, stops, plain, places))
+    if (stops - starts).max(initial=0) > csv.field_size_limit():
+        return None
+    neg = b[starts] == ord("-")
+    run = stops - starts - neg  # the digits, with a point as a leading 0
+    m, high = _digits(words, stops, run)
+    del words  # frees the piece's copy before the rounding check
+    e = np.searchsorted(_TENS[1:], m, side="right") - places  # the decade
+    fast = plain & (run >= 1) & (run <= 24) & (high < 10)  # m below 10**17
+    done = fast & (m == 0)
+    take = np.flatnonzero(fast & (m > 0) & (e >= -4) & (e <= 16))
+    m, e, places = m[take], e[take], places[take]
+    y, hit = _checked(m, e, places)
+    cells = np.zeros(len(stops))
+    cells[take[hit]] = y[hit]
+    done[take[hit]] = True
+    np.copysign(cells, 0.5 - neg, out=cells)
+    slow = np.flatnonzero(~done)
+    for j, a, z in zip(slow.tolist(), starts[slow].tolist(), stops[slow].tolist()):
+        try:
+            cells[j] = float(body[a:z])
+        except ValueError:
+            return None
+    return keys, cells
+
+
+def _fields(b: np.ndarray, n_keys: int, width: int):
+    """The fields of ``b``, whole lines that each end in ``\\n``, and their
+    digits: field ``(i, j)`` is ``b[starts[i, j]:stops[i, j]]``, ``plain``
+    says it holds no byte above ``9``, and ``places`` counts its digits
+    after a point. Last, :func:`_digits`' words over ``b`` with each cell's
+    integer digits moved one place over its point and a ``0`` in their
+    place, so that every field's digits end where it does.
+
+    None unless each line holds ``width`` fields and the only bytes below
+    ``0`` are ``, \\r \\n - .``: a ``\\r`` must end a line, a ``-`` start a
+    field or follow a byte above ``9`` (``1e-05``), and a ``.`` be in a
+    cell with a digit, followed by the cell's end or a byte above ``9``.
+    """
+    other = np.flatnonzero(b - np.uint8(ord("0")) > 9)  # every byte but the digits
+    v = b[other]
+    sep = np.flatnonzero((v == ord(",")) | (v == ord("\n")))
+    newline = v[sep] == ord("\n")
+    n = len(sep) // width
+    if (len(sep) != n * width or np.count_nonzero(newline) != n
+            or not newline[width - 1::width].all()):
+        return None
+    stops = other[sep]  # each field's separator, then its end
+    starts = np.concatenate([[0], stops[:-1] + 1])
+    crlf = b[stops[width - 1::width] - 1] == ord("\r")  # b[-1] is a newline
+    stops[width - 1::width] -= crlf
+    dash = other[np.flatnonzero(v == ord("-"))]
+    dot = np.flatnonzero(v == ord("."))  # indices into other
+    letter = other[np.flatnonzero(v > ord("9"))]
+    before, after = b[dash - 1], v[dot + 1]
+    if (v.max(initial=0) > 127
+            or n * width + np.count_nonzero(crlf) + len(dash) + len(dot) + len(letter) != len(other)
+            or not ((before == ord(",")) | (before == ord("\n")) | (before > ord("9"))).all()
+            or not ((after < ord("-")) | (after > ord("9"))).all()):
+        return None
+    plain = np.ones(n * width, dtype=bool)
+    plain[np.searchsorted(stops, letter)] = False
+    moved = np.empty(len(b) + 24, dtype=np.uint8)  # 24 zeros, then b with the points dropped
+    moved[:24] = ord("0")
+    moved[24:] = b
+    dot = dot[np.flatnonzero(after < ord("-"))]  # the separator follows, after a "\r" if any
+    places = np.broadcast_to(0, n * width)  # no memory for a table with no point
+    if len(dot):
+        at = np.empty(len(other), dtype=np.intp)
+        at[sep] = np.arange(n * width)
+        field = at[dot + 1 + (v[dot + 1] == ord("\r"))]
+        point = other[dot]
+        places = np.zeros(n * width, dtype=np.intp)
+        places[field] = stops[field] - point - 1
+        lead = point - np.where(dot > 0, other[dot - 1], -1) - 1  # digits before each point
+        if (field % width < n_keys).any() or (lead + places[field] == 0).any():
+            return None  # a key with a point, or a "." or "-." cell
+        to = point + 24
+        for k in range(int(lead.max())):
+            dst = to[np.flatnonzero(lead > k)] - k
+            moved[dst] = moved[dst - 1]
+        moved[to - lead] = ord("0")
+    words = np.ndarray((len(b) + 17,), dtype="<u8", buffer=moved, strides=(1,))
+    return (starts.reshape(n, width), stops.reshape(n, width), plain.reshape(n, width),
+            places.reshape(n, width), words)
+
+
+def _digits(words: np.ndarray, stops: np.ndarray, run: np.ndarray):
+    """The value ``m`` of the last ``run`` (at most 24) digit bytes before
+    each of ``stops``, and the value of the first 8 of those 24 digits:
+    ``m`` is exact where that is below 10, and wraps past 10**19."""
+    longest = run.max(initial=0)
+    first = 2 - int(longest > 8) - int(longest > 16)  # the words no run reaches are 0
+    x = words[stops + _WORD_AT[first:]] & _RUN_MASKS[first:].take(np.minimum(run, 24), axis=1)
+    for mul, shift, keep in _SWAR:
+        x *= mul
+        x >>= shift
+        x &= keep
+    m = x[0]
+    for word in x[1:]:
+        m = m * _TENS[8] + word
+    return m, x[0] if first == 0 else 0
+
+
+def _checked(m: np.ndarray, e: np.ndarray, places: np.ndarray):
+    """``y = m / 10**places`` for each text of significant digits ``m``, at
+    most 17, at decade ``e`` in [-4, 16], and whether ``y`` is
+    ``float(text)``.
+
+    ``y`` is taken if :func:`_significand`, the writer's exact rounding,
+    gives back ``m``'s digits at ``e``, and otherwise the next double toward
+    the text is tried once. The doubles there are more than one 17-digit
+    step apart, so the one within half a step of the text is the one
+    nearest it.
+    """
+    y = m.astype(float) / _POW10[places]
+    want = (m * _TENS[16 - e - places]).astype(np.int64)
+    got = _significand(y, e)[0]
+    miss = np.flatnonzero(got != want)
+    y[miss] = np.nextafter(y[miss], np.where(got[miss] < want[miss], np.inf, 0.0))
+    hit = np.ones(len(y), dtype=bool)
+    hit[miss] = _significand(y[miss], e[miss])[0] == want[miss]
+    return y, hit
 
 
 def _find_row(path, i: int) -> tuple[int, list[str]]:

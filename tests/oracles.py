@@ -520,10 +520,11 @@ _BITS = frozenset("01")
 
 
 def reference_read_table(path, n_keys, check_header, mask=False):
-    """The ``csv.reader`` row loop ``smcore._read_table`` had before NumPy's
-    C reader parsed the body. It lets an episode id or ``t`` past int64
-    escape as ``OverflowError``; everything else it returns or refuses is
-    what ``_read_table`` must return or refuse, message for message."""
+    """The ``csv.reader`` row loop ``smcore._read_table`` had before its body
+    was parsed in bulk (by NumPy's C reader, then by a NumPy kernel). It lets
+    an episode id or ``t`` past int64 escape as ``OverflowError``; everything
+    else it returns or refuses is what ``_read_table`` must return or refuse,
+    message for message."""
     keys = array("q")
     cells = array("B" if mask else "d")
     parse = int if mask else float

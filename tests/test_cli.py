@@ -207,7 +207,7 @@ class TestBadInput:
         assert code == 2
         assert err == f"error: {data}: line 6: episode id out of range '99999999999999999999'\n"
 
-    # "1" and zeros parse as inf in NumPy's C reader, "x"s go to the row loop
+    # "1" and zeros make a number, "x"s do not; a field this long sends the table to the row loop
     @pytest.mark.parametrize("big", ["1", "x"])
     def test_field_past_csv_limit_is_data_error(self, tmp_path, capsys, big):
         data, space_file = self.gen(tmp_path, capsys)
@@ -500,7 +500,7 @@ class TestQuiet:
 
 
 class TestPipelineFiles:
-    def test_c_reader_reads_them_as_the_row_loop_does(self, tmp_path, capsys, monkeypatch):
+    def test_kernel_reads_them_as_the_row_loop_does(self, tmp_path, capsys, monkeypatch):
         # The benchmark's pipeline inputs: gen, then apply of the forward tapping.
         data, ds = tmp_path / "data.csv", tmp_path / "ds.csv"
         run(capsys, "gen", "--plant", "arm", "--episodes", "5", "--steps", "2000",
@@ -517,7 +517,7 @@ class TestPipelineFiles:
         def row_loop(*args):
             raise AssertionError("a pipeline file fell back to the csv row loop")
 
-        monkeypatch.setattr(smcore, "array", row_loop)
+        monkeypatch.setattr(smcore, "_read_rows", row_loop)
         for (path, n_keys, mask), (width, keys, cells) in zip(tables, want):
             got = smcore._read_table(path, n_keys, len, mask)
             assert got[0] == width

@@ -15,12 +15,14 @@ from tapkit import (
     infer_space_from_csv,
     load_csv,
     save_csv,
+    smcore,
 )
 from tapkit.smcore import (
     ChannelRef,
     Episode,
     _float_text,
     _int_text,
+    _read_body,
     _read_table,
     _text_lines,
     _write_table,
@@ -356,7 +358,7 @@ class TestCsv:
             load_csv(nao_space, path)
         assert str(info.value) == f"{path}: line 3: episode id out of range '{big}'"
 
-    # "1" and zeros parse as inf in NumPy's C reader, "x"s go to the row loop
+    # "1" and zeros make a number, "x"s do not; a field this long sends the table to the row loop
     @pytest.mark.parametrize("big", ["1", "x"])
     def test_field_past_csv_limit_names_line(self, nao_space, tmp_path, big):
         path = tmp_path / "d.csv"
@@ -472,26 +474,34 @@ def test_parse_channel_ref():
         parse_channel_ref("vision")
 
 
-# One change to an otherwise well-formed table, each a case where NumPy's C
-# reader and the csv row loop could part ways.
+# One change to an otherwise well-formed table, each a case where the reader's
+# kernel and the csv row loop could part ways.
 TABLE_MUTATIONS = (
     "none", "drop a field", "nan", "inf", "1_0", "quoted number", "space in key",
     "plus in key", "space in cell", "plus in cell", "01 in cell", "2 in cell",
     "whitespace-only line", "lone CR", "key past int64", "header only", "NUL after cell",
-    "# after field",
+    "# after field", "1.500", "-.5", "exponent cell", "19-digit mantissa", "007 in key",
+    "no final newline", "mixed CRLF/LF", "- inside field",
 )
 BIG = ("99999999999999999999", "-9223372036854775809")
 
 
-def write_table(path, rng, n_keys, mask, newline, mutation):
+def write_table(path, rng, n_keys, mask, newline, mutation, kernel_range=False):
     """Write a random table with ``mutation`` applied. Returns the line
-    number and text of a key past int64, or None."""
+    number and text of a key past int64, or None. With ``kernel_range``, keys
+    have at most 18 digits, no cell has a ``+`` (``1e+308``) and no line is
+    blank: the reader's kernel takes such a table unless the mutation says
+    otherwise."""
     n, d = int(rng.integers(1, 6)), int(rng.integers(1, 4))
-    keys = rng.choice([-2**63, -7, 0, 3, 2**63 - 1], size=(n, n_keys)).tolist()
+    keys = rng.choice([-10**18 + 1, -7, 0, 3, 10**18 - 1] if kernel_range
+                      else [-2**63, -7, 0, 3, 2**63 - 1], size=(n, n_keys)).tolist()
     if mask:
         cells = rng.integers(0, 2, (n, d)).astype(str).tolist()
     else:
-        cells = [[format(v, ".17g") for v in row] for row in edge_values(rng, (n, d)).tolist()]
+        values = edge_values(rng, (n, d))
+        if kernel_range:
+            values[np.abs(values) > 1e16] = 0.5
+        cells = [[format(v, ".17g") for v in row] for row in values.tolist()]
     rows = [[str(k) for k in ks] + cs for ks, cs in zip(keys, cells)]
     r, key, cell = int(rng.integers(n)), int(rng.integers(n_keys)), n_keys + int(rng.integers(d))
     field = int(rng.integers(n_keys + d))
@@ -515,11 +525,23 @@ def write_table(path, rng, n_keys, mask, newline, mutation):
         row[field] += "#1"
     elif mutation == "key past int64":
         row[key] = big = str(rng.choice(BIG))
+    elif mutation in ("1.500", "-.5"):
+        row[cell] = mutation
+    elif mutation == "exponent cell":
+        row[cell] = str(rng.choice(["1e-05", "-2.5E-7", "9.9999999999999995e-08", "3e2"]))
+    elif mutation == "19-digit mantissa":
+        row[cell] = str(rng.choice(["1234567890123456789", "-0.1234567890123456789",
+                                    "12345678.90123456789"]))
+    elif mutation == "007 in key":
+        row[key] = str(rng.choice(["007", "-007"]))
+    elif mutation == "- inside field":
+        row[field] = row[field][:1] + "-" + row[field][1:]
     elif mutation == "header only":
         rows = []
     lines = [",".join(["episode", "t"][:n_keys] + [f"c{j}" for j in range(d)])]
     for i, row in enumerate(rows):
-        lines += [""] * int(rng.integers(0, 2))  # blank lines are skipped but counted
+        # blank lines are skipped but counted
+        lines += [""] * int(rng.integers(0, 2 - kernel_range))
         if i == r and big is not None:
             big = (len(lines) + 1, ("episode id", "t")[key], big)
         lines.append(",".join(row))
@@ -528,6 +550,10 @@ def write_table(path, rng, n_keys, mask, newline, mutation):
     ends = [newline] * len(lines)
     if mutation == "lone CR":
         ends[int(rng.integers(len(ends)))] = "\r"
+    elif mutation == "no final newline":
+        ends[-1] = ""
+    elif mutation == "mixed CRLF/LF":
+        ends = [str(rng.choice(["\r\n", "\n"])) for _ in lines]
     with open(path, "w", newline="") as fh:
         fh.write("".join(line + end for line, end in zip(lines, ends)))
     return big
@@ -559,16 +585,21 @@ def nul_refusing(reader):
 
 
 class TestReadTableAgainstReference:
+    # Pieces of a few bytes (a mask's are a quarter of these) cut the tables
+    # into several pieces, and cut lines across reads.
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_keys=st.sampled_from([1, 2]),
            mask=st.booleans(), newline=st.sampled_from(["\r\n", "\n"]),
-           mutation=st.sampled_from(TABLE_MUTATIONS), refuse_nul=st.booleans())
+           mutation=st.sampled_from(TABLE_MUTATIONS), refuse_nul=st.booleans(),
+           piece=st.sampled_from([4, 8, 28, 64, 200, smcore._PIECE_BYTES]),
+           kernel_range=st.booleans())
     def test_same_arrays_or_same_error(self, tmp_path_factory, seed, n_keys, mask,
-                                       newline, mutation, refuse_nul):
+                                       newline, mutation, refuse_nul, piece, kernel_range):
         path = tmp_path_factory.mktemp("table") / "t.csv"
-        big = write_table(path, np.random.default_rng(seed), n_keys, mask, newline, mutation)
+        big = write_table(path, np.random.default_rng(seed), n_keys, mask, newline, mutation,
+                          kernel_range)
         with (mock.patch.object(csv, "reader", nul_refusing(csv.reader)) if refuse_nul
-              else contextlib.nullcontext()):
+              else contextlib.nullcontext()), mock.patch.object(smcore, "_PIECE_BYTES", piece):
             got = read_outcome(_read_table, path, n_keys, mask)
             want = read_outcome(reference_read_table, path, n_keys, mask) if big is None else None
         if big is None:
@@ -582,6 +613,113 @@ class TestReadTableAgainstReference:
                 reference_read_table(path, n_keys, lambda header: header, mask)
             lineno, name, text = big
             assert got == ("TapkitError", f"{path}: line {lineno}: {name} out of range {text!r}")
+
+
+def read_by_kernel(path, lines, n_keys=1):
+    """Write a header and ``lines`` as a table and read it with the csv row
+    loop made to fail: what comes back is the kernel's reading."""
+    width = lines[0].count(",") + 1
+    header = ",".join(["episode", "t"][:n_keys] + [f"c{j}" for j in range(width - n_keys)])
+    path.write_text("".join(line + "\r\n" for line in [header, *lines]), newline="")
+    row_loop = AssertionError("the row loop read it")
+    with mock.patch.object(smcore, "_read_rows", side_effect=row_loop):
+        return _read_table(path, n_keys, len)
+
+
+def assert_read_as_float(path, texts):
+    """One-cell rows of ``texts`` read as ``float`` reads them: by the
+    reader, and with no ``+`` (``1e+16``, which goes to the row loop) by
+    the kernel alone."""
+    path.write_text("episode,c0\r\n" + "".join(f"0,{t}\r\n" for t in texts), newline="")
+    assert _read_table(path, 1, len)[2].tobytes() == float_bits(texts)
+    plain = [t for t in texts if "+" not in t]
+    if plain:
+        _, keys, cells = read_by_kernel(path, [f"{i},{t}" for i, t in enumerate(plain)])
+        assert cells.tobytes() == float_bits(plain)
+        assert keys.ravel().tolist() == list(range(len(plain)))
+
+
+def float_bits(texts) -> bytes:
+    return np.array([float(t) for t in texts]).tobytes()
+
+
+def decimal_texts(rng, n: int) -> list[str]:
+    """Decimal texts of 1-19 digits with a random sign and point position,
+    and often leading or trailing zeros."""
+    out = []
+    for _ in range(n):
+        digits = "".join(rng.choice(list("0123456789"), int(rng.integers(1, 20))))
+        if rng.random() < 0.3:
+            digits = "0" * int(rng.integers(1, 4)) + digits[3:] if len(digits) > 3 else "0" + digits
+        if rng.random() < 0.3:
+            digits = digits[:-3] + "000" if len(digits) > 3 else digits + "0"
+        point = int(rng.integers(0, len(digits) + 2))  # past the end: no point
+        text = digits if point > len(digits) else digits[:point] + "." + digits[point:]
+        out.append(("-" if rng.random() < 0.5 else "") + text)
+    return out
+
+
+def first_candidate(text: str) -> float:
+    """The kernel's first reading of a plain decimal text, ``m / 10**f``."""
+    body = text.lstrip("-")
+    places = len(body) - body.index(".") - 1 if "." in body else 0
+    y = float(int(body.replace(".", ""))) / 10.0**places
+    return -y if text.startswith("-") else y
+
+
+class TestReadKernel:
+    """The reader's NumPy kernel gives the bits of ``float(text)`` and
+    ``int(text)``, with the csv row loop shut off."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_drawn_floats(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("kernel") / "t.csv"
+        assert_read_as_float(path, ["%.17g" % x for x in values] + [repr(x) for x in values])
+
+    def test_edge_values_and_decimal_texts(self, tmp_path):
+        rng = np.random.default_rng(11)
+        values = edge_values(rng, 5_000).tolist()
+        assert_read_as_float(tmp_path / "t.csv", ["%.17g" % x for x in values]
+                             + [repr(x) for x in values] + decimal_texts(rng, 20_000))
+
+    def test_first_candidate_one_ulp_off(self, tmp_path):
+        rng = np.random.default_rng(12)
+        values = rng.standard_normal(20_000) * 10.0 ** rng.integers(-4, 17, 20_000)
+        texts = ["%.17g" % x for x in values]
+        texts = [t for t in texts if "e" not in t and first_candidate(t) != float(t)]
+        assert len(texts) > 1_000
+        _, _, cells = read_by_kernel(tmp_path / "t.csv", [f"0,{t}" for t in texts])
+        assert cells.tobytes() == float_bits(texts)
+
+    def test_short_forms(self, tmp_path):
+        texts = [".5", "5.", "-0", "0", "0.000", "-0.000", "-.5", "-5.", "00.5", "1.500", "-0.0",
+                 "0.0001", "0.00009999999999999999", "99999999999999999", "1e5", "1E-5", "1_0"]
+        _, _, cells = read_by_kernel(tmp_path / "t.csv", [f"0,{t}" for t in texts])
+        assert cells.tobytes() == float_bits(texts)
+
+    def test_keys(self, tmp_path):
+        texts = [str(10**18 - 1), str(1 - 10**18), "007", "-007", "0", "-0", "-1"]
+        _, keys, _ = read_by_kernel(tmp_path / "t.csv", [f"{t},{t},0.5" for t in texts], n_keys=2)
+        assert keys.tolist() == [[int(t), int(t)] for t in texts]
+
+    @pytest.mark.parametrize("text", ["-", ".", "-.", ""])
+    def test_cells_with_no_digit_go_to_the_row_loop(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(f"episode,c0\r\n0,{text}\r\n", newline="")
+        assert _read_body(path, 1, 2, False) is None
+        with pytest.raises(TapkitError) as info:
+            _read_table(path, 1, len)
+        assert str(info.value) == f"{path}: line 2: non-numeric value {text!r}"
+
+    @pytest.mark.parametrize("big", ["9999999999999999999", "-9999999999999999999"])
+    def test_19_digit_key_goes_to_the_row_loop(self, tmp_path, big):
+        path = tmp_path / "t.csv"
+        path.write_text(f"episode,c0\r\n0,0.5\r\n{big},0.5\r\n", newline="")
+        assert _read_body(path, 1, 2, False) is None
+        with pytest.raises(TapkitError) as info:
+            _read_table(path, 1, len)
+        assert str(info.value) == f"{path}: line 3: episode id out of range '{big}'"
 
 
 class TestWriteTableAgainstReference:
