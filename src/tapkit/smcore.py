@@ -421,8 +421,7 @@ def _float_text(x: np.ndarray) -> np.ndarray:
 
     Zeros and values with ``1e-4 <= |x| < 1e17`` are made by the kernel above.
     Every other value (subnormal, small, huge, nan, inf), and each one whose
-    decade ``log10`` misses or whose rounding carries into the next decade,
-    is made one at a time by ``%``.
+    decade ``log10`` misses, is made one at a time by ``%``.
     """
     a = np.abs(x)
     fast = (a >= 1e-4) & (a < 1e17)  # 1e-4 as a double lies above 10**-4
@@ -431,10 +430,12 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     np.clip(e, -4, 16, out=e)  # log10 of a value just below 1e17 may round up to 17
     sig, hi, lo = _significand(a, e)
     # log10 may be one off next to a power of ten: the exact product's decade
-    # says so, and % writes those values and the ones that round up to 10**17
+    # says so, and % writes those values. None rounds up to 10**17: the
+    # product rises with a, and the largest double below 10**(e + 1) makes it
+    # 10**17 - 8.3 or less (at e = -2; over 11 where 10**(e + 1) is exact).
     below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
     above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-    slow = np.flatnonzero(~fast & (x != 0) | below | above | (sig == 10**17))
+    slow = np.flatnonzero(~fast & (x != 0) | below | above)
     digits, groups = _decimal(sig, 17)
     digits[0] -= x == 0
     tz = _TRAILING_ZEROS[groups[0]]
@@ -472,10 +473,10 @@ def _read_table(path, n_keys: int, check_header, mask: bool = False):
     float (bool for a mask) array.
 
     The body is parsed by NumPy ops over bytes, see :func:`_parse_lines`.
-    Any body they do not take (blank lines, quotes, spaces, an id past
-    int64, ...) is read again by a ``csv`` row loop that gives the same
-    arrays or names the offending line; blank lines are skipped there but
-    counted.
+    Any body they do not take (a blank line, a wrong field count, a ``\\r``
+    inside a line, a key past 18 digits, a cell ``float`` refuses, ...) is
+    read again by a ``csv`` row loop that gives the same arrays or names the
+    offending line; blank lines are skipped there but counted.
     """
     with open(path, newline="") as fh:
         _, header = next(_csv_rows(path, fh), (1, None))
@@ -535,7 +536,7 @@ def _read_body(path, n_keys: int, width: int, mask: bool):
     if a piece is not one it takes or the header is not one plain line.
 
     A mask's pieces are a quarter of that: its cells take 2 bytes each
-    against ~20 for a value, and each field costs the kernel ~40 bytes of
+    against ~20 for a value, and each field costs the kernel ~65 bytes of
     arrays."""
     keys = array("q")
     cells = array("B" if mask else "d")
@@ -578,14 +579,14 @@ _SWAR = [(np.uint64(mul), np.uint64(shift), np.uint64(keep)) for mul, shift, kee
 
 def _parse_lines(body, n_keys: int, width: int, mask: bool):
     """The flat keys and cells of ``body``, whole lines that each end in
-    ``\\n``, or None unless each line is ``width`` fields that ``csv`` and
-    ``int`` or ``float`` read as the kernel does (see :func:`_fields`) and
-    each key has at most 18 digits.
+    ``\\n``, or None unless :func:`_fields` splits it, each key is plain
+    with 1 to 18 digits and, in a mask, each cell is ``0`` or ``1``.
 
-    A cell of at most 17 significant digits whose decade lies in [-4, 16]
-    is read by :func:`_checked`; every other one (exponent forms, more
-    digits, smaller values, a miss there) by ``float(text)``, and a
-    ValueError there gives None.
+    A plain cell of at most 17 significant digits whose decade lies in
+    [-4, 16] is read by :func:`_checked`; every other one (exponent forms,
+    a ``+``, a space, more digits, smaller values, a miss there) by
+    ``float`` of its bytes, which on ASCII text is ``float`` of its ``csv``
+    text; a ValueError there (a quote, non-ASCII text) gives None.
     """
     b = np.frombuffer(body, dtype=np.uint8)
     starts, stops, plain, places, words = _fields(b, n_keys, width) or (None,) * 5
@@ -633,15 +634,15 @@ def _parse_lines(body, n_keys: int, width: int, mask: bool):
 def _fields(b: np.ndarray, n_keys: int, width: int):
     """The fields of ``b``, whole lines that each end in ``\\n``, and their
     digits: field ``(i, j)`` is ``b[starts[i, j]:stops[i, j]]``, ``plain``
-    says it holds no byte above ``9``, and ``places`` counts its digits
-    after a point. Last, :func:`_digits`' words over ``b`` with each cell's
-    integer digits moved one place over its point and a ``0`` in their
-    place, so that every field's digits end where it does.
+    says the kernel reads it, and ``places`` counts its digits after a
+    point. Last, :func:`_digits`' words over ``b`` with each cell's integer
+    digits moved one place over its point and a ``0`` in their place, so
+    that every plain field's digits end where it does.
 
-    None unless each line holds ``width`` fields and the only bytes below
-    ``0`` are ``, \\r \\n - .``: a ``\\r`` must end a line, a ``-`` start a
-    field or follow a byte above ``9`` (``1e-05``), and a ``.`` be in a
-    cell with a digit, followed by the cell's end or a byte above ``9``.
+    A field is plain if its only bytes that are not digits are a leading
+    ``-`` and, in a cell with a digit, one ``.``. None unless each line holds
+    ``width`` fields and each ``\\r`` ends a line, so that ``csv`` splits
+    the lines as the kernel does.
     """
     other = np.flatnonzero(b - np.uint8(ord("0")) > 9)  # every byte but the digits
     v = b[other]
@@ -654,38 +655,30 @@ def _fields(b: np.ndarray, n_keys: int, width: int):
     stops = other[sep]  # each field's separator, then its end
     starts = np.concatenate([[0], stops[:-1] + 1])
     crlf = b[stops[width - 1::width] - 1] == ord("\r")  # b[-1] is a newline
+    if np.count_nonzero(v == ord("\r")) != np.count_nonzero(crlf):
+        return None  # a \r inside a line: csv starts a row there, float would strip it
     stops[width - 1::width] -= crlf
-    dash = other[np.flatnonzero(v == ord("-"))]
-    dot = np.flatnonzero(v == ord("."))  # indices into other
-    letter = other[np.flatnonzero(v > ord("9"))]
-    before, after = b[dash - 1], v[dot + 1]
-    if (v.max(initial=0) > 127
-            or n * width + np.count_nonzero(crlf) + len(dash) + len(dot) + len(letter) != len(other)
-            or not ((before == ord(",")) | (before == ord("\n")) | (before > ord("9"))).all()
-            or not ((after < ord("-")) | (after > ord("9"))).all()):
-        return None
-    plain = np.ones(n * width, dtype=bool)
-    plain[np.searchsorted(stops, letter)] = False
+    last = sep - 1  # in other: each field's last byte that is not a digit, if any
+    last[width - 1::width] -= crlf
+    neg = b[starts] == ord("-")
+    inside = last - neg - np.concatenate([[-1], sep[:-1]])  # those bytes, a leading - aside
+    plain = inside == 0
+    dot = np.flatnonzero((inside == 1) & (v[last] == ord(".")))
+    dot = dot[dot % width >= n_keys]  # a key with a point is not plain
+    point = other[last[dot]]
+    del inside, last  # frees them before the piece's copy is made
+    lead = point - starts[dot] - neg[dot]  # digits before each point
+    places = np.zeros(n * width, dtype=np.intp)
+    places[dot] = stops[dot] - point - 1
+    plain[dot] = lead + places[dot] > 0  # not a "." or "-." cell
     moved = np.empty(len(b) + 24, dtype=np.uint8)  # 24 zeros, then b with the points dropped
     moved[:24] = ord("0")
     moved[24:] = b
-    dot = dot[np.flatnonzero(after < ord("-"))]  # the separator follows, after a "\r" if any
-    places = np.broadcast_to(0, n * width)  # no memory for a table with no point
-    if len(dot):
-        at = np.empty(len(other), dtype=np.intp)
-        at[sep] = np.arange(n * width)
-        field = at[dot + 1 + (v[dot + 1] == ord("\r"))]
-        point = other[dot]
-        places = np.zeros(n * width, dtype=np.intp)
-        places[field] = stops[field] - point - 1
-        lead = point - np.where(dot > 0, other[dot - 1], -1) - 1  # digits before each point
-        if (field % width < n_keys).any() or (lead + places[field] == 0).any():
-            return None  # a key with a point, or a "." or "-." cell
-        to = point + 24
-        for k in range(int(lead.max())):
-            dst = to[np.flatnonzero(lead > k)] - k
-            moved[dst] = moved[dst - 1]
-        moved[to - lead] = ord("0")
+    to = point + 24
+    for k in range(int(lead.max(initial=0))):
+        dst = to[np.flatnonzero(lead > k)] - k
+        moved[dst] = moved[dst - 1]
+    moved[to - lead] = ord("0")
     words = np.ndarray((len(b) + 17,), dtype="<u8", buffer=moved, strides=(1,))
     return (starts.reshape(n, width), stops.reshape(n, width), plain.reshape(n, width),
             places.reshape(n, width), words)

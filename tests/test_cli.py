@@ -288,6 +288,11 @@ class TestValidate:
         assert "fwd: causal (span 2, buffer delay 0, 2 taps)" in out
         assert "future: acausal" in out  # classification, not failure
 
+    def test_space_with_no_tappings(self, tmp_path, capsys):
+        spec = tmp_path / "s.tap"
+        spec.write_text("space s { motor m: 2 }\n")
+        assert run(capsys, "validate", str(spec)) == (0, f"{spec}: no tappings\n", "")
+
     def test_malformed_file_exits_two(self, tmp_path, capsys):
         spec = tmp_path / "g.tap"
         spec.write_text("space s { motor m: 2 }\ntapping t { input m @ }")
@@ -502,16 +507,21 @@ class TestQuiet:
 class TestPipelineFiles:
     def test_kernel_reads_them_as_the_row_loop_does(self, tmp_path, capsys, monkeypatch):
         # The benchmark's pipeline inputs: gen, then apply of the forward tapping.
-        data, ds = tmp_path / "data.csv", tmp_path / "ds.csv"
+        data, ds, huge = tmp_path / "data.csv", tmp_path / "ds.csv", tmp_path / "huge.csv"
         run(capsys, "gen", "--plant", "arm", "--episodes", "5", "--steps", "2000",
             "--seed", "1", "--out", str(data))
+        # and a file whose values the writer gives in exponent form, 1e+17 and up
+        run(capsys, "gen", "--plant", "linear", "--steps", "200", "--box=-1e20:1e20",
+            "--out", str(huge))
+        assert b"e+" in huge.read_bytes()
         space_file = tmp_path / "data.tap"
         space_file.write_text(space_file.read_text() +
                               "tapping fwd {\n  input m @ -1\n  target vision @ 0\n}\n")
         code, _, _ = run(capsys, "apply", "--space", str(space_file), "--tapping", "fwd",
                          "--data", str(data), "--out", str(ds))
         assert code == 0
-        tables = [(data, 1, False), (ds, 2, False), (tmp_path / "ds.mask.csv", 2, True)]
+        tables = [(data, 1, False), (ds, 2, False), (tmp_path / "ds.mask.csv", 2, True),
+                  (huge, 1, False)]
         want = [reference_read_table(path, n_keys, len, mask) for path, n_keys, mask in tables]
 
         def row_loop(*args):

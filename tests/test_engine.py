@@ -71,6 +71,11 @@ class TestApply:
         assert ds.n == 0
         assert ds.X.shape == (0, 1)
 
+    def test_equality_with_another_type_is_not_implemented(self, vspace):
+        ds = apply(line_matrix(vspace, 3), tapdsl.temporal_predictor(vspace, "v"))
+        assert ds.__eq__(ds.X) is NotImplemented
+        assert ds != "ds"
+
     def test_space_mismatch(self, vspace, nao_space):
         with pytest.raises(TapkitError, match="spaces"):
             apply(line_matrix(vspace, 5), tapdsl.forward(nao_space, "m", "vision"))
@@ -287,6 +292,16 @@ class TestStream:
             emitted += out
         assert first == 1 + 2 + 1  # 1 + max target lag + |min lag|
         assert len(emitted) == 8 - tapping.span + 1
+
+    def test_column_push_is_its_flat_values(self, nao_space):
+        m = line_matrix(nao_space, 4)
+        tapping = tapdsl.forward(nao_space, "m", "vision")
+        flat, column = stream_open(tapping), stream_open(tapping)
+        for t in range(4):
+            want = stream_push(flat, m.episodes[0].data[:, t])
+            got = stream_push(column, m.episodes[0].data[:, t:t + 1])
+            assert [(x.tobytes(), y.tobytes(), a) for x, y, a in got] == \
+                [(x.tobytes(), y.tobytes(), a) for x, y, a in want]
 
     def test_zero_pushes(self, vspace):
         state = stream_open(tapdsl.temporal_predictor(vspace, "v"))

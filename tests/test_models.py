@@ -207,6 +207,13 @@ class TestPredictAndLms:
         assert np.array_equal(out.W[:, 0], y)
         assert np.array_equal(out.b, y)
 
+    def test_column_target_is_its_flat_values(self):
+        rng = np.random.default_rng(2)
+        model = LinearModel(rng.normal(size=(2, 3)), rng.normal(size=2))
+        x, y = rng.normal(size=3), rng.normal(size=2)
+        flat, column = lms_step(model, x, y, 0.1), lms_step(model, x, y.reshape(2, 1), 0.1)
+        assert (column.W.tobytes(), column.b.tobytes()) == (flat.W.tobytes(), flat.b.tobytes())
+
     def test_rate_zero_is_identity(self):
         rng = np.random.default_rng(1)
         model = LinearModel(rng.normal(size=(2, 3)), rng.normal(size=2))

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -100,6 +101,18 @@ class TestAppend:
         m.append_measurement(1, np.zeros(6))
         with pytest.raises(TapkitError, match="closed"):
             m.append_measurement(0, np.zeros(6))
+
+    def test_column_measurement_is_its_flat_values(self, nao_space):
+        flat, column = SensorimotorMatrix(nao_space), SensorimotorMatrix(nao_space)
+        for t in range(3):
+            flat.append_measurement(0, np.arange(6.0) + t)
+            assert smcore.append_measurement(column, 0, (np.arange(6.0) + t).reshape(6, 1)) is column
+        assert column == flat
+
+    def test_equality_with_another_type_is_not_implemented(self, nao_space):
+        m = SensorimotorMatrix(nao_space)
+        assert m.__eq__(m.space) is NotImplemented
+        assert m != m.space
 
     def test_wrong_length_rejected(self, nao_space):
         with pytest.raises(TapkitError, match="6"):
@@ -481,7 +494,7 @@ TABLE_MUTATIONS = (
     "plus in key", "space in cell", "plus in cell", "01 in cell", "2 in cell",
     "whitespace-only line", "lone CR", "key past int64", "header only", "NUL after cell",
     "# after field", "1.500", "-.5", "exponent cell", "19-digit mantissa", "007 in key",
-    "no final newline", "mixed CRLF/LF", "- inside field",
+    "no final newline", "mixed CRLF/LF", "- inside field", "CR inside a line",
 )
 BIG = ("99999999999999999999", "-9223372036854775809")
 
@@ -489,19 +502,15 @@ BIG = ("99999999999999999999", "-9223372036854775809")
 def write_table(path, rng, n_keys, mask, newline, mutation, kernel_range=False):
     """Write a random table with ``mutation`` applied. Returns the line
     number and text of a key past int64, or None. With ``kernel_range``, keys
-    have at most 18 digits, no cell has a ``+`` (``1e+308``) and no line is
-    blank: the reader's kernel takes such a table unless the mutation says
-    otherwise."""
+    have at most 18 digits and no line is blank: the reader's kernel takes
+    such a table unless the mutation says otherwise."""
     n, d = int(rng.integers(1, 6)), int(rng.integers(1, 4))
     keys = rng.choice([-10**18 + 1, -7, 0, 3, 10**18 - 1] if kernel_range
                       else [-2**63, -7, 0, 3, 2**63 - 1], size=(n, n_keys)).tolist()
     if mask:
         cells = rng.integers(0, 2, (n, d)).astype(str).tolist()
     else:
-        values = edge_values(rng, (n, d))
-        if kernel_range:
-            values[np.abs(values) > 1e16] = 0.5
-        cells = [[format(v, ".17g") for v in row] for row in values.tolist()]
+        cells = [[format(v, ".17g") for v in row] for row in edge_values(rng, (n, d)).tolist()]
     rows = [[str(k) for k in ks] + cs for ks, cs in zip(keys, cells)]
     r, key, cell = int(rng.integers(n)), int(rng.integers(n_keys)), n_keys + int(rng.integers(d))
     field = int(rng.integers(n_keys + d))
@@ -536,6 +545,8 @@ def write_table(path, rng, n_keys, mask, newline, mutation, kernel_range=False):
         row[key] = str(rng.choice(["007", "-007"]))
     elif mutation == "- inside field":
         row[field] = row[field][:1] + "-" + row[field][1:]
+    elif mutation == "CR inside a line":  # csv ends the row there, float would strip it
+        row[n_keys + d - 2] += "\r"  # the last cell but one, or a key
     elif mutation == "header only":
         rows = []
     lines = [",".join(["episode", "t"][:n_keys] + [f"c{j}" for j in range(d)])]
@@ -627,16 +638,10 @@ def read_by_kernel(path, lines, n_keys=1):
 
 
 def assert_read_as_float(path, texts):
-    """One-cell rows of ``texts`` read as ``float`` reads them: by the
-    reader, and with no ``+`` (``1e+16``, which goes to the row loop) by
-    the kernel alone."""
-    path.write_text("episode,c0\r\n" + "".join(f"0,{t}\r\n" for t in texts), newline="")
-    assert _read_table(path, 1, len)[2].tobytes() == float_bits(texts)
-    plain = [t for t in texts if "+" not in t]
-    if plain:
-        _, keys, cells = read_by_kernel(path, [f"{i},{t}" for i, t in enumerate(plain)])
-        assert cells.tobytes() == float_bits(plain)
-        assert keys.ravel().tolist() == list(range(len(plain)))
+    """One-cell rows of ``texts`` read by the kernel as ``float`` reads them."""
+    _, keys, cells = read_by_kernel(path, [f"{i},{t}" for i, t in enumerate(texts)])
+    assert cells.tobytes() == float_bits(texts)
+    assert keys.ravel().tolist() == list(range(len(texts)))
 
 
 def float_bits(texts) -> bytes:
@@ -694,9 +699,36 @@ class TestReadKernel:
 
     def test_short_forms(self, tmp_path):
         texts = [".5", "5.", "-0", "0", "0.000", "-0.000", "-.5", "-5.", "00.5", "1.500", "-0.0",
-                 "0.0001", "0.00009999999999999999", "99999999999999999", "1e5", "1E-5", "1_0"]
+                 "0.0001", "0.00009999999999999999", "99999999999999999", "1e5", "1E-5", "1_0",
+                 "1e+17", "-1e+20", "+1.5", " 1.5", "1.5 ", "\t-2"]
         _, _, cells = read_by_kernel(tmp_path / "t.csv", [f"0,{t}" for t in texts])
         assert cells.tobytes() == float_bits(texts)
+
+    def test_plain_cells_reach_the_rounding_check(self, tmp_path):
+        # Every '%.17g' text in [1e-4, 1e17), in each column of CRLF lines, is
+        # read by _checked, not by float one at a time.
+        rng = np.random.default_rng(13)
+        values = 10.0 ** rng.uniform(-4, 17, (300, 3)) * rng.choice([-1.0, 1.0], (300, 3))
+        texts = ["%.17g" % v for v in values.ravel().tolist()]
+        assert not any("e" in t for t in texts)
+        lines = [f"{i},{','.join(texts[3 * i:3 * i + 3])}" for i in range(300)]
+        with mock.patch.object(smcore, "_checked", wraps=smcore._checked) as checked:
+            _, _, cells = read_by_kernel(tmp_path / "t.csv", lines)
+        assert cells.tobytes() == float_bits(texts)
+        assert sum(len(call.args[0]) for call in checked.call_args_list) == values.size
+
+    # csv ends a row at a \r, where float would strip it from the field.
+    @pytest.mark.parametrize("line", ["0,1.5\r,2.5", "0\r,1.5,2.5", "0,2.5,1.5\r\r"])
+    def test_cr_inside_a_line_goes_to_the_row_loop(self, tmp_path, line):
+        path = tmp_path / "t.csv"
+        path.write_bytes(f"episode,c0,c1\r\n{line}\r\n".encode())
+        assert _read_body(path, 1, 3, False) is None
+        want = read_outcome(reference_read_table, path, 1, False)
+        assert read_outcome(_read_table, path, 1, False) == want
+        if "\r," in line:  # a row of too few fields
+            assert want[0] == "TapkitError"
+        else:  # one row, then blank lines
+            assert want[2] == (1, 1)
 
     def test_keys(self, tmp_path):
         texts = [str(10**18 - 1), str(1 - 10**18), "007", "-007", "0", "-0", "-1"]
@@ -804,6 +836,19 @@ class TestTextKernel:
     @given(st.lists(st.floats(width=64), min_size=1, max_size=40))
     def test_float_text_is_percent_17g_on_drawn_floats(self, values):
         assert texts(_float_text(np.array(values, dtype=float))) == ["%.17g" % v for v in values]
+
+    def test_no_significand_rounds_up_to_10_to_the_17(self):
+        # The kernel's exact product a * 10**(16 - e) rises with a, so in each
+        # decade e the largest double below 10**(e + 1) bounds it, and it lies
+        # more than 8 below 10**17: no rounding carries into the next decade.
+        for e in range(-4, 17):
+            top = Fraction(10) ** (e + 1)
+            a = float(top) if Fraction(float(top)) < top else np.nextafter(float(top), 0.0)
+            assert 10**17 - Fraction(a) * 10 ** (16 - e) > 8
+        powers = np.array([float(f"1e{k}") for k in range(-4, 18)])
+        values = (powers.view(np.int64)[:, None] + np.arange(-2000, 51)).ravel().view(np.float64)
+        values = np.concatenate([values, -values])
+        assert texts(_float_text(values)) == ["%.17g" % v for v in values.tolist()]
 
     def test_float32_and_int_cells_are_percent_17g_of_their_value(self):
         scales = 10.0 ** np.arange(-8, 12).repeat(250)

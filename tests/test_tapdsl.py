@@ -202,6 +202,10 @@ class TestParse:
         ("tapping t {\n  input m[-1] @ -1\n  target vision @ 0\n}", 2, 9,
          "negative channel index in (-1,)"),
         ("tapping t { }", 1, 9, "tapping 't' has no taps"),
+        ("tapping t {\n  output m @ -1\n  target vision @ 0\n}", 2, 3,
+         "expected 'input' or 'target', got 'output'"),
+        ("tapping t {\n  input m @ -1 [drop p=x]\n  target vision @ 0\n}", 2, 24,
+         "expected drop probability, got 'x'"),
     ])
     def test_refusal_text(self, space, text, line, col, message):
         with pytest.raises(ParseError) as exc:
