@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (TapkitError, check_at_least, check_box, check_finite, check_positive,
                      check_seed)
-from .smcore import _text_lines
 
 
 def _quadratic(X: np.ndarray) -> np.ndarray:
@@ -257,14 +256,11 @@ def invert_direct(inverse_model: LinearModel, goal) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_model(model: LinearModel, path) -> None:
-    """Header ``d_out d_feat ridge feature_map``, then W row-major, then b."""
-    d_out, d_feat = model.d_out, model.d_feat
-    # one formatter call for every number: its fixed cost outweighs a small model's cells
-    values = np.concatenate([[model.ridge], np.ravel(model.W), model.b]).astype(float)
-    ridge, *cells = _text_lines(values[None], sep=" ", end="").decode().split(" ")
-    lines = [f"{d_out} {d_feat} {ridge} {model.feature_map}"]
-    lines += [" ".join(cells[i * d_feat:(i + 1) * d_feat]) for i in range(d_out)]
-    lines.append(" ".join(cells[d_out * d_feat:]))
+    """Header ``d_out d_feat ridge feature_map``, then W row-major, then b,
+    every number as ``'%.17g' % v``."""
+    W, b = np.asarray(model.W, dtype=float), np.asarray(model.b, dtype=float)
+    lines = [f"{model.d_out} {model.d_feat} {'%.17g' % model.ridge} {model.feature_map}"]
+    lines += [" ".join(["%.17g"] * len(row)) % tuple(row) for row in [*W.tolist(), b.tolist()]]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

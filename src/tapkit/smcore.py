@@ -313,31 +313,29 @@ def _write_table(path, header: list[str], blocks) -> None:
                 fh.buffer.write(_text_lines(cells[a:b], keys[a:b]))
 
 
-def _text_lines(cells: np.ndarray, keys: np.ndarray | None = None,
-                sep: str = ",", end: str = "\r\n") -> bytes:
+def _text_lines(cells: np.ndarray, keys: np.ndarray) -> bytes:
     """One line per row: the ``(n, k)`` int64 ``keys`` as ``%d``, then the
     ``(n, d)`` ``cells``, floats as ``%.17g`` and bools as ``0`` or ``1``,
-    joined by the one-character ``sep`` and ended by ``end``.
+    joined by commas and ended by CRLF.
 
     Every field is laid out at a fixed width in one zero-padded ``(n, width)``
-    uint8 block, a separator byte before it. NUL is never part of the text,
-    so one boolean index over the block leaves the lines.
+    uint8 block, a comma before it. NUL is never part of the text, so one
+    boolean index over the block leaves the lines.
     """
     n = len(cells)
-    fields = [] if keys is None else [(_int_text(keys.ravel()), keys.shape[1])]
-    fields.append(((cells.view(np.uint8) + ord("0")).reshape(1, -1) if cells.dtype == bool
-                   else _float_text(cells.ravel()), cells.shape[1]))
-    block = np.zeros((n, sum(m * (len(text) + 1) for text, m in fields) + len(end)),
-                     dtype=np.uint8)
+    fields = [(_int_text(keys.ravel()), keys.shape[1]),
+              ((cells.view(np.uint8) + ord("0")).reshape(1, -1) if cells.dtype == bool
+               else _float_text(cells.ravel()), cells.shape[1])]
+    block = np.zeros((n, sum(m * (len(text) + 1) for text, m in fields) + 2), dtype=np.uint8)
     at = 0
     for text, m in fields:
         w = len(text) + 1
         slots = block[:, at:at + m * w].reshape(n, m, w)
-        slots[:, :, 0] = ord(sep)
+        slots[:, :, 0] = ord(",")
         slots[:, :, 1:] = text.reshape(w - 1, n, m).transpose(1, 2, 0)
         at += m * w
-    block[:, 0] = 0  # no separator before a line's first field
-    block[:, at:] = np.frombuffer(end.encode(), dtype=np.uint8)
+    block[:, 0] = 0  # no comma before a line's first field
+    block[:, at:] = (ord("\r"), ord("\n"))
     flat = block.ravel()
     return flat[flat != 0].tobytes()
 
@@ -675,7 +673,8 @@ def _fields(b: np.ndarray, n_keys: int, width: int):
     moved[:24] = ord("0")
     moved[24:] = b
     to = point + 24
-    for k in range(int(lead.max(initial=0))):
+    # a run the kernel reads, point included, is at most 24: longer cells go to float
+    for k in range(min(int(lead.max(initial=0)), 23)):
         dst = to[np.flatnonzero(lead > k)] - k
         moved[dst] = moved[dst - 1]
     moved[to - lead] = ord("0")

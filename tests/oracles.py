@@ -524,17 +524,17 @@ def reference_read_table(path, n_keys, check_header, mask=False):
     was parsed in bulk (by NumPy's C reader, then by a NumPy kernel). It lets
     an episode id or ``t`` past int64 escape as ``OverflowError``; everything
     else it returns or refuses is what ``_read_table`` must return or refuse,
-    message for message."""
+    message for message. A row is named by the line it starts on."""
     keys = array("q")
     cells = array("B" if mask else "d")
     parse = int if mask else float
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = reference_rows(fh)
+        _, header = next(rows, (1, None))
         checked = check_header(header)
         width = len(header)
         d = width - n_keys
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in rows:
             if not row:
                 continue
             if len(row) != width or mask and not _BITS.issuperset(row[n_keys:]):
@@ -560,9 +560,18 @@ def reference_read_table(path, n_keys, check_header, mask=False):
     return checked, keys, cells
 
 
+def reference_rows(fh):
+    """Each ``csv`` row of ``fh`` with the line it starts on, from 1: a
+    quoted field may span lines."""
+    reader, lineno = csv.reader(fh), 1
+    for row in reader:
+        yield lineno, row
+        lineno = reader.line_num + 1
+
+
 def _reference_find_row(path, i):
     with open(path, newline="") as fh:
-        rows = ((lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row)
+        rows = ((lineno, row) for lineno, row in reference_rows(fh) if row)
         return next(islice(rows, i + 1, None))
 
 

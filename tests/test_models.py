@@ -1,3 +1,4 @@
+import itertools
 from types import SimpleNamespace
 from unittest import mock
 
@@ -489,16 +490,23 @@ class TestSerialization:
         assert path.read_text().splitlines()[0] == "1 2 0 identity"
 
     def test_bytes_are_percent_17g(self, tmp_path):
-        """Header, W rows and b row, each value as ``%.17g``, space-separated."""
+        """Header, W rows and b row, each value as ``'%.17g' % v``, space-separated,
+        for float64, float32 and int weights and a row of edge values."""
         rng = np.random.default_rng(13)
         W = rng.normal(size=(3, 4)) * 10.0 ** rng.integers(-9, 20, (3, 4))
         W[0, :3] = -0.0, 5e-324, 0.1
-        model = LinearModel(np.asfortranarray(W), np.array([1e-5, -2.5, 1e17]), "identity", 1e-6)
+        b = np.array([1e-5, -2.5, 1e17])
+        edge = [0, -0.0, 1e22, 1e-7, 5e-324, 1.7976931348623157e308, 0.1, -2.5,
+                1.2345678901234568e17]
+        weights = [(W, b), (W.astype(np.float32), b.astype(np.float32)),
+                   (rng.integers(-2**62, 2**62, (2, 6)), rng.integers(-9, 10, 2)),
+                   (np.array([edge]), np.array([-0.0]))]
         path = tmp_path / "m.txt"
-        save_model(model, path)
-        lines = ["3 4 %.17g identity" % 1e-6]
-        lines += [" ".join("%.17g" % v for v in row) for row in W.tolist() + [list(model.b)]]
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        for (W, b), ridge in itertools.product(weights, [0, 1e-6]):
+            save_model(LinearModel(np.asfortranarray(W), b, "identity", ridge), path)
+            lines = [f"{W.shape[0]} {W.shape[1]} {'%.17g' % ridge} identity"]
+            lines += [" ".join("%.17g" % v for v in row) for row in W.tolist() + [b.tolist()]]
+            assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "m.txt"

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import io
 from fractions import Fraction
 from unittest import mock
 
@@ -30,7 +31,8 @@ from tapkit.smcore import (
     parse_channel_ref,
 )
 
-from oracles import edge_values, reference_append, reference_read_table, reference_write_table
+from oracles import (edge_values, reference_append, reference_read_table, reference_rows,
+                     reference_write_table)
 
 # What csv.reader says of a field longer than its limit, which stays at the default.
 FIELD_LIMIT_ERROR = f"field larger than field limit ({csv.field_size_limit()})"
@@ -595,6 +597,24 @@ def nul_refusing(reader):
     return refusing
 
 
+def reference_outcome(path, n_keys, mask):
+    """``read_outcome`` of the reference, with its csv.Error for a NUL turned
+    into the TapkitError ``_read_table`` gives, which names the line that the
+    NUL's row starts on."""
+    want = read_outcome(reference_read_table, path, n_keys, mask)
+    if want[0] == "Error":
+        with open(path, newline="") as fh:
+            text = fh.read().replace("\0", "\1")  # csv reads \1 as any other byte
+        lineno = next(i for i, row in reference_rows(io.StringIO(text, newline=""))
+                      if any("\1" in field for field in row))
+        want = ("TapkitError", f"{path}: line {lineno}: {want[1]}")
+    return want
+
+
+# Bytes that the kernel or csv give a meaning to, and two that neither reads.
+SPLICE_CHARS = "0123456789,.-+eE\r\n \"\0\u00e9"
+
+
 class TestReadTableAgainstReference:
     # Pieces of a few bytes (a mask's are a quarter of these) cut the tables
     # into several pieces, and cut lines across reads.
@@ -612,18 +632,40 @@ class TestReadTableAgainstReference:
         with (mock.patch.object(csv, "reader", nul_refusing(csv.reader)) if refuse_nul
               else contextlib.nullcontext()), mock.patch.object(smcore, "_PIECE_BYTES", piece):
             got = read_outcome(_read_table, path, n_keys, mask)
-            want = read_outcome(reference_read_table, path, n_keys, mask) if big is None else None
+            want = reference_outcome(path, n_keys, mask) if big is None else None
         if big is None:
-            if want[0] == "Error":  # csv.Error: _read_table names the NUL's line
-                with open(path, newline="") as fh:
-                    lineno = next(i for i, line in enumerate(fh, start=1) if "\0" in line)
-                want = ("TapkitError", f"{path}: line {lineno}: {want[1]}")
             assert got == want
         else:  # the reference lets OverflowError escape
             with pytest.raises(OverflowError):
                 reference_read_table(path, n_keys, lambda header: header, mask)
             lineno, name, text = big
             assert got == ("TapkitError", f"{path}: line {lineno}: {name} out of range {text!r}")
+
+    # Keys of at most 3 digits take at most 2 spliced digits: none passes int64.
+    @settings(max_examples=500, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_keys=st.sampled_from([1, 2]), mask=st.booleans(),
+           newline=st.sampled_from(["\r\n", "\n"]), refuse_nul=st.booleans(),
+           piece=st.sampled_from([4, 8, 28, 64, smcore._PIECE_BYTES]))
+    def test_spliced_bytes(self, tmp_path_factory, seed, n_keys, mask, newline, refuse_nul,
+                           piece):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        keys = rng.integers(-999, 1000, (n, n_keys)).tolist()
+        cells = (rng.integers(0, 2, (n, d)).tolist() if mask
+                 else [["%.17g" % v for v in row] for row in edge_values(rng, (n, d)).tolist()])
+        header = ",".join(["episode", "t"][:n_keys] + [f"c{j}" for j in range(d)]) + newline
+        body = "".join(",".join(map(str, ks + cs)) + newline for ks, cs in zip(keys, cells))
+        edges = [k + after for k, c in enumerate(body) if c in ",\r\n" for after in (0, 1)]
+        for _ in range(int(rng.integers(1, 3))):  # each splice inserts, or overwrites a character
+            # half of them next to a separator, where csv and the kernel could split apart
+            i = int(rng.choice(edges) if rng.random() < 0.5 else rng.integers(len(body) + 1))
+            body = body[:i] + str(rng.choice(list(SPLICE_CHARS))) + body[i + int(rng.integers(2)):]
+        path = tmp_path_factory.getbasetemp() / "spliced.csv"
+        path.write_bytes((header + body).encode())
+        with (mock.patch.object(csv, "reader", nul_refusing(csv.reader)) if refuse_nul
+              else contextlib.nullcontext()), mock.patch.object(smcore, "_PIECE_BYTES", piece):
+            assert read_outcome(_read_table, path, n_keys, mask) == \
+                reference_outcome(path, n_keys, mask)
 
 
 def read_by_kernel(path, lines, n_keys=1):
@@ -700,7 +742,10 @@ class TestReadKernel:
     def test_short_forms(self, tmp_path):
         texts = [".5", "5.", "-0", "0", "0.000", "-0.000", "-.5", "-5.", "00.5", "1.500", "-0.0",
                  "0.0001", "0.00009999999999999999", "99999999999999999", "1e5", "1E-5", "1_0",
-                 "1e+17", "-1e+20", "+1.5", " 1.5", "1.5 ", "\t-2"]
+                 "1e+17", "-1e+20", "+1.5", " 1.5", "1.5 ", "\t-2",
+                 # 17 and 23 digits before the point, 23 the most the kernel reads: a digit
+                 # move that stops short of 23 drops the last text's leading 1
+                 "12345678901234568.", "-00000012345678901234568.", "10000001234567890123456."]
         _, _, cells = read_by_kernel(tmp_path / "t.csv", [f"0,{t}" for t in texts])
         assert cells.tobytes() == float_bits(texts)
 
@@ -729,6 +774,14 @@ class TestReadKernel:
             assert want[0] == "TapkitError"
         else:  # one row, then blank lines
             assert want[2] == (1, 1)
+
+    def test_long_cell_gives_the_reference_error(self, tmp_path):
+        # past the longest run the kernel reads, its digit move stops: the cell goes to float
+        path, text = tmp_path / "t.csv", "1" * 100_000 + ".5"
+        path.write_text(f"episode,c0\r\n0,0.5\r\n1,{text}\r\n", newline="")
+        want = read_outcome(reference_read_table, path, 1, False)
+        assert want == ("TapkitError", f"{path}: line 3: non-finite value {text!r}")
+        assert read_outcome(_read_table, path, 1, False) == want
 
     def test_keys(self, tmp_path):
         texts = [str(10**18 - 1), str(1 - 10**18), "007", "-007", "0", "-0", "-1"]
@@ -865,11 +918,7 @@ class TestTextKernel:
         ]).astype(np.int64)
         assert texts(_int_text(values)) == ["%d" % v for v in values.tolist()]
 
-    def test_lines_with_other_separators(self):
-        cells = np.array([[0.5, -0.0, 1e22], [np.nan, 2.0, 1e-7]])
-        assert _text_lines(cells, sep=" ", end="\n") == b"0.5 -0 1e+22\nnan 2 9.9999999999999995e-08\n"
-        assert _text_lines(cells[:1, :1], end="") == b"0.5"
-        assert _text_lines(np.empty((2, 0)), end="\n") == b"\n\n"
+    def test_bool_cells_after_keys(self):
         keys = np.array([[-2**63], [7]])
         assert _text_lines(np.array([[True, False], [False, True]]), keys) == \
             b"-9223372036854775808,1,0\r\n7,0,1\r\n"

@@ -297,6 +297,39 @@ class TestPrinter:
         assert reparsed.space == space
 
 
+# Every construct of the grammar: a space block, channel lists, a lag range,
+# a drop option, a comment and a second tapping.
+MUTATED_BASE = ("space s {\n  motor m: 3\n  extero v: 2\n}\n"
+                "tapping a { input m[0,2] @ -2..-1 [drop p=0.25] target v @ 1 }  # c\n"
+                "tapping b { input v[1] @ 0 target m @ 2 }\n")
+MUTATED_CHARS = sorted(set(MUTATED_BASE + "-.eE+\t\r$\u00e9"))
+
+
+class TestMutatedText:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["insert", "delete", "swap"]),
+                              st.integers(0, 2**16), st.sampled_from(MUTATED_CHARS)),
+                    min_size=1, max_size=4))
+    def test_refused_or_printed_text_reparses_to_itself(self, edits):
+        text = MUTATED_BASE
+        for op, at, char in edits:
+            i = at % len(text)
+            if op == "insert":
+                text = text[:i] + char + text[i:]
+            elif op == "delete":
+                text = text[:i] + text[i + 1:]
+            else:
+                text = text[:i] + text[i + 1:i + 2] + text[i] + text[i + 2:]
+        try:
+            first = parse(text)
+        except TapkitError:  # ParseError is one
+            return
+        printed = to_text(first.space, first.tappings)
+        second = parse(printed)
+        assert second == first
+        assert to_text(second.space, second.tappings) == printed
+
+
 class TestValidate:
     def test_forward_causal(self, space):
         report = validate(tapdsl.forward(space, "m", "vision"))
