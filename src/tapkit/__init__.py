@@ -18,7 +18,6 @@ from .models import (
     LinearModel,
     best_of_n,
     fit,
-    invert_direct,
     lms_step,
     load_model,
     predict,

@@ -22,7 +22,8 @@ import sys
 import numpy as np
 
 from . import analysis, engine, models, render, rlbridge, sim, smcore, tapdsl
-from .errors import TapkitError, check_positive, check_positive_fraction, check_seed
+from .errors import (TapkitError, check_at_least, check_fraction, check_positive_fraction,
+                     check_seed)
 
 
 def split_seed(seed: int, n: int) -> list[int]:
@@ -136,6 +137,7 @@ def cmd_reach(args) -> int:
 def cmd_td(args) -> int:
     env = rlbridge.ChainEnv(args.states, args.gamma)
     if args.algo == "td0":
+        check_fraction("epsilon", args.epsilon)  # the q and sarsa runners check it themselves
         # One packed set of rollouts feeds both paths (the public runners would
         # each make it); the tapped path reads its td0 rows straight from it.
         packed, bounds = rlbridge._packed_rollouts(env, args.episodes, args.seed)
@@ -239,8 +241,8 @@ def demo_nao(seed: int = 0, steps: int = 500, goals: int = 100,
     by ``seed`` (sub-seeds: data, goals, reaching, baseline; see module
     docstring).
     """
-    check_positive("goals", goals)
-    check_positive("n", candidates)  # models._reach's check, made before any work
+    check_at_least("goals", goals, 1)
+    check_at_least("n", candidates, 1)  # models._reach's check, made before any work
     data_seed, goal_seed, reach_seed, baseline_seed = split_seed(seed, 4)
     config = sim.PlantConfig(kind="arm", seed=data_seed)
     matrix = sim.generate(config, 1, steps)

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import TapkitError, check_at_least, check_fraction, check_seed
+from .errors import TapkitError, check_at_least, check_finite, check_fraction, check_seed
 from .smcore import (ChannelRef, SensorimotorMatrix, _as_measurement, _find_row, _read_table,
                      _write_table)
 from .tapdsl import ROLE_INPUT, ROLE_TARGET, Tapping, tap_channels
@@ -117,6 +117,7 @@ class DropoutConfig:
         check_fraction("proportion", self.proportion)
         if self.scope not in SCOPES:
             raise TapkitError(f"scope must be one of {SCOPES}, got {self.scope!r}")
+        check_finite("inactive_value", self.inactive_value)
         check_seed(self.seed)
 
 

@@ -18,6 +18,19 @@ class ParseError(TapkitError):
         self.col = col
 
 
+def not_utf8(path) -> TapkitError:
+    """The refusal of a file that is not UTF-8 text: it names the line of the
+    first bad byte, counting ``\\n`` as an editor does. Error paths only: it
+    reads the file again, a line at a time."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+    return TapkitError(f"{path}: line {lineno}: not UTF-8 text")
+
+
 def check_at_least(what: str, value, low: int) -> None:
     """Refuse ``value < low``; NaN compares false, so it passes."""
     if value < low:
@@ -58,8 +71,3 @@ def check_seed(seed: int) -> None:
     """Refuse a negative seed where one enters the library: ``SeedSequence``
     accepts only non-negative entropy."""
     check_at_least("seed", seed, 0)
-
-
-def check_positive(what: str, count: int) -> None:
-    """Refuse a count below 1 where at least one is needed."""
-    check_at_least(what, count, 1)

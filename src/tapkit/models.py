@@ -14,8 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (TapkitError, check_at_least, check_box, check_finite, check_positive,
-                     check_seed)
+from .errors import TapkitError, check_at_least, check_box, check_finite, check_seed, not_utf8
 
 
 def _quadratic(X: np.ndarray) -> np.ndarray:
@@ -206,7 +205,7 @@ def _reach(model: LinearModel, goals: np.ndarray, n: int, seeds, low, high):
     with one row per goal. Goals are reached in blocks of whole goals: each
     block's candidates are one ``(goals, n, d)`` array, so its predictions
     make the same per-goal BLAS calls as one goal's ``(n, d)`` batch."""
-    check_positive("n", n)
+    check_at_least("n", n, 1)
     for seed in seeds:
         check_seed(seed)
     if not np.isfinite(goals).all():
@@ -246,11 +245,6 @@ def _reach(model: LinearModel, goals: np.ndarray, n: int, seeds, low, high):
     return commands, predicted, distances
 
 
-def invert_direct(inverse_model: LinearModel, goal) -> np.ndarray:
-    """Read the command straight off a model fit on cause-from-effect rows."""
-    return predict(inverse_model, goal)
-
-
 # ---------------------------------------------------------------------------
 # Flat text serialization
 # ---------------------------------------------------------------------------
@@ -261,13 +255,16 @@ def save_model(model: LinearModel, path) -> None:
     W, b = np.asarray(model.W, dtype=float), np.asarray(model.b, dtype=float)
     lines = [f"{model.d_out} {model.d_feat} {'%.17g' % model.ridge} {model.feature_map}"]
     lines += [" ".join(["%.17g"] * len(row)) % tuple(row) for row in [*W.tolist(), b.tolist()]]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_model(path) -> LinearModel:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
     if not lines:
         raise TapkitError(f"{path}: empty model file")
     head = lines[0].split()

@@ -133,7 +133,11 @@ def generate(config: PlantConfig, episodes: int, steps_per_episode: int) -> Sens
         noise = rng.normal(0.0, config.noise_std, (steps_per_episode, d_s))
         delayed = np.zeros_like(cmds)
         delayed[config.delay:] = cmds[:max(0, steps_per_episode - config.delay)]
-        response = _respond(config, A, delayed) + noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            response = _respond(config, A, delayed) + noise
+        if not np.isfinite(response).all():
+            raise TapkitError("plant response is not finite; the command box or noise_std "
+                              "is too large for float64")
         eps.append(Episode(e, np.vstack([cmds.T, response.T])))
     return SensorimotorMatrix(space, eps)
 

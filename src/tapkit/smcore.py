@@ -17,7 +17,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import TapkitError
+from .errors import TapkitError, not_utf8
 
 KINDS = ("motor", "proprio", "extero", "intero")
 
@@ -267,8 +267,7 @@ def infer_space_from_csv(path) -> SensorimotorSpace:
     Convenience for CLI paths where no sidecar space file is given; the
     header columns carry kind, group, and index for every channel.
     """
-    with open(path, newline="") as fh:
-        _, header = next(_csv_rows(path, fh), (1, None))
+    _, header = next(_csv_rows(path), (1, None))
     if not header or header[0].strip() != "episode":
         raise TapkitError(f"{path}: missing 'episode' header column")
     spec: list[tuple[str, str, int]] = []
@@ -299,18 +298,17 @@ def _write_table(path, header: list[str], blocks) -> None:
     the ``(n, k)`` int keys as ``%d``, then the ``(n, d)`` cells, floats as
     ``%.17g``, which round-trips any float64 exactly, and bools as ``0`` or
     ``1``. Fields are joined by commas and lines end in CRLF, as the csv
-    module writes them.
+    module writes them; the header is UTF-8.
 
     The bytes are those of Python's ``%`` operator. They are made by NumPy
     ops over chunks of ``_ROWS_PER_WRITE`` rows, see :func:`_text_lines`.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.flush()  # the lines are bytes: they go to the binary buffer after the header
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         for keys, cells in blocks:
             for a in range(0, len(keys), _ROWS_PER_WRITE):
                 b = a + _ROWS_PER_WRITE
-                fh.buffer.write(_text_lines(cells[a:b], keys[a:b]))
+                fh.write(_text_lines(cells[a:b], keys[a:b]))
 
 
 def _text_lines(cells: np.ndarray, keys: np.ndarray) -> bytes:
@@ -476,8 +474,7 @@ def _read_table(path, n_keys: int, check_header, mask: bool = False):
     read again by a ``csv`` row loop that gives the same arrays or names the
     offending line; blank lines are skipped there but counted.
     """
-    with open(path, newline="") as fh:
-        _, header = next(_csv_rows(path, fh), (1, None))
+    _, header = next(_csv_rows(path), (1, None))
     checked = check_header(header)
     width = len(header)
     d = width - n_keys
@@ -500,28 +497,27 @@ def _read_rows(path, n_keys: int, width: int, mask: bool):
     keys = array("q")
     cells = array("B" if mask else "d")
     parse = int if mask else float
-    with open(path, newline="") as fh:
-        rows = _csv_rows(path, fh)
-        next(rows)
-        for lineno, row in rows:
-            if not row:
-                continue
-            if len(row) != width or mask and not _BITS.issuperset(row[n_keys:]):
-                expected = f"{d} mask cells of 0 or 1" if mask else f"{width} fields"
-                raise TapkitError(f"{path}: line {lineno}: expected {expected}")
-            try:
-                keys.extend(map(int, row[:n_keys]))
-                cells.extend(map(parse, row[n_keys:]))
-            except (ValueError, OverflowError):
-                for j, text in enumerate(row):
-                    try:
-                        value = (int if j < n_keys else float)(text)
-                    except ValueError:
-                        what = f"non-integer {_KEY_NAMES[j]}" if j < n_keys else "non-numeric value"
-                        raise TapkitError(f"{path}: line {lineno}: {what} {text!r}") from None
-                    if j < n_keys and not -2**63 <= value < 2**63:
-                        raise TapkitError(
-                            f"{path}: line {lineno}: {_KEY_NAMES[j]} out of range {text!r}")
+    rows = _csv_rows(path)
+    next(rows)
+    for lineno, row in rows:
+        if not row:
+            continue
+        if len(row) != width or mask and not _BITS.issuperset(row[n_keys:]):
+            expected = f"{d} mask cells of 0 or 1" if mask else f"{width} fields"
+            raise TapkitError(f"{path}: line {lineno}: expected {expected}")
+        try:
+            keys.extend(map(int, row[:n_keys]))
+            cells.extend(map(parse, row[n_keys:]))
+        except (ValueError, OverflowError):
+            for j, text in enumerate(row):
+                try:
+                    value = (int if j < n_keys else float)(text)
+                except ValueError:
+                    what = f"non-integer {_KEY_NAMES[j]}" if j < n_keys else "non-numeric value"
+                    raise TapkitError(f"{path}: line {lineno}: {what} {text!r}") from None
+                if j < n_keys and not -2**63 <= value < 2**63:
+                    raise TapkitError(
+                        f"{path}: line {lineno}: {_KEY_NAMES[j]} out of range {text!r}")
     return keys, cells
 
 
@@ -724,22 +720,25 @@ def _checked(m: np.ndarray, e: np.ndarray, places: np.ndarray):
 def _find_row(path, i: int) -> tuple[int, list[str]]:
     """Line number and fields of data row ``i`` of a table (blank lines are
     not rows). Error paths only: it reads the file again."""
-    with open(path, newline="") as fh:
-        rows = ((lineno, row) for lineno, row in _csv_rows(path, fh) if row)
-        return next(islice(rows, i + 1, None))
+    rows = ((lineno, row) for lineno, row in _csv_rows(path) if row)
+    return next(islice(rows, i + 1, None))
 
 
-def _csv_rows(path, fh):
-    """Each row ``csv.reader`` reads from ``fh`` with the number of the line
-    it starts on, from 1 (a quoted field may span lines); a blank line is an
-    empty row. A row the reader refuses (a field longer than
-    ``csv.field_size_limit()``, or a NUL before Python 3.11) raises a
-    TapkitError that names the line it starts on."""
-    reader = csv.reader(fh)
-    lineno = 1
-    try:
-        for row in reader:
-            yield lineno, row
-            lineno = reader.line_num + 1
-    except csv.Error as exc:
-        raise TapkitError(f"{path}: line {lineno}: {exc}") from None
+def _csv_rows(path):
+    """Each row ``csv.reader`` reads from the UTF-8 text at ``path`` with the
+    number of the line it starts on, from 1 (a quoted field may span lines);
+    a blank line is an empty row. A row the reader refuses (a field longer
+    than ``csv.field_size_limit()``, or a NUL before Python 3.11) raises a
+    TapkitError that names the line it starts on; a byte that is not UTF-8
+    raises one that names its line."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        lineno = 1
+        try:
+            for row in reader:
+                yield lineno, row
+                lineno = reader.line_num + 1
+        except csv.Error as exc:
+            raise TapkitError(f"{path}: line {lineno}: {exc}") from None
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None

@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ParseError, TapkitError, check_fraction
+from .errors import ParseError, TapkitError, check_fraction, not_utf8
 from .smcore import _IDENT_RE, KINDS, SensorimotorSpace, define_space
 
 ROLE_INPUT = "input"
@@ -470,4 +470,8 @@ def parse(text: str, space: SensorimotorSpace | None = None) -> ParsedFile:
 
 def parse_file(path, space: SensorimotorSpace | None = None) -> ParsedFile:
     with open(path, encoding="utf-8") as fh:
-        return parse(fh.read(), space)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
+    return parse(text, space)

@@ -528,7 +528,7 @@ def reference_read_table(path, n_keys, check_header, mask=False):
     keys = array("q")
     cells = array("B" if mask else "d")
     parse = int if mask else float
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         rows = reference_rows(fh)
         _, header = next(rows, (1, None))
         checked = check_header(header)
@@ -570,7 +570,7 @@ def reference_rows(fh):
 
 
 def _reference_find_row(path, i):
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         rows = ((lineno, row) for lineno, row in reference_rows(fh) if row)
         return next(islice(rows, i + 1, None))
 
@@ -584,7 +584,7 @@ def reference_write_table(path, header, blocks):
     chunk of rows per ``%`` call: each row is its keys as ``%d``, then its
     cells as ``%.17g`` (``%d`` for bools), joined by commas, ending in CRLF.
     ``_write_table`` must write the same bytes."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for keys, cells in blocks:
             cell = "%d" if cells.dtype == bool else "%.17g"

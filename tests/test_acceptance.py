@@ -27,7 +27,6 @@ from tapkit import (
     effective_tapping,
     fit,
     generate,
-    invert_direct,
     lag_scan,
     mutual_information,
     planted_lag_series,
@@ -138,7 +137,7 @@ def test_criterion_05_linear_plant_recovery():
         inv = apply(matrix, tapdsl.inverse(matrix.space, "m", "v"))
         inv_model = fit(inv, "identity", ridge=0.0)
         for goal in (np.array([0.3, -0.4]), np.array([-0.7, 0.2])):
-            command = invert_direct(inv_model, goal)
+            command = predict(inv_model, goal)
             assert np.linalg.norm(A @ command - goal) <= 1e-5
             assert np.linalg.norm(predict(fwd_model, command) - goal) <= 1e-5
 

@@ -1,5 +1,8 @@
 import argparse
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -534,6 +537,38 @@ class TestPipelineFiles:
             assert (got[1].dtype, got[1].shape, got[1].tobytes()) == (keys.dtype, keys.shape, keys.tobytes())
             assert (got[2].dtype, got[2].shape, got[2].tobytes()) == (cells.dtype, cells.shape, cells.tobytes())
 
+    def test_utf8_under_an_ascii_locale(self, tmp_path):
+        """Table, space and model files are UTF-8 whatever the locale's
+        encoding: here ASCII, with locale coercion and UTF-8 mode off."""
+        script = r"""if True:
+            import locale
+            import numpy as np
+            from tapkit import SensorimotorMatrix, define_space, save_csv, to_text
+            from tapkit.cli import main
+            from tapkit.smcore import Episode
+            assert locale.getpreferredencoding(False) == "ANSI_X3.4-1968"
+            space = define_space([("motor", "m", 1), ("extero", "v\u00e9", 1)], name="s")
+            save_csv(SensorimotorMatrix(space, [Episode(0, np.arange(8.0).reshape(2, 4))]),
+                     "d.csv")
+            with open("d.tap", "w", encoding="utf-8") as fh:
+                fh.write(to_text(space) + "tapping f { input m @ -1 target v\u00e9 @ 0 }\n")
+            assert main(["apply", "--space", "d.tap", "--tapping", "f", "--data", "d.csv",
+                         "--out", "ds.csv", "--quiet"]) == 0
+            assert main(["train", "--data", "ds.csv", "--out", "m.txt", "--quiet"]) == 0
+            assert main(["reach", "--model", "m.txt", "--goal", "1", "--quiet"]) == 0
+            assert main(["analyze", "--data", "d.csv", "--target", "v\u00e9[0]",
+                         "--max-lag", "1", "--bins", "2", "--quiet"]) == 0
+        """
+        src = os.path.join(os.path.dirname(tapdsl.__file__), "..")
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-X", "utf8=0", "-c", script], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (tmp_path / "d.csv").read_bytes() == (
+            "episode,motor:m[0],extero:v\u00e9[0]\r\n0,0,4\r\n0,1,5\r\n0,2,6\r\n0,3,7\r\n"
+            .encode("utf-8"))
+        assert "y:v\u00e9[0]@0".encode("utf-8") in (tmp_path / "ds.csv").read_bytes()
+
 
 class TestParserReuse:
     def test_build_parser_returns_a_fresh_parser(self):
@@ -567,6 +602,7 @@ class TestParserReuse:
 
 BOX = "command box needs finite bounds and a width float64 can hold"
 SEED = "seed must be >= 0, got -1"
+OVERFLOW = "plant response is not finite; the command box or noise_std is too large for float64"
 
 
 class TestRefusals:
@@ -580,6 +616,9 @@ class TestRefusals:
         (("--plant", "arm", "--noise", "nan"), "noise_std must be finite, got nan"),
         (("--plant", "arm", "--noise", "inf"), "noise_std must be finite, got inf"),
         (("--plant", "arm", "--seed", "-1"), SEED),
+        # a finite box and noise whose response overflows, in the noise and in A @ c
+        (("--plant", "linear", "--steps", "50", "--noise", "1e308"), OVERFLOW),
+        (("--plant", "linear", "--steps", "50", "--dim", "10", "--box=-8e307:8e307"), OVERFLOW),
     ])
     def test_gen_refusal(self, tmp_path, capsys, argv, message):
         code, out, err = run(capsys, "gen", "--steps", "5", "--out", str(tmp_path / "d.csv"),
@@ -606,7 +645,8 @@ class TestRefusals:
         code, out, err = run(capsys, "reach", "--model", str(model), "--goal", "0,0")
         assert (code, out, err) == (2, "", f"error: {model}: non-finite model value (nan or inf)\n")
 
-    @pytest.mark.parametrize("algo, epsilon", [("q", "5"), ("sarsa", "nan"), ("sarsa", "-0.5")])
+    @pytest.mark.parametrize("algo, epsilon", [("q", "5"), ("sarsa", "nan"), ("sarsa", "-0.5"),
+                                               ("td0", "7")])
     def test_td_epsilon_refusal(self, capsys, algo, epsilon):
         code, out, err = run(capsys, "td", "--algo", algo, "--epsilon", epsilon)
         assert (code, out) == (2, "")
@@ -732,3 +772,58 @@ class TestRefusals:
                              "--max-lag", "1")
         message = "sample range [-1e+308, 1e+308] is too wide for float64"
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 is refused with the line it is on: in the
+    first line, in the first 8 KB (which the text reader decodes along with
+    the header), or past the table reader's first 128 KB piece."""
+
+    TRAIN = ("train", "--data", "ds.csv", "--out", "m.txt")
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        """A data table, its space file, a dataset, its mask and a model, each
+        a valid file of over 140 000 bytes, by name."""
+        out = tmp_path_factory.mktemp("valid")
+        data, space_file, ds = out / "data.csv", out / "data.tap", out / "ds.csv"
+        assert main(["gen", "--plant", "linear", "--steps", "10000", "--out", str(data),
+                     "--quiet"]) == 0
+        space_file.write_text(space_file.read_text() + "# a comment line\n" * 9000
+                              + "tapping fwd { input m @ -1 target v @ 0 }\n")
+        assert main(["apply", "--space", str(space_file), "--tapping", "fwd", "--data", str(data),
+                     "--out", str(ds), "--quiet"]) == 0
+        weights = np.random.default_rng(0).random((2, 5000))
+        save_model(LinearModel(weights, np.zeros(2)), out / "model.txt")
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(files) == ["data.csv", "data.tap", "ds.csv", "ds.mask.csv", "model.txt"]
+        assert all(len(text) > 140_000 for text in files.values())
+        return files
+
+    @pytest.mark.parametrize("at", [1, 5_000, 140_000])
+    @pytest.mark.parametrize("name, read, argv", [
+        ("data.csv", lambda: smcore.load_csv(tapdsl.parse_file("data.tap").space, "data.csv"),
+         ("analyze", "--data", "data.csv", "--target", "v[0]")),
+        ("ds.csv", lambda: load_dataset_csv("ds.csv"), TRAIN),
+        ("ds.mask.csv", lambda: load_dataset_csv("ds.csv"), TRAIN),
+        ("data.tap", lambda: tapdsl.parse_file("data.tap"), ("validate", "data.tap")),
+        ("model.txt", lambda: load_model("model.txt"),
+         ("reach", "--model", "model.txt", "--goal", "0,0")),
+    ], ids=["data", "dataset", "mask", "tap", "model"])
+    def test_refused_at_its_line(self, tmp_path, capsys, monkeypatch, files, name, read, argv,
+                                 at):
+        monkeypatch.chdir(tmp_path)
+        for other, text in files.items():
+            (tmp_path / other).write_bytes(text)
+        text = bytearray(files[name])
+        while text[at] in b"\r\n":
+            at += 1
+        text[at] = 0xFF
+        (tmp_path / name).write_bytes(text)
+        lineno = text.count(b"\n", 0, at) + 1
+        message = f"{name}: line {lineno}: not UTF-8 text"
+        with pytest.raises(TapkitError) as exc:
+            read()
+        assert str(exc.value) == message
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "m.txt").exists()

@@ -473,6 +473,10 @@ class TestDropout:
         (dict(copies=-2, proportion=1.5), "copies must be >= 0, got -2"),
         (dict(copies=1, proportion=2.0, scope="cells", seed=-1),
          "proportion must be in [0, 1], got 2.0"),
+        (dict(copies=1, proportion=0.1, inactive_value=float("nan")),
+         "inactive_value must be finite, got nan"),
+        (dict(copies=1, proportion=0.1, inactive_value=-float("inf")),
+         "inactive_value must be finite, got -inf"),
     ])
     def test_config_refusal_text(self, kwargs, message):
         with pytest.raises(TapkitError) as exc:

@@ -14,7 +14,6 @@ from tapkit import (
     best_of_n,
     fit,
     generate,
-    invert_direct,
     lms_step,
     load_model,
     plant_matrix,
@@ -444,18 +443,18 @@ class TestBestOfN:
 
 
 class TestInverse:
-    def test_invert_direct_hits_goal(self):
+    def test_inverse_model_hits_goal(self):
         A, inv_ds = linear_plant_dataset(inverse=True)
         inv_model = fit(inv_ds, "identity", ridge=0.0)
         goal = np.array([0.3, -0.4])
-        command = invert_direct(inv_model, goal)
+        command = predict(inv_model, goal)
         assert np.linalg.norm(A @ command - goal) <= 1e-6
 
     def test_recovers_recorded_command(self):
         _, inv_ds = linear_plant_dataset(inverse=True)
         inv_model = fit(inv_ds, "identity", ridge=0.0)
         effect, cause = inv_ds.X[17], inv_ds.Y[17]
-        assert np.linalg.norm(invert_direct(inv_model, effect) - cause) <= 1e-6
+        assert np.linalg.norm(predict(inv_model, effect) - cause) <= 1e-6
 
     def test_forward_inverse_consistency(self):
         A, fwd_ds = linear_plant_dataset()
@@ -463,11 +462,11 @@ class TestInverse:
         fwd_model = fit(fwd_ds, "identity")
         inv_model = fit(inv_ds, "identity")
         goal = np.array([-0.2, 0.5])
-        roundtrip = predict(fwd_model, invert_direct(inv_model, goal))
+        roundtrip = predict(fwd_model, predict(inv_model, goal))
         assert np.linalg.norm(roundtrip - goal) <= 1e-5
 
     def test_zero_model_zero_command(self):
-        assert np.array_equal(invert_direct(zero_model(2, 2), np.ones(2)), np.zeros(2))
+        assert np.array_equal(predict(zero_model(2, 2), np.ones(2)), np.zeros(2))
 
 
 class TestSerialization:

@@ -155,6 +155,7 @@ class TestDeterminism:
 
 
 BOX = "command box needs finite bounds and a width float64 can hold"
+OVERFLOW = "plant response is not finite; the command box or noise_std is too large for float64"
 
 
 @pytest.mark.parametrize("call, message", [
@@ -188,6 +189,10 @@ BOX = "command box needs finite bounds and a width float64 can hold"
      "explicit plant matrix must be finite"),
     (lambda: plant_matrix(PlantConfig(kind="linear", dim=1, matrix=((np.inf,),))),
      "explicit plant matrix must be finite"),
+    # a finite box and noise whose response overflows float64, in the noise and in A @ c
+    (lambda: generate(PlantConfig(noise_std=1e308), 1, 50), OVERFLOW),
+    (lambda: generate(PlantConfig(dim=10, command_low=-8e307, command_high=8e307), 1, 50),
+     OVERFLOW),
     (lambda: generate(PlantConfig(), 1, 0), "steps_per_episode must be >= 1, got 0"),
     (lambda: generate(PlantConfig(), -1, 5), "episodes must be >= 0, got -1"),
     (lambda: planted_lag_series(0, 10), "lag must be >= 1, got 0"),

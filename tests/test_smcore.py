@@ -567,7 +567,7 @@ def write_table(path, rng, n_keys, mask, newline, mutation, kernel_range=False):
         ends[-1] = ""
     elif mutation == "mixed CRLF/LF":
         ends = [str(rng.choice(["\r\n", "\n"])) for _ in lines]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("".join(line + end for line, end in zip(lines, ends)))
     return big
 
@@ -603,7 +603,7 @@ def reference_outcome(path, n_keys, mask):
     NUL's row starts on."""
     want = read_outcome(reference_read_table, path, n_keys, mask)
     if want[0] == "Error":
-        with open(path, newline="") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             text = fh.read().replace("\0", "\1")  # csv reads \1 as any other byte
         lineno = next(i for i, row in reference_rows(io.StringIO(text, newline=""))
                       if any("\1" in field for field in row))
@@ -830,6 +830,11 @@ class TestWriteTableAgainstReference:
         _write_table(out / "got.csv", header, arrays)
         reference_write_table(out / "want.csv", header, arrays)
         assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+    def test_header_is_utf8(self, tmp_path):
+        _write_table(tmp_path / "t.csv", ["episode", "extero:v\u00e9[0]"],
+                     [(np.zeros((1, 1), dtype=np.int64), np.array([[0.5]]))])
+        assert (tmp_path / "t.csv").read_bytes() == b"episode,extero:v\xc3\xa9[0]\r\n0,0.5\r\n"
 
 
 # Zeros, subnormals, the normal range's ends, nan, inf, values next to 1e-6, and the kernel's
