@@ -446,6 +446,9 @@ def _exit_status(func, *args):
 
 
 def console_main() -> None:
+    # Output is UTF-8, as every file tapkit writes is, whatever the locale.
+    for stream in (sys.stdout, sys.stderr):
+        stream.reconfigure(encoding="utf-8", errors=stream.errors)
     sys.exit(main())
 
 

@@ -32,9 +32,9 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .csvtext import line_of, read, write
 from .errors import TapkitError, check_at_least, check_finite, check_fraction, check_seed
-from .smcore import (ChannelRef, SensorimotorMatrix, _as_measurement, _find_row, _read_table,
-                     _write_table)
+from .smcore import ChannelRef, SensorimotorMatrix, _as_measurement
 from .tapdsl import ROLE_INPUT, ROLE_TARGET, Tapping, tap_channels
 
 SCOPES = ("inputs", "targets", "both")
@@ -358,9 +358,9 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
     mask file. Masked cells hold their fill value in the main file."""
     header = ["episode", "t"] + [_column_header(c) for c in dataset.layout]
     keys = dataset._anchors
-    _write_table(path, header, [(keys, np.hstack([dataset.X, dataset.Y]))])
-    _write_table(mask_path_for(path), header,
-                 [(keys, np.hstack([dataset.x_mask, dataset.y_mask]))])
+    write(path, header, [(keys, np.hstack([dataset.X, dataset.Y]))])
+    write(mask_path_for(path), header,
+          [(keys, np.hstack([dataset.x_mask, dataset.y_mask]))])
 
 
 _HEADER_COL_RE = re.compile(r"([xy]):(\w+)\[(\d+)\]@(-?\d+)\Z")
@@ -388,7 +388,7 @@ def load_dataset_csv(path) -> Dataset:
             layout.append(Column(ChannelRef(m.group(2), int(m.group(3))), int(m.group(4)), role))
         return header, tuple(layout)
 
-    (header, layout), keys, data = _read_table(path, 2, parse_header)
+    (header, layout), keys, data = read(path, 2, parse_header)
     d_in = sum(c.role == ROLE_INPUT for c in layout)
     mask = np.ones(data.shape, dtype=bool)
     mpath = mask_path_for(path)
@@ -398,11 +398,11 @@ def load_dataset_csv(path) -> Dataset:
             if mask_header != header:
                 raise TapkitError(f"{mpath}: header does not match {path}")
 
-        _, mask_keys, mask = _read_table(mpath, 2, same_header, mask=True)
+        _, mask_keys, mask = read(mpath, 2, same_header, mask=True)
         n = min(len(keys), len(mask_keys))
         differ = np.flatnonzero((mask_keys[:n] != keys[:n]).any(axis=1)).tolist() + [n]
         if differ[0] < len(mask_keys):  # a row that differs, or one the dataset lacks
-            raise TapkitError(f"{mpath}: line {_find_row(mpath, differ[0])[0]}: "
+            raise TapkitError(f"{mpath}: line {line_of(mpath, differ[0])}: "
                               f"episode,t does not match {path}")
         if len(mask_keys) != len(keys):
             raise TapkitError(f"{mpath}: mask row count does not match {path}")

@@ -234,14 +234,18 @@ def _reach(model: LinearModel, goals: np.ndarray, n: int, seeds, low, high):
         # + and * commute bit for bit.
         candidates *= width
         candidates += lo
-        preds = predict(model, candidates)
-        diff = preds - goals[a:b, None]
-        diff *= diff
-        dists = np.sqrt(_row_sums(diff))  # what np.linalg.norm(axis=2) computes
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite best is refused below
+            preds = predict(model, candidates)
+            diff = preds - goals[a:b, None]
+            diff *= diff
+            dists = np.sqrt(_row_sums(diff))  # what np.linalg.norm(axis=2) computes
         rows, best = np.arange(b - a), np.argmin(dists, axis=1)
         commands[a:b] = candidates[rows, best]
         predicted[a:b] = preds[rows, best]
         distances[a:b] = dists[rows, best]
+        if not np.isfinite(distances[a:b]).all():
+            raise TapkitError("predicted distance to goal is not finite; the goal or the "
+                              "command box is too large for float64")
     return commands, predicted, distances
 
 

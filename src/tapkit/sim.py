@@ -130,7 +130,8 @@ def generate(config: PlantConfig, episodes: int, steps_per_episode: int) -> Sens
         rng = np.random.default_rng(children[1 + e])
         cmds = rng.uniform(config.command_low, config.command_high,
                            (steps_per_episode, d_m))
-        noise = rng.normal(0.0, config.noise_std, (steps_per_episode, d_s))
+        # + 0.0 makes a -0.0 noise, which normal refuses, the 0.0 it equals
+        noise = rng.normal(0.0, config.noise_std + 0.0, (steps_per_episode, d_s))
         delayed = np.zeros_like(cmds)
         delayed[config.delay:] = cmds[:max(0, steps_per_episode - config.delay)]
         with np.errstate(over="ignore", invalid="ignore"):

@@ -520,10 +520,10 @@ _BITS = frozenset("01")
 
 
 def reference_read_table(path, n_keys, check_header, mask=False):
-    """The ``csv.reader`` row loop ``smcore._read_table`` had before its body
+    """The ``csv.reader`` row loop ``csvtext.read`` had before its body
     was parsed in bulk (by NumPy's C reader, then by a NumPy kernel). It lets
     an episode id or ``t`` past int64 escape as ``OverflowError``; everything
-    else it returns or refuses is what ``_read_table`` must return or refuse,
+    else it returns or refuses is what ``csvtext.read`` must return or refuse,
     message for message. A row is named by the line it starts on."""
     keys = array("q")
     cells = array("B" if mask else "d")
@@ -580,10 +580,10 @@ def _reference_find_row(path, i):
 # ---------------------------------------------------------------------------
 
 def reference_write_table(path, header, blocks):
-    """The per-row loop ``smcore._write_table`` had before it formatted a
+    """The per-row loop ``csvtext.write`` had before it formatted a
     chunk of rows per ``%`` call: each row is its keys as ``%d``, then its
     cells as ``%.17g`` (``%d`` for bools), joined by commas, ending in CRLF.
-    ``_write_table`` must write the same bytes."""
+    ``csvtext.write`` must write the same bytes."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for keys, cells in blocks:

@@ -3,11 +3,13 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from tapkit import TapkitError, analysis, cli, load_model, rlbridge, save_model, smcore, tapdsl
+from tapkit import (TapkitError, analysis, cli, csvtext, load_model, rlbridge, save_model, smcore,
+                    tapdsl)
 from tapkit.cli import _box, _parse_floats, _parser, build_parser, demo_nao, main, split_seed
 from tapkit.engine import apply, load_dataset_csv, save_dataset_csv
 from tapkit.models import LinearModel
@@ -530,9 +532,9 @@ class TestPipelineFiles:
         def row_loop(*args):
             raise AssertionError("a pipeline file fell back to the csv row loop")
 
-        monkeypatch.setattr(smcore, "_read_rows", row_loop)
+        monkeypatch.setattr(csvtext, "_read_rows", row_loop)
         for (path, n_keys, mask), (width, keys, cells) in zip(tables, want):
-            got = smcore._read_table(path, n_keys, len, mask)
+            got = csvtext.read(path, n_keys, len, mask)
             assert got[0] == width
             assert (got[1].dtype, got[1].shape, got[1].tobytes()) == (keys.dtype, keys.shape, keys.tobytes())
             assert (got[2].dtype, got[2].shape, got[2].tobytes()) == (cells.dtype, cells.shape, cells.tobytes())
@@ -569,6 +571,21 @@ class TestPipelineFiles:
             .encode("utf-8"))
         assert "y:v\u00e9[0]@0".encode("utf-8") in (tmp_path / "ds.csv").read_bytes()
 
+
+    def test_console_output_is_utf8_under_an_ascii_locale(self, tmp_path):
+        """The command line prints UTF-8, as it writes files, whatever the
+        locale's encoding: a table's non-ASCII group name reaches stdout."""
+        (tmp_path / "d.csv").write_bytes(
+            "episode,motor:m[0],extero:v\u00e9[0]\r\n0,0,4\r\n0,1,5\r\n0,2,6\r\n0,3,7\r\n"
+            .encode("utf-8"))
+        src = os.path.join(os.path.dirname(tapdsl.__file__), "..")
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "tapkit.cli", "analyze",
+                               "--data", "d.csv", "--target", "m[0]", "--max-lag", "1",
+                               "--bins", "2"], cwd=tmp_path, env=env, capture_output=True,
+                              timeout=120)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert "v\u00e9[0]".encode("utf-8") in done.stdout.splitlines()[1]
 
 class TestParserReuse:
     def test_build_parser_returns_a_fresh_parser(self):
@@ -827,3 +844,82 @@ class TestNotUtf8:
         assert str(exc.value) == message
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
         assert not (tmp_path / "m.txt").exists()
+
+
+# Every numeric option of every subcommand at the edges of float64 (floats) or
+# at small counts, so that no case allocates more than a few MB.
+EDGE_FLOATS = ("nan", "inf", "-inf", "1e308", "1e200", "1e-320", "0", "-0", "-1")
+EDGE_COUNTS = ("-1", "0", "1", "2")
+# A case name, its command (inputs under {inp}, outputs under {out}), its float
+# options and its count options. The swept option comes last, so it overrides
+# one the command gives.
+SWEEP = [
+    ("gen linear", "gen --plant linear --steps 5 --out {out}/g.csv", ("--noise", "--box"),
+     ("--episodes", "--steps", "--seed", "--dim", "--delay")),
+    ("gen arm", "gen --plant arm --steps 5 --out {out}/g.csv", (), ("--delay",)),
+    ("gen planted", "gen --plant planted --steps 8 --out {out}/g.csv", ("--noise",),
+     ("--delay",)),
+    ("apply", "apply --space {inp}/data.tap --tapping fwd --data {inp}/data.csv "
+     "--out {out}/ds.csv", ("--blocking",), ("--seed",)),
+    ("train", "train --data {inp}/ds.csv --features quadratic --out {out}/m.txt", ("--ridge",),
+     ()),
+    ("reach", "reach --model {inp}/model.txt --goal 1.5,0.5", ("--goal", "--box"),
+     ("--n", "--seed")),
+    *((f"td {algo}", f"td --algo {algo} --episodes 5", ("--gamma", "--alpha", "--epsilon"),
+       ("--states", "--episodes", "--seed")) for algo in ("td0", "q", "sarsa")),
+    ("analyze", "analyze --data {inp}/data.csv --target vision[0] --max-lag 2 "
+     "--emit-tapping {out}/eff.tap", ("--threshold",), ("--max-lag", "--bins")),
+    ("render", "render --spec {inp}/data.tap --tapping fwd --out {out}/f.dot", (),
+     ("--lag-min", "--lag-max")),
+    ("demo", "demo nao --steps 60 --goals 3 --n 4", (), ("--seed", "--steps", "--goals", "--n")),
+]
+
+
+def _float_args(option, value):
+    if option == "--box":
+        return [f"--box={value}:1", f"--box=-1:{value}"]
+    if option == "--goal":
+        return [f"--goal={value},0.5"]
+    return [f"{option}={value}"]
+
+
+SWEEP_CASES = [
+    pytest.param(command, arg, id=f"{name} {arg}")
+    for name, command, floats, counts in SWEEP
+    for arg in ([a for option in floats for value in EDGE_FLOATS
+                 for a in _float_args(option, value)]
+                + [f"{option}={value}" for option in counts for value in EDGE_COUNTS])
+]
+
+
+class TestEdgeValueSweep:
+    """No value of a numeric option ends in a traceback or an escaped
+    warning: each run exits 0, 1 (usage) or 2, and a refusal is one
+    ``error:`` line with nothing on stdout and no file written."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """A data table, its space file with tapping fwd, a dataset and a
+        quadratic model."""
+        inp = tmp_path_factory.mktemp("inputs")
+        assert main(f"gen --plant arm --steps 60 --out {inp}/data.csv --quiet".split()) == 0
+        with open(inp / "data.tap", "a") as fh:
+            fh.write("tapping fwd { input m @ -1 target vision @ 0 }\n")
+        assert main(f"apply --space {inp}/data.tap --tapping fwd --data {inp}/data.csv "
+                    f"--out {inp}/ds.csv --quiet".split()) == 0
+        assert main(f"train --data {inp}/ds.csv --features quadratic --out {inp}/model.txt "
+                    "--quiet".split()) == 0
+        return inp
+
+    @pytest.mark.parametrize("command, arg", SWEEP_CASES)
+    def test_exit_status(self, tmp_path, capsys, inputs, command, arg):
+        argv = command.format(inp=inputs, out=tmp_path).split() + [arg]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+            assert list(tmp_path.iterdir()) == []

@@ -442,6 +442,16 @@ class TestBestOfN:
             best_of_n(model, goal, 8, 0, -1, 1)
 
 
+    @pytest.mark.parametrize("goal, low, high", [([1e200, 0.5], -1, 1), ([0.5, 0.5], 0, 1e200),
+                                                 ([1e308, -1e308], -1, 1)])
+    def test_non_finite_distance_refused(self, goal, low, high):
+        # a far goal, or a box whose quadratic features overflow: no candidate is nearest
+        model = LinearModel(np.ones((2, feature_dim(2, "quadratic"))), np.zeros(2), "quadratic")
+        with pytest.raises(TapkitError) as exc:
+            best_of_n(model, goal, 8, 0, low, high)
+        assert str(exc.value) == ("predicted distance to goal is not finite; the goal or the "
+                                  "command box is too large for float64")
+
 class TestInverse:
     def test_inverse_model_hits_goal(self):
         A, inv_ds = linear_plant_dataset(inverse=True)

@@ -32,6 +32,10 @@ class TestLinearPlant:
             plant_matrix(PlantConfig(kind="linear", dim=2,
                                      matrix=((1.0, 1.0), (1.0, 1.0))))
 
+    def test_negative_zero_noise_is_zero_noise(self):
+        zero = generate(PlantConfig(kind="linear", dim=2, noise_std=0.0, seed=6), 2, 30)
+        assert generate(PlantConfig(kind="linear", dim=2, noise_std=-0.0, seed=6), 2, 30) == zero
+
     def test_noise_is_added(self):
         cfg = PlantConfig(kind="linear", dim=2, noise_std=0.5, seed=6)
         A = plant_matrix(cfg)

@@ -13,23 +13,15 @@ from hypothesis import strategies as st
 from tapkit import (
     SensorimotorMatrix,
     TapkitError,
+    csvtext,
     define_space,
     infer_space_from_csv,
     load_csv,
     save_csv,
     smcore,
 )
-from tapkit.smcore import (
-    ChannelRef,
-    Episode,
-    _float_text,
-    _int_text,
-    _read_body,
-    _read_table,
-    _text_lines,
-    _write_table,
-    parse_channel_ref,
-)
+from tapkit.csvtext import _float_text, _int_text, _read_body, _text_lines
+from tapkit.smcore import ChannelRef, Episode, parse_channel_ref
 
 from oracles import (edge_values, reference_append, reference_read_table, reference_rows,
                      reference_write_table)
@@ -599,7 +591,7 @@ def nul_refusing(reader):
 
 def reference_outcome(path, n_keys, mask):
     """``read_outcome`` of the reference, with its csv.Error for a NUL turned
-    into the TapkitError ``_read_table`` gives, which names the line that the
+    into the TapkitError ``csvtext.read`` gives, which names the line that the
     NUL's row starts on."""
     want = read_outcome(reference_read_table, path, n_keys, mask)
     if want[0] == "Error":
@@ -622,7 +614,7 @@ class TestReadTableAgainstReference:
     @given(seed=st.integers(0, 2**32 - 1), n_keys=st.sampled_from([1, 2]),
            mask=st.booleans(), newline=st.sampled_from(["\r\n", "\n"]),
            mutation=st.sampled_from(TABLE_MUTATIONS), refuse_nul=st.booleans(),
-           piece=st.sampled_from([4, 8, 28, 64, 200, smcore._PIECE_BYTES]),
+           piece=st.sampled_from([4, 8, 28, 64, 200, csvtext._PIECE_BYTES]),
            kernel_range=st.booleans())
     def test_same_arrays_or_same_error(self, tmp_path_factory, seed, n_keys, mask,
                                        newline, mutation, refuse_nul, piece, kernel_range):
@@ -630,8 +622,8 @@ class TestReadTableAgainstReference:
         big = write_table(path, np.random.default_rng(seed), n_keys, mask, newline, mutation,
                           kernel_range)
         with (mock.patch.object(csv, "reader", nul_refusing(csv.reader)) if refuse_nul
-              else contextlib.nullcontext()), mock.patch.object(smcore, "_PIECE_BYTES", piece):
-            got = read_outcome(_read_table, path, n_keys, mask)
+              else contextlib.nullcontext()), mock.patch.object(csvtext, "_PIECE_BYTES", piece):
+            got = read_outcome(csvtext.read, path, n_keys, mask)
             want = reference_outcome(path, n_keys, mask) if big is None else None
         if big is None:
             assert got == want
@@ -645,7 +637,7 @@ class TestReadTableAgainstReference:
     @settings(max_examples=500, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_keys=st.sampled_from([1, 2]), mask=st.booleans(),
            newline=st.sampled_from(["\r\n", "\n"]), refuse_nul=st.booleans(),
-           piece=st.sampled_from([4, 8, 28, 64, smcore._PIECE_BYTES]))
+           piece=st.sampled_from([4, 8, 28, 64, csvtext._PIECE_BYTES]))
     def test_spliced_bytes(self, tmp_path_factory, seed, n_keys, mask, newline, refuse_nul,
                            piece):
         rng = np.random.default_rng(seed)
@@ -663,8 +655,8 @@ class TestReadTableAgainstReference:
         path = tmp_path_factory.getbasetemp() / "spliced.csv"
         path.write_bytes((header + body).encode())
         with (mock.patch.object(csv, "reader", nul_refusing(csv.reader)) if refuse_nul
-              else contextlib.nullcontext()), mock.patch.object(smcore, "_PIECE_BYTES", piece):
-            assert read_outcome(_read_table, path, n_keys, mask) == \
+              else contextlib.nullcontext()), mock.patch.object(csvtext, "_PIECE_BYTES", piece):
+            assert read_outcome(csvtext.read, path, n_keys, mask) == \
                 reference_outcome(path, n_keys, mask)
 
 
@@ -675,8 +667,8 @@ def read_by_kernel(path, lines, n_keys=1):
     header = ",".join(["episode", "t"][:n_keys] + [f"c{j}" for j in range(width - n_keys)])
     path.write_text("".join(line + "\r\n" for line in [header, *lines]), newline="")
     row_loop = AssertionError("the row loop read it")
-    with mock.patch.object(smcore, "_read_rows", side_effect=row_loop):
-        return _read_table(path, n_keys, len)
+    with mock.patch.object(csvtext, "_read_rows", side_effect=row_loop):
+        return csvtext.read(path, n_keys, len)
 
 
 def assert_read_as_float(path, texts):
@@ -757,7 +749,7 @@ class TestReadKernel:
         texts = ["%.17g" % v for v in values.ravel().tolist()]
         assert not any("e" in t for t in texts)
         lines = [f"{i},{','.join(texts[3 * i:3 * i + 3])}" for i in range(300)]
-        with mock.patch.object(smcore, "_checked", wraps=smcore._checked) as checked:
+        with mock.patch.object(csvtext, "_checked", wraps=csvtext._checked) as checked:
             _, _, cells = read_by_kernel(tmp_path / "t.csv", lines)
         assert cells.tobytes() == float_bits(texts)
         assert sum(len(call.args[0]) for call in checked.call_args_list) == values.size
@@ -769,7 +761,7 @@ class TestReadKernel:
         path.write_bytes(f"episode,c0,c1\r\n{line}\r\n".encode())
         assert _read_body(path, 1, 3, False) is None
         want = read_outcome(reference_read_table, path, 1, False)
-        assert read_outcome(_read_table, path, 1, False) == want
+        assert read_outcome(csvtext.read, path, 1, False) == want
         if "\r," in line:  # a row of too few fields
             assert want[0] == "TapkitError"
         else:  # one row, then blank lines
@@ -781,7 +773,7 @@ class TestReadKernel:
         path.write_text(f"episode,c0\r\n0,0.5\r\n1,{text}\r\n", newline="")
         want = read_outcome(reference_read_table, path, 1, False)
         assert want == ("TapkitError", f"{path}: line 3: non-finite value {text!r}")
-        assert read_outcome(_read_table, path, 1, False) == want
+        assert read_outcome(csvtext.read, path, 1, False) == want
 
     def test_keys(self, tmp_path):
         texts = [str(10**18 - 1), str(1 - 10**18), "007", "-007", "0", "-0", "-1"]
@@ -794,7 +786,7 @@ class TestReadKernel:
         path.write_text(f"episode,c0\r\n0,{text}\r\n", newline="")
         assert _read_body(path, 1, 2, False) is None
         with pytest.raises(TapkitError) as info:
-            _read_table(path, 1, len)
+            csvtext.read(path, 1, len)
         assert str(info.value) == f"{path}: line 2: non-numeric value {text!r}"
 
     @pytest.mark.parametrize("big", ["9999999999999999999", "-9999999999999999999"])
@@ -803,7 +795,7 @@ class TestReadKernel:
         path.write_text(f"episode,c0\r\n0,0.5\r\n{big},0.5\r\n", newline="")
         assert _read_body(path, 1, 2, False) is None
         with pytest.raises(TapkitError) as info:
-            _read_table(path, 1, len)
+            csvtext.read(path, 1, len)
         assert str(info.value) == f"{path}: line 3: episode id out of range '{big}'"
 
 
@@ -827,13 +819,13 @@ class TestWriteTableAgainstReference:
             cells = rng.random((n, d)) < 0.5 if mask else edge_values(rng, (n, d))
             arrays.append((keys, cells))
         out = tmp_path_factory.mktemp("table")
-        _write_table(out / "got.csv", header, arrays)
+        csvtext.write(out / "got.csv", header, arrays)
         reference_write_table(out / "want.csv", header, arrays)
         assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
 
     def test_header_is_utf8(self, tmp_path):
-        _write_table(tmp_path / "t.csv", ["episode", "extero:v\u00e9[0]"],
-                     [(np.zeros((1, 1), dtype=np.int64), np.array([[0.5]]))])
+        csvtext.write(tmp_path / "t.csv", ["episode", "extero:v\u00e9[0]"],
+                      [(np.zeros((1, 1), dtype=np.int64), np.array([[0.5]]))])
         assert (tmp_path / "t.csv").read_bytes() == b"episode,extero:v\xc3\xa9[0]\r\n0,0.5\r\n"
 
 
